@@ -4,9 +4,10 @@
 // it already packed at training time pays the "pack" column on every
 // cold start; loading the artifact pays the "load" column instead.
 //
-// A second table compares the two *file* load paths the runtime offers:
-// stream loads copy every payload into owned storage; mmap loads borrow
-// the page cache zero-copy, so they are faster AND add almost no
+// A second table compares the two *file* load paths the runtime offers.
+// Both run the same parser over an aligned image of the file: stream
+// loads read the file into one private buffer first, mmap loads parse
+// the page cache in place, so they are faster AND add almost no
 // process-private RSS (the mapping is shared with every other process
 // serving the same artifact — see examples/shared_weights).
 //
@@ -14,6 +15,8 @@
 //                  [--json=<path>]
 // (--sparsity is an integer percent)
 
+#include <malloc.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -35,6 +38,44 @@
 #include "util/table.hpp"
 
 using namespace tilesparse;
+
+namespace {
+
+using LoadFn = std::vector<NamedWeight> (*)(const std::string&);
+
+/// VmRSS growth across one load of `path`, measured in a freshly forked
+/// child while the loaded weights are held.  In this process the delta
+/// reads ~0: the allocator hands the load heap pages that packing
+/// freed but kept resident.  The child first returns those free pages
+/// to the kernel (malloc_trim), so every page the load touches counts.
+std::size_t load_rss_delta_kb(LoadFn load, const std::string& path) {
+  int report[2];
+  if (pipe(report) != 0) std::abort();
+  const pid_t pid = fork();
+  if (pid < 0) std::abort();
+  if (pid == 0) {
+    close(report[0]);
+    malloc_trim(0);
+    const std::size_t before = process_rss_kb();
+    const auto held = load(path);
+    const std::size_t after = process_rss_kb();
+    const std::size_t delta = after > before ? after - before : 0;
+    const bool sent = write(report[1], &delta, sizeof(delta)) ==
+                      static_cast<ssize_t>(sizeof(delta));
+    _exit(sent ? 0 : 1);
+  }
+  close(report[1]);
+  std::size_t delta = 0;
+  const bool got = read(report[0], &delta, sizeof(delta)) ==
+                   static_cast<ssize_t>(sizeof(delta));
+  close(report[0]);
+  int status = 0;
+  waitpid(pid, &status, 0);
+  if (!got || !WIFEXITED(status) || WEXITSTATUS(status) != 0) std::abort();
+  return delta;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using tilesparse::bench::size_flag;
@@ -116,17 +157,17 @@ int main(int argc, char** argv) {
   table.print();
   std::printf("\n");
 
-  // ---- file artifacts: stream load (copying) vs mmap load (zero-copy).
+  // ---- file artifacts: stream load (private image) vs mmap load
+  // (zero-copy).
   //
-  // One on-disk v2 artifact per format; load latency is best-of-3 and
-  // the RSS delta is taken across a single load while the loaded
-  // backends are still alive.  Read the RSS columns carefully: the
-  // stream delta is private heap (often masked in-process by allocator
-  // reuse of pages the packing phase freed), while the mmap delta is
-  // shared page cache — counted in VmRSS once validation touches the
-  // pages, but reclaimable under pressure and shared with every other
-  // process mapping the same artifact (examples/shared_weights measures
-  // the per-process Pss, which is what multi-process serving pays).
+  // One on-disk artifact per format; load latency is best-of-3 and the
+  // RSS delta is taken across a single load in a forked child
+  // (load_rss_delta_kb).  Read the RSS columns carefully: the stream
+  // delta is private heap, while the mmap delta is shared page cache —
+  // counted in VmRSS once validation touches the pages, but reclaimable
+  // under pressure and shared with every other process mapping the
+  // same artifact (examples/shared_weights measures the per-process
+  // Pss, which is what multi-process serving pays).
   const char* tmpdir = std::getenv("TMPDIR");
   const std::string artifact_path =
       std::string(tmpdir && *tmpdir ? tmpdir : "/tmp") +
@@ -157,7 +198,7 @@ int main(int argc, char** argv) {
 
     struct LoadPath {
       const char* label;
-      std::vector<NamedWeight> (*load)(const std::string&);
+      LoadFn load;
     };
     const LoadPath paths[] = {
         {"stream", &load_model_weights},
@@ -166,13 +207,7 @@ int main(int argc, char** argv) {
     double load_ms[2] = {0.0, 0.0};
     std::size_t rss_delta_kb[2] = {0, 0};
     for (int p = 0; p < 2; ++p) {
-      {
-        // Cold(ish) RSS cost: one load, measured while still held.
-        const std::size_t before = process_rss_kb();
-        const auto held = paths[p].load(artifact_path);
-        const std::size_t after = process_rss_kb();
-        rss_delta_kb[p] = after > before ? after - before : 0;
-      }
+      rss_delta_kb[p] = load_rss_delta_kb(paths[p].load, artifact_path);
       load_ms[p] = 1e3 * time_best_of(
                              [&] {
                                const auto loaded =

@@ -2,7 +2,7 @@
 // format-tagged artifact holding every layer's complete PackedWeight —
 // compacted tiles, CSR arrays, int8 tiles *with their scales*.  The
 // inference side loads the artifact straight into execution backends
-// through the BackendRegistry loader table and serves requests without
+// (the stored format name picks each backend) and serves requests without
 // re-pruning, re-packing or re-quantising anything.  This is the flow a
 // production integration of TW would use: prune once, ship the packed
 // bytes, serve forever.
@@ -96,9 +96,10 @@ int main() {
   }
 
   // ---- "inference side": the same artifact through both load paths —
-  // stream (copies payloads into owned storage) and mmap (backends
-  // borrow the mapping zero-copy) — with load latency and the RSS cost
-  // of each reported side by side.
+  // stream (the file is read into one private aligned buffer) and mmap
+  // (the file is mapped) — with load latency and the RSS cost of each
+  // reported side by side.  Both parse the same image, and the backends
+  // borrow bulk payloads from it.
   struct LoadPath {
     const char* label;
     std::vector<NamedWeight> (*load)(const std::string&);
@@ -117,7 +118,7 @@ int main() {
                 layers.size(), path.label, load_ms,
                 rss_after > rss_before ? rss_after - rss_before : 0,
                 layers.front().weight->borrows_storage()
-                    ? " (weights borrow the mapping)"
+                    ? " (weights borrow the artifact image)"
                     : "");
 
     Rng rng(12);

@@ -1,7 +1,6 @@
 #include "exec/backend_registry.hpp"
 
 #include <algorithm>
-#include <istream>
 #include <limits>
 #include <map>
 #include <stdexcept>
@@ -63,63 +62,28 @@ std::map<std::string, BackendFactory>& registry() {
   return backends;
 }
 
-std::map<std::string, BackendLoader>& loader_registry() {
-  // tw/tew/csr payloads are self-describing (nested TSTL/TSTP/TSCR/TSCC
-  // headers carry the wire version), so their loaders ignore `layout`;
-  // the headerless dense and tw-int8 payloads need it threaded through.
-  static std::map<std::string, BackendLoader> loaders = {
-      {"dense",
-       [](std::istream& in, std::size_t k, std::size_t n, wire::Layout layout) {
-         return std::unique_ptr<PackedWeight>(
-             DenseWeight::load(in, k, n, layout));
-       }},
-      {"tw",
-       [](std::istream& in, std::size_t k, std::size_t n, wire::Layout) {
-         return std::unique_ptr<PackedWeight>(TwWeight::load(in, k, n));
-       }},
-      {"tew",
-       [](std::istream& in, std::size_t k, std::size_t n, wire::Layout) {
-         return std::unique_ptr<PackedWeight>(TewWeight::load(in, k, n));
-       }},
-      {"csr",
-       [](std::istream& in, std::size_t k, std::size_t n, wire::Layout) {
-         return std::unique_ptr<PackedWeight>(CsrWeight::load(in, k, n));
-       }},
-      {"tw-int8",
-       [](std::istream& in, std::size_t k, std::size_t n, wire::Layout layout) {
-         return std::unique_ptr<PackedWeight>(
-             QuantTwWeight::load(in, k, n, layout));
-       }},
-  };
-  return loaders;
+template <typename Weight>
+std::unique_ptr<PackedWeight> load_as(MappedArtifact& in, std::size_t k,
+                                      std::size_t n) {
+  return Weight::load(in, k, n);
 }
 
-std::map<std::string, BackendViewLoader>& view_loader_registry() {
-  static std::map<std::string, BackendViewLoader> loaders = {
-      {"dense",
-       [](MappedArtifact& in, std::size_t k, std::size_t n) {
-         return std::unique_ptr<PackedWeight>(DenseWeight::load_view(in, k, n));
-       }},
-      {"tw",
-       [](MappedArtifact& in, std::size_t k, std::size_t n) {
-         return std::unique_ptr<PackedWeight>(TwWeight::load_view(in, k, n));
-       }},
-      {"tew",
-       [](MappedArtifact& in, std::size_t k, std::size_t n) {
-         return std::unique_ptr<PackedWeight>(TewWeight::load_view(in, k, n));
-       }},
-      {"csr",
-       [](MappedArtifact& in, std::size_t k, std::size_t n) {
-         return std::unique_ptr<PackedWeight>(CsrWeight::load_view(in, k, n));
-       }},
-      {"tw-int8",
-       [](MappedArtifact& in, std::size_t k, std::size_t n) {
-         return std::unique_ptr<PackedWeight>(
-             QuantTwWeight::load_view(in, k, n));
-       }},
+using LoadFn = std::unique_ptr<PackedWeight> (*)(MappedArtifact&, std::size_t,
+                                                 std::size_t);
+
+/// Format name -> load factory of every serializable (built-in) format.
+const std::map<std::string, LoadFn, std::less<>>& loaders() {
+  static const std::map<std::string, LoadFn, std::less<>> table = {
+      {"dense", &load_as<DenseWeight>},  {"tw", &load_as<TwWeight>},
+      {"tew", &load_as<TewWeight>},      {"csr", &load_as<CsrWeight>},
+      {"tw-int8", &load_as<QuantTwWeight>},
   };
-  return loaders;
+  return table;
 }
+
+// Every on-wire index is int32, so no legitimate artifact can name a
+// larger dimension — reject before any k- or n-sized allocation.
+constexpr std::uint64_t kMaxDim = std::numeric_limits<std::int32_t>::max();
 
 }  // namespace
 
@@ -152,85 +116,11 @@ std::unique_ptr<PackedWeight> make_packed(const std::string& format,
   return it->second(weights, options);
 }
 
-void register_backend_loader(const std::string& format, BackendLoader loader) {
-  loader_registry()[format] = std::move(loader);
-}
-
-bool backend_loader_registered(const std::string& format) {
-  return loader_registry().count(format) != 0;
-}
-
-namespace {
-
-/// Shared post-load validation for both load paths.
-void check_loaded_weight(const PackedWeight* weight, const std::string& format,
-                         std::uint64_t k, std::uint64_t n) {
-  if (!weight || weight->k() != k || weight->n() != n ||
-      weight->format() != format)
-    throw std::runtime_error("load_packed_weight: loader for '" + format +
-                             "' produced an object disagreeing with the "
-                             "artifact header");
-}
-
-// Every on-wire index is int32, so no legitimate artifact can name a
-// larger dimension — reject before any k- or n-sized allocation.
-constexpr std::uint64_t kMaxDim = std::numeric_limits<std::int32_t>::max();
-
-}  // namespace
-
-std::unique_ptr<PackedWeight> load_packed_weight(std::istream& in) {
-  if (wire::read_pod<std::uint32_t>(in) != wire::kMagicPackedWeight)
-    throw std::runtime_error(
-        "load_packed_weight: not a packed-weight artifact (bad magic)");
-  const auto version = wire::read_pod<std::uint32_t>(in);
-  if (version != wire::kContainerVersionV1 &&
-      version != wire::kContainerVersionV2)
-    throw std::runtime_error(
-        "load_packed_weight: unsupported artifact version");
-  const wire::Layout layout{version};
-  const std::string format = wire::read_string(in);
-  const auto k = wire::read_pod<std::uint64_t>(in);
-  const auto n = wire::read_pod<std::uint64_t>(in);
-  if (k > kMaxDim || n > kMaxDim)
-    throw std::runtime_error(
-        "load_packed_weight: corrupt artifact dimensions");
-
-  const auto& loaders = loader_registry();
-  const auto it = loaders.find(format);
-  if (it == loaders.end()) {
-    std::string known;
-    for (const auto& [name, loader] : loaders)
-      known += (known.empty() ? "" : ", ") + name;
-    throw std::runtime_error("load_packed_weight: unknown weight format '" +
-                             format + "' in artifact (loadable: " + known +
-                             ")");
-  }
-  std::unique_ptr<PackedWeight> weight = it->second(
-      in, static_cast<std::size_t>(k), static_cast<std::size_t>(n), layout);
-  check_loaded_weight(weight.get(), format, k, n);
-  return weight;
-}
-
-void register_backend_view_loader(const std::string& format,
-                                  BackendViewLoader loader) {
-  view_loader_registry()[format] = std::move(loader);
-}
-
-bool backend_view_loader_registered(const std::string& format) {
-  return view_loader_registry().count(format) != 0;
-}
-
 std::unique_ptr<PackedWeight> load_packed_weight_mapped(MappedArtifact& in) {
   if (in.pod<std::uint32_t>() != wire::kMagicPackedWeight)
     throw std::runtime_error(
         "load_packed_weight: not a packed-weight artifact (bad magic)");
-  const auto version = in.pod<std::uint32_t>();
-  if (version == wire::kContainerVersionV1)
-    throw std::runtime_error(
-        "load_packed_weight: v1 artifacts are not alignment-padded and "
-        "cannot be mapped zero-copy — use the stream loader "
-        "(load_packed_weight), or re-save to upgrade to v2");
-  if (version != wire::kContainerVersionV2)
+  if (in.pod<std::uint32_t>() != wire::kContainerVersion)
     throw std::runtime_error(
         "load_packed_weight: unsupported artifact version");
   const std::string format = in.string();
@@ -240,20 +130,17 @@ std::unique_ptr<PackedWeight> load_packed_weight_mapped(MappedArtifact& in) {
     throw std::runtime_error(
         "load_packed_weight: corrupt artifact dimensions");
 
-  const auto& loaders = view_loader_registry();
-  const auto it = loaders.find(format);
-  if (it == loaders.end()) {
+  const auto it = loaders().find(format);
+  if (it == loaders().end()) {
     std::string known;
-    for (const auto& [name, loader] : loaders)
+    for (const auto& [name, load] : loaders())
       known += (known.empty() ? "" : ", ") + name;
-    throw std::runtime_error("load_packed_weight: no view-loader for format '" +
-                             format + "' (mappable: " + known +
-                             "); use the stream loader");
+    throw std::runtime_error("load_packed_weight: unknown weight format '" +
+                             format + "' in artifact (loadable: " + known +
+                             ")");
   }
-  std::unique_ptr<PackedWeight> weight =
-      it->second(in, static_cast<std::size_t>(k), static_cast<std::size_t>(n));
-  check_loaded_weight(weight.get(), format, k, n);
-  return weight;
+  return it->second(in, static_cast<std::size_t>(k),
+                    static_cast<std::size_t>(n));
 }
 
 }  // namespace tilesparse

@@ -7,14 +7,12 @@
 // runtime with register_backend().
 
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/tile_pattern.hpp"
 #include "exec/packed_weight.hpp"
-#include "io/wire.hpp"
 #include "tensor/matrix.hpp"
 
 namespace tilesparse {
@@ -65,64 +63,19 @@ std::unique_ptr<PackedWeight> make_packed(const std::string& format,
 // ------------------------------------------------------- artifact loading
 //
 // The deserialization side of the registry: a format-tagged artifact
-// (written by write_packed_weight in io/serialize) names the backend
-// that must reconstruct it, so the loader table is the registry's dual.
-// Built-in formats register loaders automatically; custom backends that
-// override PackedWeight::save() plug theirs in here.
+// (written by write_packed_weight in io/serialize) names the built-in
+// backend whose load factory reconstructs it.  Custom backends
+// registered above are execution-only: they cannot be saved or loaded.
 
-/// Reads one backend payload written by PackedWeight::save().  `k`/`n`
-/// come from the container header; loaders must validate the payload
-/// against them and throw std::runtime_error on disagreement.  `layout`
-/// is the container's wire layout — formats whose payload is headerless
-/// (dense, tw-int8) need it; self-describing payloads may ignore it.
-using BackendLoader = std::function<std::unique_ptr<PackedWeight>(
-    std::istream& in, std::size_t k, std::size_t n, wire::Layout layout)>;
-
-/// Registers (or replaces) a loader.  Thread-compatible, like
-/// register_backend.
-void register_backend_loader(const std::string& format, BackendLoader loader);
-
-/// True when `format` has a registered loader.
-bool backend_loader_registered(const std::string& format);
-
-/// Reads one whole-PackedWeight container (magic, version, format name,
-/// k/n, payload) and dispatches on the stored format name.  Accepts
-/// both v1 and v2 containers.  Throws std::runtime_error for a bad
-/// magic, an unsupported version, an unknown format name, or a payload
-/// that fails validation — never UB, and never bad_alloc when the
-/// stream is seekable (files and string streams; a garbage length on a
-/// pipe cannot be pre-validated).
-std::unique_ptr<PackedWeight> load_packed_weight(std::istream& in);
-
-// ------------------------------------------------------ zero-copy loading
-//
-// The mmap dual of the loader table: view-loaders resolve a payload to
-// spans into a read-only mapping (io/mmap_file.hpp) instead of reading
-// it into owned storage.  Built-in formats register view-loaders
-// automatically; a format without one simply cannot be mapped (callers
-// fall back to the stream path).
-
-/// Reads one backend payload from a mapped artifact, borrowing bulk
-/// sections in place.  Same validation contract as BackendLoader.
-using BackendViewLoader = std::function<std::unique_ptr<PackedWeight>(
-    MappedArtifact& in, std::size_t k, std::size_t n)>;
-
-/// Registers (or replaces) a view-loader.  Thread-compatible, like
-/// register_backend.
-void register_backend_view_loader(const std::string& format,
-                                  BackendViewLoader loader);
-
-/// True when `format` has a registered view-loader.
-bool backend_view_loader_registered(const std::string& format);
-
-/// Parses one whole-PackedWeight container from a mapped artifact and
-/// dispatches on the stored format name, producing a weight whose bulk
-/// payload borrows the mapping (PackedWeight::borrows_storage()).
-/// Requires a v2 (aligned-layout) artifact: v1 payloads are not
-/// alignment-padded, so mapping them is rejected with a message
-/// pointing at the stream loader.  Same error contract as
-/// load_packed_weight — corrupt or truncated artifacts throw with an
-/// offset diagnostic, they never fault.
+/// Parses one whole-PackedWeight container (magic, version, format
+/// name, k/n, payload) from an artifact image — a file mapping or an
+/// owned buffer (io/mmap_file.hpp) — and dispatches on the stored
+/// format name, producing a weight whose bulk payload borrows the image
+/// (PackedWeight::borrows_storage()).  Throws std::runtime_error for a
+/// bad magic, an unsupported version, an unknown format name, or a
+/// payload that fails validation; corrupt or truncated artifacts throw
+/// with an offset diagnostic, they never fault or allocate from a
+/// corrupt size.
 std::unique_ptr<PackedWeight> load_packed_weight_mapped(MappedArtifact& in);
 
 }  // namespace tilesparse

@@ -18,21 +18,10 @@ CsrWeight::CsrWeight(CsrStore csr)
       csr_(std::move(csr)),
       panels_(build_csr_panels(csr_.ref())) {}
 
-void CsrWeight::save(std::ostream& out, wire::Layout layout) const {
-  write_csr(out, csr_.ref(), layout);
-}
+void CsrWeight::save(std::ostream& out) const { write_csr(out, csr_.ref()); }
 
-std::unique_ptr<CsrWeight> CsrWeight::load(std::istream& in, std::size_t k,
+std::unique_ptr<CsrWeight> CsrWeight::load(MappedArtifact& in, std::size_t k,
                                            std::size_t n) {
-  Csr csr = read_csr(in);
-  if (csr.rows != k || csr.cols != n)
-    throw std::runtime_error(
-        "CsrWeight::load: payload shape disagrees with artifact header");
-  return std::make_unique<CsrWeight>(std::move(csr));
-}
-
-std::unique_ptr<CsrWeight> CsrWeight::load_view(MappedArtifact& in,
-                                                std::size_t k, std::size_t n) {
   CsrStore csr = read_csr(in);
   if (csr.rows != k || csr.cols != n)
     throw std::runtime_error(

@@ -26,18 +26,14 @@ class CsrWeight final : public PackedWeight {
   /// Wraps an existing CSR (of the weight matrix itself).
   explicit CsrWeight(Csr csr);
 
-  /// Deserializes a payload written by save(): the CSR arrays,
-  /// validated against the artifact's `k`/`n`.
-  static std::unique_ptr<CsrWeight> load(std::istream& in, std::size_t k,
+  /// Parses a payload written by save() from an artifact image: the
+  /// CSR arrays, validated against the artifact's `k`/`n`.  They borrow
+  /// the image in place, but execution runs on strip panels built at
+  /// load, which copy col/val per strip (sparse/spmm.hpp).
+  static std::unique_ptr<CsrWeight> load(MappedArtifact& in, std::size_t k,
                                          std::size_t n);
 
-  /// Zero-copy load: the CSR index/value arrays borrow the mapping in
-  /// place; execution still runs on privately built strip panels,
-  /// identical to the stream path.
-  static std::unique_ptr<CsrWeight> load_view(MappedArtifact& in,
-                                              std::size_t k, std::size_t n);
-
-  void save(std::ostream& out, wire::Layout layout = {}) const override;
+  void save(std::ostream& out) const override;
   MatrixF to_dense() const override;
   std::size_t bytes() const noexcept override;
   double macs(std::size_t m) const noexcept override;

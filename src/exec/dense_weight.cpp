@@ -13,23 +13,12 @@ DenseWeight::DenseWeight(MatrixF weights, GemmConfig config)
       weights_(std::move(weights)),
       config_(config) {}
 
-void DenseWeight::save(std::ostream& out, wire::Layout layout) const {
-  wire::write_matrix_payload(out, weights_, layout);
+void DenseWeight::save(std::ostream& out) const {
+  wire::write_matrix_payload(out, weights_);
 }
 
-std::unique_ptr<DenseWeight> DenseWeight::load(std::istream& in, std::size_t k,
-                                               std::size_t n,
-                                               wire::Layout layout) {
-  MatrixF weights = wire::read_matrix_payload<float>(in, layout);
-  if (weights.rows() != k || weights.cols() != n)
-    throw std::runtime_error(
-        "DenseWeight::load: payload shape disagrees with artifact header");
-  return std::make_unique<DenseWeight>(std::move(weights));
-}
-
-std::unique_ptr<DenseWeight> DenseWeight::load_view(MappedArtifact& in,
-                                                    std::size_t k,
-                                                    std::size_t n) {
+std::unique_ptr<DenseWeight> DenseWeight::load(MappedArtifact& in,
+                                               std::size_t k, std::size_t n) {
   const auto rows = in.pod<std::uint64_t>();
   const auto cols = in.pod<std::uint64_t>();
   if (rows != k || cols != n)

@@ -21,19 +21,14 @@ class DenseWeight final : public PackedWeight {
  public:
   explicit DenseWeight(MatrixF weights, GemmConfig config = {});
 
-  /// Deserializes a payload written by save(); `k`/`n` come from the
-  /// artifact container header and must match the stored panel;
-  /// `layout` is the container's wire layout (v2 payloads are aligned).
-  static std::unique_ptr<DenseWeight> load(std::istream& in, std::size_t k,
-                                           std::size_t n, wire::Layout layout);
+  /// Parses a payload written by save() from an artifact image; `k`/`n`
+  /// come from the container header and must match the stored panel.
+  /// The K x N panel borrows the image in place (the micro-kernel packs
+  /// its own B panels lazily, as for a packed weight).
+  static std::unique_ptr<DenseWeight> load(MappedArtifact& in, std::size_t k,
+                                           std::size_t n);
 
-  /// Zero-copy load: the K x N panel borrows the mapping in place (the
-  /// micro-kernel packs its own B panels lazily, exactly as after a
-  /// stream load).
-  static std::unique_ptr<DenseWeight> load_view(MappedArtifact& in,
-                                                std::size_t k, std::size_t n);
-
-  void save(std::ostream& out, wire::Layout layout = {}) const override;
+  void save(std::ostream& out) const override;
   MatrixF to_dense() const override { return weights_; }
   std::size_t bytes() const noexcept override;
   double macs(std::size_t m) const noexcept override;

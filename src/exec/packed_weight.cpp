@@ -52,11 +52,11 @@ std::unique_ptr<PackedWeight> PackedWeight::shard_cols(std::size_t,
                          "' does not support exact column slicing");
 }
 
-void PackedWeight::save(std::ostream&, wire::Layout) const {
+void PackedWeight::save(std::ostream&) const {
   throw std::logic_error(std::string("PackedWeight::save: format '") +
                          std::string(format()) +
-                         "' has no serializer (override save() and register "
-                         "a loader with register_backend_loader)");
+                         "' has no serializer (only the built-in formats "
+                         "can be saved and loaded)");
 }
 
 void PackedWeight::matmul(const ExecContext& ctx, const MatrixF& a,

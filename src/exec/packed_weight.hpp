@@ -25,7 +25,6 @@
 
 #include "exec/exec_context.hpp"
 #include "exec/weight_storage.hpp"
-#include "io/wire.hpp"
 #include "tensor/matrix.hpp"
 
 namespace tilesparse {
@@ -58,18 +57,17 @@ class PackedWeight {
   /// reconstruct this object without the original dense weights (e.g.
   /// the int8 format writes quantised tiles *with their scales*).  The
   /// enclosing container framing (magic, version, format name, k/n) is
-  /// written by write_packed_weight (io/serialize); `layout` is the
-  /// container's wire layout and must govern the payload too (v2 pads
-  /// bulk payloads to 64-byte file offsets so they mmap in place).
-  /// The matching load factory is registered with
-  /// register_backend_loader.  The default throws std::logic_error so
-  /// execution-only custom backends keep working until they opt into
-  /// serialization.
-  virtual void save(std::ostream& out, wire::Layout layout = {}) const;
+  /// written by write_packed_weight (io/serialize); bulk payloads are
+  /// padded to 64-byte file offsets so an artifact image parses in
+  /// place.  Only the built-in formats have load factories (dispatched
+  /// by load_packed_weight_mapped in exec/backend_registry), so the
+  /// default throws std::logic_error: custom backends are
+  /// execution-only.
+  virtual void save(std::ostream& out) const;
 
-  /// True when this weight's payload borrows an mmap'd artifact
-  /// (loaded through load_packed_weight_mapped) instead of owning a
-  /// private copy.
+  /// True when this weight's payload aliases an artifact image — a file
+  /// mapping or the owned buffer a file or stream was read into — which
+  /// it keeps alive, instead of owning private storage.
   bool borrows_storage() const noexcept { return keepalive_ != nullptr; }
 
   /// Whether matmul can honor the requested activation numerics.
@@ -111,9 +109,9 @@ class PackedWeight {
   /// the wrapper must not pre-round A.
   virtual bool native_fp16() const noexcept { return false; }
 
-  /// Installed by the load_view factories: keeps the mapped artifact
-  /// alive for as long as this weight borrows storage from it.  Owning
-  /// weights (packed, stream-loaded, or sharded) leave it null.
+  /// Installed by the load factories: keeps the artifact image alive
+  /// for as long as this weight borrows storage from it.  Owning
+  /// weights (packed or sharded) leave it null.
   void set_storage_keepalive(StorageKeepalive keepalive) noexcept {
     keepalive_ = std::move(keepalive);
   }

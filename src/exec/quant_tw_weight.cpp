@@ -9,19 +9,6 @@
 
 namespace tilesparse {
 
-namespace {
-
-void check_quant_tile(const QuantMaskedTile& tile, std::size_t k,
-                      std::size_t n) {
-  if (tile.weights.rows() != tile.kept_rows.size() ||
-      tile.weights.cols() != tile.out_cols.size())
-    throw std::runtime_error("QuantTwWeight::load: inconsistent quantised tile");
-  wire::check_index_vector(tile.kept_rows, k, "tile row");
-  wire::check_index_vector(tile.out_cols, n, "tile column");
-}
-
-}  // namespace
-
 QuantTwWeight::QuantTwWeight(const MatrixF& weights, const TilePattern& pattern)
     : QuantTwWeight(compact_tiles(weights, pattern), pattern.k, pattern.n) {}
 
@@ -33,39 +20,21 @@ QuantTwWeight::QuantTwWeight(std::vector<QuantMaskedTile> tiles, std::size_t k,
                              std::size_t n)
     : PackedWeight(k, n), tiles_(std::move(tiles)) {}
 
-void QuantTwWeight::save(std::ostream& out, wire::Layout layout) const {
+void QuantTwWeight::save(std::ostream& out) const {
   wire::write_pod<std::uint64_t>(out, tiles_.size());
   for (const QuantMaskedTile& tile : tiles_) {
     wire::write_pod<float>(out, tile.scale);
-    wire::write_vector(out, tile.kept_rows, layout);
-    wire::write_vector(out, tile.out_cols, layout);
-    wire::write_matrix_payload(out, tile.weights, layout);
+    wire::write_vector(out, tile.kept_rows);
+    wire::write_vector(out, tile.out_cols);
+    wire::write_matrix_payload(out, tile.weights);
   }
 }
 
-std::unique_ptr<QuantTwWeight> QuantTwWeight::load(std::istream& in,
+std::unique_ptr<QuantTwWeight> QuantTwWeight::load(MappedArtifact& in,
                                                    std::size_t k,
-                                                   std::size_t n,
-                                                   wire::Layout layout) {
-  const auto count = wire::read_pod<std::uint64_t>(in);
-  wire::check_size_prefix(in, count, 3 * sizeof(std::uint64_t));
-  std::vector<QuantMaskedTile> tiles(static_cast<std::size_t>(count));
-  for (QuantMaskedTile& tile : tiles) {
-    tile.scale = wire::read_pod<float>(in);
-    tile.kept_rows = wire::read_vector<std::int32_t>(in, layout);
-    tile.out_cols = wire::read_vector<std::int32_t>(in, layout);
-    tile.weights = wire::read_matrix_payload<std::int8_t>(in, layout);
-    check_quant_tile(tile, k, n);
-  }
-  return std::make_unique<QuantTwWeight>(std::move(tiles), k, n);
-}
-
-std::unique_ptr<QuantTwWeight> QuantTwWeight::load_view(MappedArtifact& in,
-                                                        std::size_t k,
-                                                        std::size_t n) {
-  const auto count = in.pod<std::uint64_t>();
-  if (count > in.remaining() / (3 * sizeof(std::uint64_t)))
-    in.fail("quantised tile count exceeds remaining payload");
+                                                   std::size_t n) {
+  // Each tile takes at least three u64 size prefixes on the wire.
+  const auto count = in.count(3 * sizeof(std::uint64_t));
   std::vector<QuantMaskedTile> tiles(static_cast<std::size_t>(count));
   for (QuantMaskedTile& tile : tiles) {
     tile.scale = in.pod<float>();
@@ -86,7 +55,8 @@ std::unique_ptr<QuantTwWeight> QuantTwWeight::load_view(MappedArtifact& in,
     tile.weights = MatrixI8::borrowed(panel.data(),
                                       static_cast<std::size_t>(rows),
                                       static_cast<std::size_t>(cols));
-    check_quant_tile(tile, k, n);
+    wire::check_index_vector(tile.kept_rows, k, "tile row");
+    wire::check_index_vector(tile.out_cols, n, "tile column");
   }
   auto weight = std::make_unique<QuantTwWeight>(std::move(tiles), k, n);
   weight->set_storage_keepalive(in.keepalive());

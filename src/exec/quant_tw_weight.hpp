@@ -33,23 +33,16 @@ class QuantTwWeight final : public PackedWeight {
   QuantTwWeight(std::vector<QuantMaskedTile> tiles, std::size_t k,
                 std::size_t n);
 
-  /// Deserializes a payload written by save(): the int8 tiles *with
-  /// their per-tile scales* — loading never re-quantises (which would
-  /// shift results between the train and serve sides).  The payload is
-  /// headerless, so the container's wire layout must be threaded in.
-  static std::unique_ptr<QuantTwWeight> load(std::istream& in, std::size_t k,
-                                             std::size_t n,
-                                             wire::Layout layout);
+  /// Parses a payload written by save() from an artifact image: the
+  /// int8 tiles *with their per-tile scales* — loading never
+  /// re-quantises (which would shift results between the train and
+  /// serve sides).  Each tile's int8 weight matrix borrows the image in
+  /// place, and quant_tw_gemm executes directly on the borrowed tiles
+  /// (no private repack).
+  static std::unique_ptr<QuantTwWeight> load(MappedArtifact& in,
+                                             std::size_t k, std::size_t n);
 
-  /// Zero-copy load: each tile's int8 weight matrix borrows the
-  /// mapping in place, and quant_tw_gemm executes directly on the
-  /// borrowed tiles — the only backend that is zero-copy at execution
-  /// for its entire weight payload (no private repack).
-  static std::unique_ptr<QuantTwWeight> load_view(MappedArtifact& in,
-                                                  std::size_t k,
-                                                  std::size_t n);
-
-  void save(std::ostream& out, wire::Layout layout = {}) const override;
+  void save(std::ostream& out) const override;
   MatrixF to_dense() const override;
   std::size_t bytes() const noexcept override;
   double macs(std::size_t m) const noexcept override;

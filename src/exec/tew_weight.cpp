@@ -54,48 +54,27 @@ TilePattern slice_pattern_cols(const TilePattern& pattern, std::size_t n0,
   return out;
 }
 
-/// Shared shape/index validation for both load paths.
-void check_tew_payload(const TilePattern& pattern,
-                       const std::vector<MaskedTile>& tiles,
-                       std::size_t remainder_rows, std::size_t remainder_cols,
-                       std::size_t k, std::size_t n) {
-  if (pattern.k != k || pattern.n != n || remainder_rows != k ||
-      remainder_cols != n || tiles.size() != pattern.tiles.size())
+}  // namespace
+
+void TewWeight::save(std::ostream& out) const {
+  write_pattern(out, pattern_);
+  write_tiles(out, tiles_);
+  write_csc(out, remainder_.ref());
+}
+
+std::unique_ptr<TewWeight> TewWeight::load(MappedArtifact& in, std::size_t k,
+                                           std::size_t n) {
+  TilePattern pattern = read_pattern(in);
+  std::vector<MaskedTile> tiles = read_tiles(in);
+  CscStore remainder = read_csc(in);
+  if (pattern.k != k || pattern.n != n || remainder.rows != k ||
+      remainder.cols != n || tiles.size() != pattern.tiles.size())
     throw std::runtime_error(
         "TewWeight::load: payload shape disagrees with artifact header");
   for (const MaskedTile& tile : tiles) {
     wire::check_index_vector(tile.kept_rows, k, "tile row");
     wire::check_index_vector(tile.out_cols, n, "tile column");
   }
-}
-
-}  // namespace
-
-void TewWeight::save(std::ostream& out, wire::Layout layout) const {
-  write_pattern(out, pattern_, layout);
-  write_tiles(out, tiles_, layout);
-  write_csc(out, remainder_.ref(), layout);
-}
-
-std::unique_ptr<TewWeight> TewWeight::load(std::istream& in, std::size_t k,
-                                           std::size_t n) {
-  TewMatrix tew;
-  tew.k = k;
-  tew.n = n;
-  tew.pattern = read_pattern(in);
-  tew.tiles = read_tiles(in);
-  tew.remainder = read_csc(in);
-  check_tew_payload(tew.pattern, tew.tiles, tew.remainder.rows,
-                    tew.remainder.cols, k, n);
-  return std::make_unique<TewWeight>(std::move(tew));
-}
-
-std::unique_ptr<TewWeight> TewWeight::load_view(MappedArtifact& in,
-                                                std::size_t k, std::size_t n) {
-  TilePattern pattern = read_pattern(in);
-  std::vector<MaskedTile> tiles = read_tiles(in);
-  CscStore remainder = read_csc(in);
-  check_tew_payload(pattern, tiles, remainder.rows, remainder.cols, k, n);
   auto weight = std::unique_ptr<TewWeight>(
       new TewWeight(k, n, std::move(pattern), std::move(tiles),
                     std::move(remainder)));

@@ -29,19 +29,17 @@ class TewWeight final : public PackedWeight {
   /// Wraps an existing decomposition.
   explicit TewWeight(TewMatrix tew);
 
-  /// Deserializes a payload written by save(): TW pattern, compacted
-  /// tiles and the CSC remainder, validated against `k`/`n`.
-  static std::unique_ptr<TewWeight> load(std::istream& in, std::size_t k,
+  /// Parses a payload written by save() from an artifact image: TW
+  /// pattern, compacted tiles and the CSC remainder, validated against
+  /// `k`/`n`.  Tile weight matrices and the remainder's index/value
+  /// arrays borrow the image in place.  Only the remainder executes
+  /// from the image (csc_gemm_accumulate runs on the borrowed arrays);
+  /// the TW part runs on TilePanels prepacked at load, which copy the
+  /// tile weights.
+  static std::unique_ptr<TewWeight> load(MappedArtifact& in, std::size_t k,
                                          std::size_t n);
 
-  /// Zero-copy load: tile weight matrices and the CSC remainder's
-  /// index/value arrays borrow the mapping in place.  The remainder is
-  /// genuinely zero-copy at execution too — csc_gemm_accumulate runs
-  /// directly on the borrowed arrays.
-  static std::unique_ptr<TewWeight> load_view(MappedArtifact& in,
-                                              std::size_t k, std::size_t n);
-
-  void save(std::ostream& out, wire::Layout layout = {}) const override;
+  void save(std::ostream& out) const override;
   MatrixF to_dense() const override;
   std::size_t bytes() const noexcept override;
   double macs(std::size_t m) const noexcept override;

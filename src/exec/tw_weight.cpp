@@ -47,22 +47,10 @@ TwWeight::TwWeight(std::vector<MaskedTile> tiles, std::size_t k, std::size_t n)
       groups_(groups_from_tiles(tiles_)),
       panels_(prepack_all_tile_panels(tiles_)) {}
 
-void TwWeight::save(std::ostream& out, wire::Layout layout) const {
-  write_tiles(out, tiles_, layout);
-}
+void TwWeight::save(std::ostream& out) const { write_tiles(out, tiles_); }
 
-std::unique_ptr<TwWeight> TwWeight::load(std::istream& in, std::size_t k,
+std::unique_ptr<TwWeight> TwWeight::load(MappedArtifact& in, std::size_t k,
                                          std::size_t n) {
-  std::vector<MaskedTile> tiles = read_tiles(in);
-  for (const MaskedTile& tile : tiles) {
-    wire::check_index_vector(tile.kept_rows, k, "tile row");
-    wire::check_index_vector(tile.out_cols, n, "tile column");
-  }
-  return std::make_unique<TwWeight>(std::move(tiles), k, n);
-}
-
-std::unique_ptr<TwWeight> TwWeight::load_view(MappedArtifact& in,
-                                              std::size_t k, std::size_t n) {
   std::vector<MaskedTile> tiles = read_tiles(in);
   for (const MaskedTile& tile : tiles) {
     wire::check_index_vector(tile.kept_rows, k, "tile row");

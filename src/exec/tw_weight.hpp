@@ -25,20 +25,15 @@ class TwWeight final : public PackedWeight {
   /// Wraps pre-compacted tiles (e.g. loaded from a deployment artifact).
   TwWeight(std::vector<MaskedTile> tiles, std::size_t k, std::size_t n);
 
-  /// Deserializes a payload written by save(): the compacted tiles,
-  /// bounds-checked against the artifact's `k`/`n`.  (The tile blob is
-  /// self-describing — its TSTL header carries the wire version.)
-  static std::unique_ptr<TwWeight> load(std::istream& in, std::size_t k,
+  /// Parses a payload written by save() from an artifact image: the
+  /// compacted tiles, bounds-checked against the artifact's `k`/`n`.
+  /// Each tile's weight matrix borrows the image in place (index
+  /// vectors, a few percent of the payload, are copied), but execution
+  /// runs on TilePanels prepacked at load, which copy the tile weights.
+  static std::unique_ptr<TwWeight> load(MappedArtifact& in, std::size_t k,
                                         std::size_t n);
 
-  /// Zero-copy load: each tile's weight matrix borrows the mapping in
-  /// place (index vectors, a few percent of the payload, are copied);
-  /// execution still runs on privately pre-packed panels, identical to
-  /// the stream path.
-  static std::unique_ptr<TwWeight> load_view(MappedArtifact& in,
-                                             std::size_t k, std::size_t n);
-
-  void save(std::ostream& out, wire::Layout layout = {}) const override;
+  void save(std::ostream& out) const override;
   MatrixF to_dense() const override;
   std::size_t bytes() const noexcept override;
   double macs(std::size_t m) const noexcept override;

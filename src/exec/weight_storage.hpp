@@ -1,12 +1,13 @@
 #pragma once
 // Owning-or-borrowing storage for PackedWeight payloads.
 //
-// Every exec backend historically owned its arrays outright (vectors,
-// Matrix allocations) — so N serving processes loading the same
-// artifact paid N copies of RSS.  The zero-copy load path
-// (load_packed_weight_mapped) instead resolves payloads to spans into
-// a read-only mmap (io/mmap_file.hpp); this header provides the small
-// storage types that hold either form behind one interface:
+// Packing produces weights that own their arrays (vectors, Matrix
+// allocations).  Loading an artifact instead resolves payloads to spans
+// into an artifact image — a read-only mmap shared through the page
+// cache, or the owned buffer a file or stream was read into
+// (io/mmap_file.hpp) — so N serving processes mapping one artifact pay
+// one copy of RSS between them.  This header provides the small storage
+// types that hold either form behind one interface:
 //
 //  * Matrix<T> itself grows a borrowed mode (tensor/matrix.hpp) for
 //    the dense / tile / int8-tile payloads;
@@ -15,11 +16,11 @@
 //  * CsrStore / CscStore bundle the arrays of one sparse matrix and
 //    hand kernels a CsrRef / CscRef view either way.
 //
-// Lifetime: borrowed storage aliases the mapping, so every borrowing
-// weight holds a StorageKeepalive (shared_ptr to the MmapFile) — the
-// mapping lives as long as any weight loaded from it.  Shards and
-// copies always materialise owning storage; only the load_view path
-// borrows.
+// Lifetime: borrowed storage aliases the image, so every borrowing
+// weight holds a StorageKeepalive (shared_ptr to the mapping or buffer)
+// — the image lives as long as any weight loaded from it.  Packed
+// weights, shards and copies own their storage; only loaded weights
+// borrow.
 
 #include <cstddef>
 #include <memory>
@@ -32,9 +33,9 @@
 
 namespace tilesparse {
 
-/// Shared ownership of whatever backs borrowed storage (in practice
-/// the MmapFile).  Type-erased: storage code never needs the mapping's
-/// interface, only its lifetime.
+/// Shared ownership of whatever backs borrowed storage (the MmapFile
+/// or the owned image buffer).  Type-erased: storage code never needs
+/// the owner's interface, only its lifetime.
 using StorageKeepalive = std::shared_ptr<const void>;
 
 /// A flat array that either owns a vector or borrows a span of someone

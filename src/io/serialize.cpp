@@ -27,40 +27,20 @@ constexpr std::uint32_t kMagicTiles = 0x5453544c;    // "TSTL"
 constexpr std::uint32_t kMagicCsr = 0x54534352;      // "TSCR"
 constexpr std::uint32_t kMagicCsc = 0x54534343;      // "TSCC"
 
-using wire::read_pod;
-using wire::read_vector;
 using wire::write_pod;
 using wire::write_vector;
 
-void write_header(std::ostream& out, std::uint32_t magic, wire::Layout layout) {
+void write_header(std::ostream& out, std::uint32_t magic) {
   write_pod(out, magic);
-  write_pod(out, layout.version);
+  write_pod(out, wire::kContainerVersion);
 }
 
-/// Nested object headers carry the wire-layout version (1 = packed,
-/// 2 = aligned), so every blob is self-describing; the returned layout
-/// drives the payload reads.
-wire::Layout check_header(std::istream& in, std::uint32_t magic) {
-  if (read_pod<std::uint32_t>(in) != magic)
-    throw std::runtime_error("tilesparse::io: bad magic");
-  const auto version = read_pod<std::uint32_t>(in);
-  if (version != wire::kContainerVersionV1 &&
-      version != wire::kContainerVersionV2)
-    throw std::runtime_error("tilesparse::io: unsupported version");
-  return wire::Layout{version};
-}
-
-/// Mapped mirror of check_header.  Mapped parsing additionally requires
-/// the aligned (v2) layout — a v1 blob's payloads cannot be resolved to
-/// element-aligned spans.
-void check_mapped_header(MappedArtifact& in, std::uint32_t magic) {
+/// Nested object headers carry the wire-layout version, so every blob
+/// is self-describing.
+void check_header(MappedArtifact& in, std::uint32_t magic) {
   if (in.pod<std::uint32_t>() != magic) in.fail("bad magic");
-  const auto version = in.pod<std::uint32_t>();
-  if (version == wire::kContainerVersionV1)
-    in.fail(
-        "v1 (unaligned) blob cannot be mapped zero-copy — use the stream "
-        "loader");
-  if (version != wire::kContainerVersionV2) in.fail("unsupported version");
+  if (in.pod<std::uint32_t>() != wire::kContainerVersion)
+    in.fail("unsupported version");
 }
 
 // Shared CSR/CSC sanity: pointer array monotonic from 0 to nnz, every
@@ -85,22 +65,13 @@ void check_compressed_axes(std::span<const std::int64_t> ptr,
 
 }  // namespace
 
-void write_matrix(std::ostream& out, const MatrixF& m, wire::Layout layout) {
-  write_header(out, kMagicMatrix, layout);
-  wire::write_matrix_payload(out, m, layout);
+void write_matrix(std::ostream& out, const MatrixF& m) {
+  write_header(out, kMagicMatrix);
+  wire::write_matrix_payload(out, m);
 }
 
-MatrixF read_matrix(std::istream& in) {
-  const wire::Layout layout = check_header(in, kMagicMatrix);
-  return wire::read_matrix_payload<float>(in, layout);
-}
-
-namespace {
-
-/// Mapped mirror of read_matrix: a borrowed MatrixF over the panel in
-/// the mapping.  The caller owns keeping the mapping alive.
-MatrixF read_matrix_view(MappedArtifact& in) {
-  check_mapped_header(in, kMagicMatrix);
+MatrixF read_matrix(MappedArtifact& in) {
+  check_header(in, kMagicMatrix);
   const auto rows = in.pod<std::uint64_t>();
   const auto cols = in.pod<std::uint64_t>();
   if (cols != 0 && rows > in.remaining() / cols)
@@ -110,43 +81,21 @@ MatrixF read_matrix_view(MappedArtifact& in) {
                            static_cast<std::size_t>(cols));
 }
 
-}  // namespace
-
-void write_pattern(std::ostream& out, const TilePattern& pattern,
-                   wire::Layout layout) {
-  write_header(out, kMagicPattern, layout);
+void write_pattern(std::ostream& out, const TilePattern& pattern) {
+  write_header(out, kMagicPattern);
   write_pod<std::uint64_t>(out, pattern.k);
   write_pod<std::uint64_t>(out, pattern.n);
   write_pod<std::uint64_t>(out, pattern.g);
-  write_vector(out, pattern.col_keep, layout);
+  write_vector(out, pattern.col_keep);
   write_pod<std::uint64_t>(out, pattern.tiles.size());
   for (const auto& tile : pattern.tiles) {
-    write_vector(out, tile.out_cols, layout);
-    write_vector(out, tile.row_keep, layout);
+    write_vector(out, tile.out_cols);
+    write_vector(out, tile.row_keep);
   }
-}
-
-TilePattern read_pattern(std::istream& in) {
-  const wire::Layout layout = check_header(in, kMagicPattern);
-  TilePattern pattern;
-  pattern.k = read_pod<std::uint64_t>(in);
-  pattern.n = read_pod<std::uint64_t>(in);
-  pattern.g = read_pod<std::uint64_t>(in);
-  pattern.col_keep = read_vector<std::uint8_t>(in, layout);
-  const auto tile_count = read_pod<std::uint64_t>(in);
-  // Each tile occupies at least two size prefixes on the wire.
-  wire::check_size_prefix(in, tile_count, 2 * sizeof(std::uint64_t));
-  pattern.tiles.resize(tile_count);
-  for (auto& tile : pattern.tiles) {
-    tile.out_cols = read_vector<std::int32_t>(in, layout);
-    tile.row_keep = read_vector<std::uint8_t>(in, layout);
-  }
-  validate_pattern(pattern);  // never trust a file
-  return pattern;
 }
 
 TilePattern read_pattern(MappedArtifact& in) {
-  check_mapped_header(in, kMagicPattern);
+  check_header(in, kMagicPattern);
   TilePattern pattern;
   pattern.k = in.pod<std::uint64_t>();
   pattern.n = in.pod<std::uint64_t>();
@@ -155,9 +104,8 @@ TilePattern read_pattern(MappedArtifact& in) {
   // percent of a real artifact — copied so TilePattern keeps vectors.
   const ConstSpan<std::uint8_t> col_keep = in.array<std::uint8_t>();
   pattern.col_keep.assign(col_keep.begin(), col_keep.end());
-  const auto tile_count = in.pod<std::uint64_t>();
-  if (tile_count > in.remaining() / (2 * sizeof(std::uint64_t)))
-    in.fail("corrupt size prefix (larger than the artifact)");
+  // Each tile occupies at least two size prefixes on the wire.
+  const auto tile_count = in.count(2 * sizeof(std::uint64_t));
   pattern.tiles.resize(static_cast<std::size_t>(tile_count));
   for (auto& tile : pattern.tiles) {
     const ConstSpan<std::int32_t> out_cols = in.array<std::int32_t>();
@@ -165,29 +113,30 @@ TilePattern read_pattern(MappedArtifact& in) {
     tile.out_cols.assign(out_cols.begin(), out_cols.end());
     tile.row_keep.assign(row_keep.begin(), row_keep.end());
   }
-  validate_pattern(pattern);
+  validate_pattern(pattern);  // never trust a file
   return pattern;
 }
 
-void write_tiles(std::ostream& out, const std::vector<MaskedTile>& tiles,
-                 wire::Layout layout) {
-  write_header(out, kMagicTiles, layout);
+void write_tiles(std::ostream& out, const std::vector<MaskedTile>& tiles) {
+  write_header(out, kMagicTiles);
   write_pod<std::uint64_t>(out, tiles.size());
   for (const auto& tile : tiles) {
-    write_vector(out, tile.kept_rows, layout);
-    write_vector(out, tile.out_cols, layout);
-    write_matrix(out, tile.weights, layout);
+    write_vector(out, tile.kept_rows);
+    write_vector(out, tile.out_cols);
+    write_matrix(out, tile.weights);
   }
 }
 
-std::vector<MaskedTile> read_tiles(std::istream& in) {
-  const wire::Layout layout = check_header(in, kMagicTiles);
-  const auto count = read_pod<std::uint64_t>(in);
-  wire::check_size_prefix(in, count, 2 * sizeof(std::uint64_t));
-  std::vector<MaskedTile> tiles(count);
+std::vector<MaskedTile> read_tiles(MappedArtifact& in) {
+  check_header(in, kMagicTiles);
+  const auto count = in.count(2 * sizeof(std::uint64_t));
+  std::vector<MaskedTile> tiles(static_cast<std::size_t>(count));
   for (auto& tile : tiles) {
-    tile.kept_rows = read_vector<std::int32_t>(in, layout);
-    tile.out_cols = read_vector<std::int32_t>(in, layout);
+    // Index vectors copied (small); tile weight panels borrowed.
+    const ConstSpan<std::int32_t> kept_rows = in.array<std::int32_t>();
+    const ConstSpan<std::int32_t> out_cols = in.array<std::int32_t>();
+    tile.kept_rows.assign(kept_rows.begin(), kept_rows.end());
+    tile.out_cols.assign(out_cols.begin(), out_cols.end());
     tile.weights = read_matrix(in);
     if (tile.weights.rows() != tile.kept_rows.size() ||
         tile.weights.cols() != tile.out_cols.size())
@@ -196,51 +145,17 @@ std::vector<MaskedTile> read_tiles(std::istream& in) {
   return tiles;
 }
 
-std::vector<MaskedTile> read_tiles(MappedArtifact& in) {
-  check_mapped_header(in, kMagicTiles);
-  const auto count = in.pod<std::uint64_t>();
-  if (count > in.remaining() / (2 * sizeof(std::uint64_t)))
-    in.fail("corrupt size prefix (larger than the artifact)");
-  std::vector<MaskedTile> tiles(static_cast<std::size_t>(count));
-  for (auto& tile : tiles) {
-    // Index vectors copied (small); tile weight panels borrowed.
-    const ConstSpan<std::int32_t> kept_rows = in.array<std::int32_t>();
-    const ConstSpan<std::int32_t> out_cols = in.array<std::int32_t>();
-    tile.kept_rows.assign(kept_rows.begin(), kept_rows.end());
-    tile.out_cols.assign(out_cols.begin(), out_cols.end());
-    tile.weights = read_matrix_view(in);
-    if (tile.weights.rows() != tile.kept_rows.size() ||
-        tile.weights.cols() != tile.out_cols.size())
-      throw std::runtime_error("tilesparse::io: inconsistent tile");
-  }
-  return tiles;
-}
-
-void write_csr(std::ostream& out, const CsrRef& m, wire::Layout layout) {
-  write_header(out, kMagicCsr, layout);
+void write_csr(std::ostream& out, const CsrRef& m) {
+  write_header(out, kMagicCsr);
   write_pod<std::uint64_t>(out, m.rows);
   write_pod<std::uint64_t>(out, m.cols);
-  wire::write_span(out, m.row_ptr, layout);
-  wire::write_span(out, m.col_idx, layout);
-  wire::write_span(out, m.values, layout);
-}
-
-Csr read_csr(std::istream& in) {
-  const wire::Layout layout = check_header(in, kMagicCsr);
-  Csr m;
-  m.rows = read_pod<std::uint64_t>(in);
-  m.cols = read_pod<std::uint64_t>(in);
-  m.row_ptr = read_vector<std::int64_t>(in, layout);
-  m.col_idx = read_vector<std::int32_t>(in, layout);
-  m.values = read_vector<float>(in, layout);
-  if (m.row_ptr.size() != m.rows + 1 || m.col_idx.size() != m.values.size())
-    throw std::runtime_error("tilesparse::io: inconsistent CSR");
-  check_compressed_axes(m.row_ptr, m.col_idx, m.cols, "CSR");
-  return m;
+  wire::write_span(out, m.row_ptr);
+  wire::write_span(out, m.col_idx);
+  wire::write_span(out, m.values);
 }
 
 CsrStore read_csr(MappedArtifact& in) {
-  check_mapped_header(in, kMagicCsr);
+  check_header(in, kMagicCsr);
   CsrStore m;
   m.rows = static_cast<std::size_t>(in.pod<std::uint64_t>());
   m.cols = static_cast<std::size_t>(in.pod<std::uint64_t>());
@@ -253,31 +168,17 @@ CsrStore read_csr(MappedArtifact& in) {
   return m;
 }
 
-void write_csc(std::ostream& out, const CscRef& m, wire::Layout layout) {
-  write_header(out, kMagicCsc, layout);
+void write_csc(std::ostream& out, const CscRef& m) {
+  write_header(out, kMagicCsc);
   write_pod<std::uint64_t>(out, m.rows);
   write_pod<std::uint64_t>(out, m.cols);
-  wire::write_span(out, m.col_ptr, layout);
-  wire::write_span(out, m.row_idx, layout);
-  wire::write_span(out, m.values, layout);
-}
-
-Csc read_csc(std::istream& in) {
-  const wire::Layout layout = check_header(in, kMagicCsc);
-  Csc m;
-  m.rows = read_pod<std::uint64_t>(in);
-  m.cols = read_pod<std::uint64_t>(in);
-  m.col_ptr = read_vector<std::int64_t>(in, layout);
-  m.row_idx = read_vector<std::int32_t>(in, layout);
-  m.values = read_vector<float>(in, layout);
-  if (m.col_ptr.size() != m.cols + 1 || m.row_idx.size() != m.values.size())
-    throw std::runtime_error("tilesparse::io: inconsistent CSC");
-  check_compressed_axes(m.col_ptr, m.row_idx, m.rows, "CSC");
-  return m;
+  wire::write_span(out, m.col_ptr);
+  wire::write_span(out, m.row_idx);
+  wire::write_span(out, m.values);
 }
 
 CscStore read_csc(MappedArtifact& in) {
-  check_mapped_header(in, kMagicCsc);
+  check_header(in, kMagicCsc);
   CscStore m;
   m.rows = static_cast<std::size_t>(in.pod<std::uint64_t>());
   m.cols = static_cast<std::size_t>(in.pod<std::uint64_t>());
@@ -290,14 +191,13 @@ CscStore read_csc(MappedArtifact& in) {
   return m;
 }
 
-void write_packed_weight(std::ostream& out, const PackedWeight& weight,
-                         wire::Layout layout) {
+void write_packed_weight(std::ostream& out, const PackedWeight& weight) {
   write_pod(out, wire::kMagicPackedWeight);
-  write_pod(out, layout.version);
+  write_pod(out, wire::kContainerVersion);
   wire::write_string(out, std::string(weight.format()));
   write_pod<std::uint64_t>(out, weight.k());
   write_pod<std::uint64_t>(out, weight.n());
-  weight.save(out, layout);
+  weight.save(out);
 }
 
 std::unique_ptr<PackedWeight> read_packed_weight(std::istream& in) {
@@ -305,50 +205,29 @@ std::unique_ptr<PackedWeight> read_packed_weight(std::istream& in) {
   // unreadable artifact, and must surface as a request error (the same
   // runtime_error contract real wire-format corruption follows).
   fault_point(FaultSite::kIoRead);
-  // The registry owns the format-name dispatch; this is the io-side
-  // spelling of the same operation.
-  return load_packed_weight(in);
+  MappedArtifact image = read_artifact_image(in);
+  return load_packed_weight_mapped(image);
 }
 
 void write_model_weights(
     std::ostream& out,
-    const std::vector<std::pair<std::string, const PackedWeight*>>& layers,
-    wire::Layout layout) {
+    const std::vector<std::pair<std::string, const PackedWeight*>>& layers) {
   for (const auto& [name, weight] : layers)
     if (!weight)
       throw std::invalid_argument("write_model_weights: layer '" + name +
                                   "' has no packed weight");
   write_pod(out, wire::kMagicModelWeights);
-  write_pod(out, layout.version);
+  write_pod(out, wire::kContainerVersion);
   write_pod<std::uint64_t>(out, layers.size());
   for (const auto& [name, weight] : layers) {
     wire::write_string(out, name);
-    write_packed_weight(out, *weight, layout);
+    write_packed_weight(out, *weight);
   }
 }
 
 std::vector<NamedWeight> read_model_weights(std::istream& in) {
-  fault_point(FaultSite::kIoRead);
-  if (read_pod<std::uint32_t>(in) != wire::kMagicModelWeights)
-    throw std::runtime_error(
-        "tilesparse::io: not a model-weights artifact (bad magic)");
-  const auto version = read_pod<std::uint32_t>(in);
-  if (version != wire::kContainerVersionV1 &&
-      version != wire::kContainerVersionV2)
-    throw std::runtime_error(
-        "tilesparse::io: unsupported model-weights version");
-  const auto count = read_pod<std::uint64_t>(in);
-  // Each layer costs at least a name prefix plus a container header.
-  wire::check_size_prefix(in, count, 2 * sizeof(std::uint64_t));
-  std::vector<NamedWeight> layers;
-  layers.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    NamedWeight entry;
-    entry.name = wire::read_string(in);
-    entry.weight = load_packed_weight(in);
-    layers.push_back(std::move(entry));
-  }
-  return layers;
+  MappedArtifact image = read_artifact_image(in);
+  return read_model_weights(image);
 }
 
 std::vector<NamedWeight> read_model_weights(MappedArtifact& in) {
@@ -356,18 +235,11 @@ std::vector<NamedWeight> read_model_weights(MappedArtifact& in) {
   if (in.pod<std::uint32_t>() != wire::kMagicModelWeights)
     throw std::runtime_error(
         "tilesparse::io: not a model-weights artifact (bad magic)");
-  const auto version = in.pod<std::uint32_t>();
-  if (version == wire::kContainerVersionV1)
-    throw std::runtime_error(
-        "tilesparse::io: v1 model-weights artifacts are not "
-        "alignment-padded and cannot be mapped zero-copy — use "
-        "load_model_weights, or re-save to upgrade to v2");
-  if (version != wire::kContainerVersionV2)
+  if (in.pod<std::uint32_t>() != wire::kContainerVersion)
     throw std::runtime_error(
         "tilesparse::io: unsupported model-weights version");
-  const auto count = in.pod<std::uint64_t>();
-  if (count > in.remaining() / (2 * sizeof(std::uint64_t)))
-    in.fail("corrupt size prefix (larger than the artifact)");
+  // Each layer costs at least a name prefix plus a container header.
+  const auto count = in.count(2 * sizeof(std::uint64_t));
   std::vector<NamedWeight> layers;
   layers.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -500,43 +372,24 @@ void atomic_save(const std::string& path,
 
 }  // namespace
 
-void save_pattern(const std::string& path, const TilePattern& pattern) {
-  auto out = open_out(path);
-  write_pattern(out, pattern);
-}
-TilePattern load_pattern(const std::string& path) {
-  auto in = open_in(path);
-  return read_pattern(in);
-}
-void save_tiles(const std::string& path, const std::vector<MaskedTile>& tiles) {
-  auto out = open_out(path);
-  write_tiles(out, tiles);
-}
-std::vector<MaskedTile> load_tiles(const std::string& path) {
-  auto in = open_in(path);
-  return read_tiles(in);
-}
-void save_packed_weight(const std::string& path, const PackedWeight& weight,
-                        wire::Layout layout) {
-  atomic_save(path, [&](std::ostream& out) {
-    write_packed_weight(out, weight, layout);
-  });
-}
-std::unique_ptr<PackedWeight> load_packed_weight(const std::string& path) {
-  auto in = open_in(path);
-  return read_packed_weight(in);
+void save_packed_weight(const std::string& path, const PackedWeight& weight) {
+  atomic_save(path,
+              [&](std::ostream& out) { write_packed_weight(out, weight); });
 }
 void save_model_weights(
     const std::string& path,
-    const std::vector<std::pair<std::string, const PackedWeight*>>& layers,
-    wire::Layout layout) {
-  atomic_save(path, [&](std::ostream& out) {
-    write_model_weights(out, layers, layout);
-  });
+    const std::vector<std::pair<std::string, const PackedWeight*>>& layers) {
+  atomic_save(path,
+              [&](std::ostream& out) { write_model_weights(out, layers); });
+}
+std::unique_ptr<PackedWeight> load_packed_weight(const std::string& path) {
+  MappedArtifact image = read_artifact_image(path);
+  fault_point(FaultSite::kIoRead);
+  return load_packed_weight_mapped(image);
 }
 std::vector<NamedWeight> load_model_weights(const std::string& path) {
-  auto in = open_in(path);
-  return read_model_weights(in);
+  MappedArtifact image = read_artifact_image(path);
+  return read_model_weights(image);
 }
 std::vector<NamedWeight> load_model_weights_mapped(const std::string& path) {
   MappedArtifact artifact(std::make_shared<const MmapFile>(path));

@@ -4,19 +4,16 @@
 // container — complete execution backends to the inference side, which
 // must not redo the (training-time) pruning or quantisation.  Format:
 // little-endian (enforced at compile time in io/wire.hpp), magic +
-// version header per object, size-prefixed arrays validated against the
-// stream length before allocation.  Errors (short reads, bad magic,
-// version mismatch, corrupt sizes) throw std::runtime_error.
+// version header per object, size-prefixed arrays, and every bulk
+// array/matrix payload padded to a 64-byte-aligned absolute file
+// offset (wire v2), so an image of the file at an aligned base can
+// hand out typed spans directly into it.
 //
-// Two wire layouts coexist (wire::Layout):
-//  * v1 — packed back-to-back, stream-loadable only;
-//  * v2 (default) — every bulk array/matrix payload is padded to a
-//    64-byte-aligned absolute file offset, so a file mapped at a
-//    page-aligned base can hand out typed spans directly into the
-//    mapping (zero-copy; see io/mmap_file.hpp and the read_*(
-//    MappedArtifact&) overloads below).
-// Readers never assume a version: every nested header carries it, and
-// both layouts stream-load transparently.
+// There is one parser: the read_*(MappedArtifact&) functions below,
+// over an image that is either a file mapping (zero-copy) or an owned
+// buffer the file or stream was read into (io/mmap_file.hpp).  Errors
+// (truncation, bad magic, version mismatch, corrupt sizes) throw
+// std::runtime_error with the failing offset.
 
 #include <iosfwd>
 #include <memory>
@@ -29,7 +26,6 @@
 #include "exec/packed_weight.hpp"
 #include "exec/weight_storage.hpp"
 #include "gemm/masked_gemm.hpp"
-#include "io/wire.hpp"
 #include "sparse/csc.hpp"
 #include "sparse/csr.hpp"
 #include "tensor/matrix.hpp"
@@ -38,40 +34,26 @@ namespace tilesparse {
 
 class MappedArtifact;
 
-// Streams.  Writers default to the current layout (v2, aligned); pass
-// wire::Layout{wire::kContainerVersionV1} to emit legacy artifacts.
-void write_matrix(std::ostream& out, const MatrixF& m, wire::Layout layout = {});
-MatrixF read_matrix(std::istream& in);
-
-void write_pattern(std::ostream& out, const TilePattern& pattern,
-                   wire::Layout layout = {});
-TilePattern read_pattern(std::istream& in);
-
-void write_tiles(std::ostream& out, const std::vector<MaskedTile>& tiles,
-                 wire::Layout layout = {});
-std::vector<MaskedTile> read_tiles(std::istream& in);
-
-void write_csr(std::ostream& out, const CsrRef& m, wire::Layout layout = {});
-inline void write_csr(std::ostream& out, const Csr& m,
-                      wire::Layout layout = {}) {
-  write_csr(out, m.ref(), layout);
+// Object writers.
+void write_matrix(std::ostream& out, const MatrixF& m);
+void write_pattern(std::ostream& out, const TilePattern& pattern);
+void write_tiles(std::ostream& out, const std::vector<MaskedTile>& tiles);
+void write_csr(std::ostream& out, const CsrRef& m);
+inline void write_csr(std::ostream& out, const Csr& m) {
+  write_csr(out, m.ref());
 }
-Csr read_csr(std::istream& in);
-
-void write_csc(std::ostream& out, const CscRef& m, wire::Layout layout = {});
-inline void write_csc(std::ostream& out, const Csc& m,
-                      wire::Layout layout = {}) {
-  write_csc(out, m.ref(), layout);
+void write_csc(std::ostream& out, const CscRef& m);
+inline void write_csc(std::ostream& out, const Csc& m) {
+  write_csc(out, m.ref());
 }
-Csc read_csc(std::istream& in);
 
-// Zero-copy duals of the readers above: parse the same wire objects
-// from a mapped v2 artifact, borrowing bulk sections (matrix panels,
-// index/value arrays) in place of copying them.  Small metadata (tile
-// index vectors, the pattern) is still copied — it is a few percent of
+// Object readers: bulk sections (matrix panels, index/value arrays) are
+// borrowed from the image in place of being copied.  Small metadata
+// (tile index vectors, the pattern) is copied — it is a few percent of
 // the payload and downstream code keeps plain vectors.  Whoever holds
-// the returned views must keep the mapping alive (MappedArtifact::
-// keepalive); the PackedWeight load_view paths do this automatically.
+// the returned views must keep the image alive (MappedArtifact::
+// keepalive); the PackedWeight load factories do this automatically.
+MatrixF read_matrix(MappedArtifact& in);
 TilePattern read_pattern(MappedArtifact& in);
 std::vector<MaskedTile> read_tiles(MappedArtifact& in);
 CsrStore read_csr(MappedArtifact& in);
@@ -83,12 +65,14 @@ CscStore read_csc(MappedArtifact& in);
 // format()), k, n, then a backend-owned payload written by
 // PackedWeight::save() — dense panels, TW/TEW tiles + pattern, CSR
 // arrays, or int8 tiles *with their scales*, so loading never re-packs
-// or re-quantises.  Reading dispatches on the stored format name
-// through the BackendRegistry loader table (see load_packed_weight in
+// or re-quantises.  Reading dispatches on the stored format name to the
+// built-in backend's load factory (load_packed_weight_mapped in
 // exec/backend_registry.hpp); unknown formats throw std::runtime_error.
 
-void write_packed_weight(std::ostream& out, const PackedWeight& weight,
-                         wire::Layout layout = {});
+void write_packed_weight(std::ostream& out, const PackedWeight& weight);
+
+/// Stream front end: reads the rest of `in` into an owned aligned image
+/// (read_artifact_image) and parses it.  The weight borrows that image.
 std::unique_ptr<PackedWeight> read_packed_weight(std::istream& in);
 
 /// One entry of a model-level artifact.
@@ -102,13 +86,15 @@ struct NamedWeight {
 // whole model.
 void write_model_weights(
     std::ostream& out,
-    const std::vector<std::pair<std::string, const PackedWeight*>>& layers,
-    wire::Layout layout = {});
+    const std::vector<std::pair<std::string, const PackedWeight*>>& layers);
+
+/// Stream front end, like read_packed_weight.
 std::vector<NamedWeight> read_model_weights(std::istream& in);
 
-/// Zero-copy dual: every weight's bulk payload borrows the mapping
-/// (and holds its keepalive), so N processes loading the same file
-/// share one physical copy of the weights through the page cache.
+/// Parses a model artifact image.  Every weight's bulk payload borrows
+/// the image (and holds its keepalive); over a mapping, N processes
+/// loading the same file share one physical copy of the weights
+/// through the page cache.
 std::vector<NamedWeight> read_model_weights(MappedArtifact& in);
 
 // Planner calibration — JSON, not the binary container: the artifact
@@ -118,31 +104,23 @@ void write_calibration_json(std::ostream& out,
                             const PlannerCalibration& calibration);
 PlannerCalibration read_calibration_json(std::istream& in);
 
-// File convenience wrappers.  The artifact savers (save_packed_weight,
-// save_model_weights) write atomically: the bytes go to a temp file in
-// the same directory which is rename(2)d over `path` only after a
-// clean flush, so a crash mid-save never leaves a torn artifact where
-// a serving process could map it.
-void save_pattern(const std::string& path, const TilePattern& pattern);
-TilePattern load_pattern(const std::string& path);
-void save_tiles(const std::string& path, const std::vector<MaskedTile>& tiles);
-std::vector<MaskedTile> load_tiles(const std::string& path);
-void save_packed_weight(const std::string& path, const PackedWeight& weight,
-                        wire::Layout layout = {});
-std::unique_ptr<PackedWeight> load_packed_weight(const std::string& path);
+// File convenience wrappers.  The artifact savers write atomically:
+// the bytes go to a temp file in the same directory which is rename(2)d
+// over `path` only after a clean flush, so a crash mid-save never
+// leaves a torn artifact where a serving process could map it.
+void save_packed_weight(const std::string& path, const PackedWeight& weight);
 void save_model_weights(
     const std::string& path,
-    const std::vector<std::pair<std::string, const PackedWeight*>>& layers,
-    wire::Layout layout = {});
+    const std::vector<std::pair<std::string, const PackedWeight*>>& layers);
+
+/// Reads `path` once into an owned aligned image and parses it; the
+/// weights borrow that private image.
+std::unique_ptr<PackedWeight> load_packed_weight(const std::string& path);
 std::vector<NamedWeight> load_model_weights(const std::string& path);
 
-/// Maps `path` (MAP_SHARED, read-only) and loads every layer zero-copy;
-/// the mapping lives as long as any returned weight.  Requires a v2
-/// artifact — v1 files throw with a message pointing at
-/// load_model_weights.
+/// Maps `path` (MAP_SHARED, read-only) and parses the mapping in
+/// place; the mapping lives as long as any returned weight.
 std::vector<NamedWeight> load_model_weights_mapped(const std::string& path);
-
-/// Zero-copy dual of load_packed_weight(path) for a single weight.
 std::unique_ptr<PackedWeight> load_packed_weight_mapped(
     const std::string& path);
 

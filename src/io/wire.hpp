@@ -1,21 +1,16 @@
 #pragma once
-// Low-level wire helpers shared by io/serialize and the PackedWeight
-// save/load payload code.
+// Low-level wire helpers: the write side of the artifact format, shared
+// by io/serialize and the PackedWeight::save payload code.  Reading is
+// done in one place only — the MappedArtifact cursor in io/mmap_file.hpp
+// — whether the bytes come from a mapping or a stream.
 //
 // All artifacts are little-endian on the wire.  write_pod emits host
 // byte order, so the library refuses to compile on big-endian hosts
 // rather than silently producing artifacts no little-endian reader can
 // open; porting to such a host means adding byte-swap shims here.
-//
-// Every size prefix read from a stream is validated against the bytes
-// actually remaining before any allocation: a truncated or corrupt
-// artifact throws std::runtime_error, never std::bad_alloc (a garbage
-// 64-bit length would otherwise ask the allocator for exabytes).
 
 #include <bit>
 #include <cstdint>
-#include <istream>
-#include <limits>
 #include <ostream>
 #include <span>
 #include <stdexcept>
@@ -36,29 +31,19 @@ static_assert(std::endian::native == std::endian::little,
 inline constexpr std::uint32_t kMagicPackedWeight = 0x54535057;  // "TSPW"
 inline constexpr std::uint32_t kMagicModelWeights = 0x54534d57;  // "TSMW"
 
-// Wire-layout versions.  v1 packs payloads back to back; v2 pads every
-// bulk payload (dense panels, tile matrices, CSR/CSC index + value
-// arrays, int8 tiles) out to a 64-byte aligned absolute file offset, so
-// an mmap of the artifact can hand the arrays to the kernels in place
-// (io/mmap_file.hpp).  Writers emit v2; stream readers accept both.
-inline constexpr std::uint32_t kContainerVersionV1 = 1;
-inline constexpr std::uint32_t kContainerVersionV2 = 2;
-inline constexpr std::uint32_t kContainerVersion = kContainerVersionV2;
+/// Wire-layout version stamped in every header.  Version 2 pads every
+/// bulk payload (dense panels, tile matrices, CSR/CSC index + value
+/// arrays, int8 tiles) out to a 64-byte aligned absolute file offset,
+/// so a parser over an aligned image of the artifact can hand the
+/// arrays to the kernels in place (io/mmap_file.hpp).  It is the only
+/// layout written or read.
+inline constexpr std::uint32_t kContainerVersion = 2;
 
-/// Alignment of every v2 bulk payload, relative to the start of the
-/// file.  64 covers the strictest element type and matches the cache
-/// line the GEMM micro-kernels are laid out for; mmap bases are
-/// page-aligned, so file offset == in-memory alignment.
+/// Alignment of every bulk payload, relative to the start of the file.
+/// 64 covers the strictest element type and matches the cache line the
+/// GEMM micro-kernels are laid out for; image bases are 64-byte
+/// aligned, so file offset == in-memory alignment.
 inline constexpr std::size_t kPayloadAlign = 64;
-
-/// Wire layout selector threaded through the writers and the
-/// headerless payload readers (dense / tw-int8 — the nested TSMF/TSTP/
-/// TSTL/TSCR/TSCC blobs carry their own version header and are
-/// self-describing).
-struct Layout {
-  std::uint32_t version = kContainerVersion;
-  bool aligned() const noexcept { return version >= kContainerVersionV2; }
-};
 
 template <typename T>
 void write_pod(std::ostream& out, const T& value) {
@@ -66,53 +51,14 @@ void write_pod(std::ostream& out, const T& value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
-template <typename T>
-T read_pod(std::istream& in) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  if (!in) throw std::runtime_error("tilesparse::io: short read");
-  return value;
-}
-
-/// Bytes left between the read position and the end of the stream, or
-/// uint64 max when the stream is not seekable (no clamp possible there;
-/// the subsequent short-read check still fires, but a garbage length
-/// may surface as bad_alloc — artifacts are expected to arrive via
-/// seekable file or string streams).
-inline std::uint64_t remaining_bytes(std::istream& in) {
-  const auto pos = in.tellg();
-  if (pos == std::istream::pos_type(-1))
-    return std::numeric_limits<std::uint64_t>::max();
-  in.seekg(0, std::ios::end);
-  const auto end = in.tellg();
-  in.seekg(pos);
-  if (end == std::istream::pos_type(-1) || end < pos)
-    return std::numeric_limits<std::uint64_t>::max();
-  return static_cast<std::uint64_t>(end - pos);
-}
-
-/// Validates a just-read element count against the stream's remaining
-/// bytes *before* anything is allocated.  Counts below 1 MiB skip the
-/// (seek-based, buffer-discarding) length probe: allocating that much
-/// transiently is harmless and the short-read check still rejects the
-/// artifact, so the hot tile-loading path stays purely sequential.
-inline void check_size_prefix(std::istream& in, std::uint64_t count,
-                              std::size_t element_bytes) {
-  if (element_bytes == 0 || count <= (1u << 20) / element_bytes) return;
-  if (count > remaining_bytes(in) / element_bytes)
-    throw std::runtime_error(
-        "tilesparse::io: corrupt size prefix (larger than the artifact)");
-}
-
 /// Zero-pads `out` so the next byte lands on a kPayloadAlign boundary
-/// (absolute file offset).  v2 writers call this before every bulk
+/// (absolute file offset).  Writers call this before every bulk
 /// payload; requires a positioned stream (files, string streams).
 inline void pad_to_alignment(std::ostream& out) {
   const auto pos = out.tellp();
   if (pos == std::ostream::pos_type(-1))
     throw std::runtime_error(
-        "tilesparse::io: aligned (v2) artifacts need a positioned stream");
+        "tilesparse::io: aligned artifacts need a positioned stream");
   const auto rem = static_cast<std::size_t>(
       static_cast<std::uint64_t>(pos) % kPayloadAlign);
   if (rem == 0) return;
@@ -120,54 +66,22 @@ inline void pad_to_alignment(std::ostream& out) {
   out.write(kZeros, static_cast<std::streamsize>(kPayloadAlign - rem));
 }
 
-/// Consumes the padding pad_to_alignment wrote.  Pad bytes are skipped,
-/// not validated — their content carries no information.
-inline void skip_alignment(std::istream& in) {
-  const auto pos = in.tellg();
-  if (pos == std::istream::pos_type(-1))
-    throw std::runtime_error(
-        "tilesparse::io: aligned (v2) artifacts need a positioned stream");
-  const auto rem = static_cast<std::size_t>(
-      static_cast<std::uint64_t>(pos) % kPayloadAlign);
-  if (rem == 0) return;
-  const auto pad = static_cast<std::streamsize>(kPayloadAlign - rem);
-  in.ignore(pad);
-  if (in.gcount() != pad)
-    throw std::runtime_error("tilesparse::io: short read");
-}
-
-/// Size-prefixed array write from any contiguous storage (vectors and
-/// the owning-or-borrowing ArrayStore spans serialize identically).
+/// Size-prefixed, aligned array write from any contiguous storage
+/// (vectors and the owning-or-borrowing ArrayStore spans serialize
+/// identically).
 template <typename T>
-void write_span(std::ostream& out, std::span<const T> v, Layout layout = {}) {
+void write_span(std::ostream& out, std::span<const T> v) {
   static_assert(std::is_trivially_copyable_v<T>);
   write_pod<std::uint64_t>(out, v.size());
-  if (layout.aligned()) pad_to_alignment(out);
+  pad_to_alignment(out);
   if (!v.empty())
     out.write(reinterpret_cast<const char*>(v.data()),
               static_cast<std::streamsize>(v.size() * sizeof(T)));
 }
 
 template <typename T>
-void write_vector(std::ostream& out, const std::vector<T>& v,
-                  Layout layout = {}) {
-  write_span<T>(out, std::span<const T>(v), layout);
-}
-
-/// `layout` comes from the enclosing header — readers never assume a
-/// version, so there is deliberately no default here.
-template <typename T>
-std::vector<T> read_vector(std::istream& in, Layout layout) {
-  const auto size = read_pod<std::uint64_t>(in);
-  check_size_prefix(in, size, sizeof(T));
-  if (layout.aligned()) skip_alignment(in);
-  std::vector<T> v(static_cast<std::size_t>(size));
-  if (size > 0) {
-    in.read(reinterpret_cast<char*>(v.data()),
-            static_cast<std::streamsize>(size * sizeof(T)));
-    if (!in) throw std::runtime_error("tilesparse::io: short read");
-  }
-  return v;
+void write_vector(std::ostream& out, const std::vector<T>& v) {
+  write_span<T>(out, std::span<const T>(v));
 }
 
 inline void write_string(std::ostream& out, const std::string& s) {
@@ -175,47 +89,18 @@ inline void write_string(std::ostream& out, const std::string& s) {
   out.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
-inline std::string read_string(std::istream& in) {
-  const auto size = read_pod<std::uint64_t>(in);
-  check_size_prefix(in, size, 1);
-  std::string s(static_cast<std::size_t>(size), '\0');
-  if (size > 0) {
-    in.read(s.data(), static_cast<std::streamsize>(size));
-    if (!in) throw std::runtime_error("tilesparse::io: short read");
-  }
-  return s;
-}
-
-/// Matrix payload: rows, cols, row-major data — no magic framing (the
-/// enclosing object provides it).  Works for any trivially copyable
-/// element type (float tiles, int8 quantised tiles, u8 masks).
+/// Matrix payload: rows, cols, aligned row-major data — no magic
+/// framing (the enclosing object provides it).  Works for any
+/// trivially copyable element type (float tiles, int8 quantised tiles,
+/// u8 masks).
 template <typename T>
-void write_matrix_payload(std::ostream& out, const Matrix<T>& m,
-                          Layout layout = {}) {
+void write_matrix_payload(std::ostream& out, const Matrix<T>& m) {
   write_pod<std::uint64_t>(out, m.rows());
   write_pod<std::uint64_t>(out, m.cols());
-  if (layout.aligned()) pad_to_alignment(out);
+  pad_to_alignment(out);
   if (!m.empty())
     out.write(reinterpret_cast<const char*>(m.data()),
               static_cast<std::streamsize>(m.size() * sizeof(T)));
-}
-
-/// `layout` comes from the enclosing header, like read_vector's.
-template <typename T>
-Matrix<T> read_matrix_payload(std::istream& in, Layout layout) {
-  const auto rows = read_pod<std::uint64_t>(in);
-  const auto cols = read_pod<std::uint64_t>(in);
-  if (cols != 0 && rows > std::numeric_limits<std::uint64_t>::max() / cols)
-    throw std::runtime_error("tilesparse::io: corrupt matrix shape");
-  check_size_prefix(in, rows * cols, sizeof(T));
-  if (layout.aligned()) skip_alignment(in);
-  Matrix<T> m(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
-  if (!m.empty()) {
-    in.read(reinterpret_cast<char*>(m.data()),
-            static_cast<std::streamsize>(m.size() * sizeof(T)));
-    if (!in) throw std::runtime_error("tilesparse::io: short read");
-  }
-  return m;
 }
 
 /// Index-vector sanity shared by the tile loaders: strictly ascending

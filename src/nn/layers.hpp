@@ -113,9 +113,10 @@ void save_packed_linear_layers(const std::string& path,
 
 /// How a model artifact's bytes reach the execution backends.
 enum class ArtifactLoad {
-  kStream,  ///< read every payload into owned storage (v1 and v2 files)
+  kStream,  ///< read the file into one private aligned buffer; backends
+            ///< borrow bulk payloads from it
   kMapped,  ///< mmap the file; backends borrow bulk payloads in place
-            ///< (v2 files only; the mapping lives as long as the weights)
+            ///< (the mapping lives as long as the weights)
 };
 
 /// Loads a model artifact into `layers`: each layer adopts the entry

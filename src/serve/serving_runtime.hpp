@@ -66,7 +66,7 @@ struct SharedModel {
   std::string path;
   std::vector<NamedWeight> weights;
 
-  /// Stream-loads the artifact into owned storage (accepts v1 and v2).
+  /// Reads the artifact into one private aligned buffer and parses it.
   static std::shared_ptr<const SharedModel> load(const std::string& path);
   /// Zero-copy load: maps the artifact and borrows bulk payloads in
   /// place (v2 only).  The mapping lives as long as the model.

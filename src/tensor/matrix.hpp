@@ -8,12 +8,13 @@
 //
 // A Matrix either owns its storage (the default: 64-byte aligned heap
 // allocation, freed on destruction) or borrows immutable storage that
-// outlives it — the zero-copy path for weights resolved out of an
-// mmap'd artifact (io/mmap_file.hpp).  A borrowed matrix never frees;
-// copying one always deep-copies into an owning matrix, so value
+// outlives it — the path for weights resolved out of an artifact image,
+// mapped or read into memory (io/mmap_file.hpp).  A borrowed matrix
+// never frees; copying one always deep-copies into an owning matrix, so value
 // semantics are unchanged for every existing caller.  Mutating a
-// borrowed matrix through the non-const accessors is undefined (the
-// pages are mapped read-only); callers that need to write take a copy.
+// borrowed matrix through the non-const accessors is undefined (mapped
+// pages are read-only, and the image is shared); callers that need to
+// write take a copy.
 
 #include <cassert>
 #include <cstddef>
@@ -37,7 +38,7 @@ class Matrix {
 
   /// Non-owning view of immutable external storage (rows * cols
   /// row-major elements at `data`, which must outlive the matrix — the
-  /// borrower holds a keepalive on the mapping, see exec backends).
+  /// borrower holds a keepalive on the image, see exec backends).
   static Matrix borrowed(const T* data, std::size_t rows,
                          std::size_t cols) noexcept {
     Matrix m;

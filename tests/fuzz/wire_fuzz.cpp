@@ -1,13 +1,14 @@
 // Fuzz harness for the deployment wire formats (io/serialize): the
-// single-weight TSPW container (read_packed_weight) and the model-level
-// TSMW artifact (read_model_weights), through BOTH load paths — the
-// stream readers and the zero-copy MappedArtifact parser (the input is
-// replayed from a 64-byte-aligned copy, exactly the base alignment an
-// mmap'd file gets).  These parsers consume untrusted bytes at serving
-// startup, so the contract under fuzzing is strict: any input either
-// parses or throws std::exception — no crash, no sanitizer report, no
-// misaligned span handed to a kernel, no unbounded allocation (sizes
-// are validated against the image/stream length before allocation).
+// single-weight TSPW container and the model-level TSMW artifact.  Both
+// entries reach the one artifact parser, MappedArtifact: the stream
+// front end (read_packed_weight) reads the input into an owned aligned
+// image, and the mapped entry (read_model_weights) parses a 64-byte-
+// aligned copy — exactly the base alignment an mmap'd file gets.  The
+// parser consumes untrusted bytes at serving startup, so the contract
+// under fuzzing is strict: any input either parses or throws
+// std::exception — no crash, no sanitizer report, no misaligned span
+// handed to a kernel, no unbounded allocation (sizes are validated
+// against the image length before allocation).
 //
 // Built two ways (CMakeLists TILESPARSE_ENABLE_FUZZER):
 //  * libFuzzer (clang): LLVMFuzzerTestOneInput only; link with
@@ -28,52 +29,39 @@
 #include "exec/backend_registry.hpp"
 #include "io/mmap_file.hpp"
 #include "io/serialize.hpp"
+#include "prune/importance.hpp"
+#include "prune/tw_pruner.hpp"
 #include "tensor/matrix.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 void fuzz_one(const std::uint8_t* data, std::size_t size) {
-  const std::string bytes(reinterpret_cast<const char*>(data), size);
   {
-    std::istringstream in(bytes, std::ios::binary);
+    std::istringstream in(
+        std::string(reinterpret_cast<const char*>(data), size),
+        std::ios::binary);
     try {
-      (void)tilesparse::read_packed_weight(in);
+      auto weight = tilesparse::read_packed_weight(in);
+      if (weight) (void)weight->to_dense();
     } catch (const std::exception&) {
       // Malformed input rejected — the expected failure mode.
     }
   }
-  {
-    std::istringstream in(bytes, std::ios::binary);
-    try {
-      (void)tilesparse::read_model_weights(in);
-    } catch (const std::exception&) {
-    }
-  }
 
-  // The zero-copy path: same bytes at the base alignment an mmap'd file
-  // gets.  The image is shared so borrowed weights keep it alive past
-  // the cursor (their to_dense() still reads it below).
+  // The same bytes at the base alignment an mmap'd file gets.  The
+  // image is shared so borrowed weights keep it alive past the cursor
+  // (their to_dense() still reads it below).
   const std::shared_ptr<std::byte> image(
       static_cast<std::byte*>(
           ::operator new(size > 0 ? size : 1, std::align_val_t{64})),
       [](std::byte* p) { ::operator delete(p, std::align_val_t{64}); });
   if (size > 0) std::memcpy(image.get(), data, size);
-  {
-    tilesparse::MappedArtifact in(image.get(), size, image);
-    try {
-      auto weight = tilesparse::load_packed_weight_mapped(in);
-      if (weight) (void)weight->to_dense();
-    } catch (const std::exception&) {
-    }
-  }
-  {
-    tilesparse::MappedArtifact in(image.get(), size, image);
-    try {
-      const auto model = tilesparse::read_model_weights(in);
-      for (const auto& layer : model) (void)layer.weight->to_dense();
-    } catch (const std::exception&) {
-    }
+  tilesparse::MappedArtifact in(image.get(), size, image);
+  try {
+    const auto model = tilesparse::read_model_weights(in);
+    for (const auto& layer : model) (void)layer.weight->to_dense();
+  } catch (const std::exception&) {
   }
 }
 
@@ -103,22 +91,22 @@ tilesparse::MatrixF random_matrix(std::size_t rows, std::size_t cols,
   return m;
 }
 
-/// Emits valid artifacts of every registered pattern-free format plus a
-/// model-level container — the corpus seeds that give the fuzzer real
-/// headers and payloads to mutate.
+/// Emits a valid artifact of every registered format plus a
+/// model-level container holding all of them — the corpus seeds that
+/// give the fuzzer real headers and payloads to mutate.
 int write_seeds(const std::filesystem::path& dir) {
   std::filesystem::create_directories(dir);
   const tilesparse::MatrixF w = random_matrix(24, 32, 7);
+  const tilesparse::MatrixF scores = tilesparse::magnitude_scores(w);
+  const tilesparse::TilePattern pattern =
+      tilesparse::tw_pattern_from_scores(scores, 0.5, 8);
+  tilesparse::PackOptions options;
+  options.pattern = &pattern;
+  options.scores = &scores;
   std::vector<std::pair<std::string, std::unique_ptr<tilesparse::PackedWeight>>>
       packed;
-  for (const std::string& format : tilesparse::registered_formats()) {
-    try {
-      packed.emplace_back(format, tilesparse::make_packed(format, w));
-    } catch (const std::exception&) {
-      // Formats needing a TilePattern (tw family without options) are
-      // covered through the mutation of the pattern-free seeds.
-    }
-  }
+  for (const std::string& format : tilesparse::registered_formats())
+    packed.emplace_back(format, tilesparse::make_packed(format, w, options));
   for (const auto& [format, weight] : packed) {
     std::ostringstream out(std::ios::binary);
     tilesparse::write_packed_weight(out, *weight);
@@ -132,14 +120,7 @@ int write_seeds(const std::filesystem::path& dir) {
   tilesparse::write_model_weights(out, layers);
   std::ofstream file(dir / "tsmw_model.bin", std::ios::binary);
   file << out.str();
-  // One legacy-layout seed keeps the v1 stream path in the mutation
-  // pool (the mapped parser must keep rejecting its descendants).
-  std::ostringstream v1(std::ios::binary);
-  tilesparse::write_model_weights(
-      v1, layers, tilesparse::wire::Layout{tilesparse::wire::kContainerVersionV1});
-  std::ofstream v1_file(dir / "tsmw_model_v1.bin", std::ios::binary);
-  v1_file << v1.str();
-  std::cout << "wire_fuzz: wrote " << packed.size() + 2 << " seeds to " << dir
+  std::cout << "wire_fuzz: wrote " << packed.size() + 1 << " seeds to " << dir
             << "\n";
   return 0;
 }

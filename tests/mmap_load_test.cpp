@@ -1,13 +1,11 @@
-// Zero-copy artifact loading: the mmap path (MmapFile + MappedArtifact
-// + the BackendRegistry view-loader table) against the stream path it
-// mirrors.  Three properties are pinned here:
+// Artifact loading: the mmap path (MmapFile + MappedArtifact) against
+// the stream path, which reads the file into an owned aligned image and
+// runs the same parser.  Two properties are pinned here:
 //
 //  1. Equivalence — for every registered format, a weight loaded
-//     zero-copy from a mapped v2 artifact is bit-identical to the
+//     zero-copy from a mapped artifact is bit-identical to the
 //     stream-loaded one: to_dense, matmul, shard_cols, bytes.
-//  2. Compatibility — v1 (unaligned) artifacts still stream-load; the
-//     mmap path rejects them with a message that names the fix.
-//  3. Hostile input — truncated, corrupt, misaligned, or missing
+//  2. Hostile input — truncated, corrupt, misaligned, or missing
 //     artifacts throw std::runtime_error with offset diagnostics; they
 //     never fault or feed the kernels a misaligned pointer.
 
@@ -25,7 +23,6 @@
 #include "exec/backend_registry.hpp"
 #include "io/mmap_file.hpp"
 #include "io/serialize.hpp"
-#include "io/wire.hpp"
 #include "nn/prune_experiment.hpp"
 #include "prune/importance.hpp"
 #include "prune/tw_pruner.hpp"
@@ -95,12 +92,13 @@ TEST_P(MappedEqualsStream, BitIdenticalEverywhere) {
   const auto mapped = load_packed_weight_mapped(artifact.path());
   ASSERT_NE(mapped, nullptr);
 
-  // Same backend, same payload — and the mapped one borrows the file.
+  // Same backend, same payload — the mapped one borrows the file, the
+  // streamed one the private image it was read into.
   EXPECT_EQ(mapped->format(), streamed->format());
   EXPECT_EQ(mapped->k(), streamed->k());
   EXPECT_EQ(mapped->n(), streamed->n());
   EXPECT_TRUE(mapped->borrows_storage());
-  EXPECT_FALSE(streamed->borrows_storage());
+  EXPECT_TRUE(streamed->borrows_storage());
   EXPECT_FLOAT_EQ(max_abs_diff(mapped->to_dense(), streamed->to_dense()),
                   0.0f);
 
@@ -148,42 +146,6 @@ TEST(MappedModel, ModelArtifactLoadsZeroCopy) {
                                  streamed[i].weight->to_dense()),
                     0.0f);
   }
-}
-
-// ----------------------------------------------------- v1 compatibility
-
-TEST(WireV1, StreamLoadStillWorks) {
-  const MatrixF w = random_matrix(48, 48, 317);
-  const auto packed = pack_for_mmap_test("tew", w);
-  TempArtifact artifact("v1");
-  save_packed_weight(artifact.path(), *packed,
-                     wire::Layout{wire::kContainerVersionV1});
-
-  const auto loaded = load_packed_weight(artifact.path());
-  EXPECT_EQ(loaded->format(), "tew");
-  EXPECT_FLOAT_EQ(max_abs_diff(loaded->to_dense(), packed->to_dense()), 0.0f);
-
-  // A v1 file is strictly smaller (no alignment padding) than v2.
-  TempArtifact v2("v2");
-  save_packed_weight(v2.path(), *packed);
-  EXPECT_LT(read_file(artifact.path()).size(), read_file(v2.path()).size());
-}
-
-TEST(WireV1, MappedLoadRejectsWithActionableMessage) {
-  const MatrixF w = random_matrix(32, 32, 331);
-  const auto packed = pack_for_mmap_test("tw", w);
-  TempArtifact artifact("v1_mapped");
-  save_packed_weight(artifact.path(), *packed,
-                     wire::Layout{wire::kContainerVersionV1});
-  try {
-    load_packed_weight_mapped(artifact.path());
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    // The message must point the operator at the fix.
-    EXPECT_NE(std::string(e.what()).find("stream loader"), std::string::npos)
-        << e.what();
-  }
-  EXPECT_THROW(load_model_weights_mapped(artifact.path()), std::runtime_error);
 }
 
 // ----------------------------------------------------- hostile artifacts

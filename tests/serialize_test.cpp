@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
 
 #include "core/tile_exec.hpp"
 #include "exec/backend_registry.hpp"
+#include "io/mmap_file.hpp"
 #include "io/serialize.hpp"
 #include "io/wire.hpp"
 #include "prune/importance.hpp"
@@ -25,11 +27,19 @@ MatrixF random_matrix(std::size_t rows, std::size_t cols, std::uint64_t seed) {
   return m;
 }
 
+/// The bytes a writer produced, as the 64-byte-aligned artifact image
+/// every loader parses.  Objects read from it borrow the image, so the
+/// returned cursor must outlive them.
+MappedArtifact image_of(std::istream& written) {
+  return read_artifact_image(written);
+}
+
 TEST(Serialize, MatrixRoundTrip) {
   const MatrixF m = random_matrix(17, 23, 1);
   std::stringstream buffer;
   write_matrix(buffer, m);
-  const MatrixF back = read_matrix(buffer);
+  MappedArtifact in = image_of(buffer);
+  const MatrixF back = read_matrix(in);
   EXPECT_EQ(back.rows(), m.rows());
   EXPECT_EQ(back.cols(), m.cols());
   EXPECT_FLOAT_EQ(max_abs_diff(m, back), 0.0f);
@@ -38,7 +48,8 @@ TEST(Serialize, MatrixRoundTrip) {
 TEST(Serialize, EmptyMatrixRoundTrip) {
   std::stringstream buffer;
   write_matrix(buffer, MatrixF{});
-  const MatrixF back = read_matrix(buffer);
+  MappedArtifact in = image_of(buffer);
+  const MatrixF back = read_matrix(in);
   EXPECT_TRUE(back.empty());
 }
 
@@ -48,7 +59,8 @@ TEST(Serialize, PatternRoundTrip) {
       tw_pattern_from_scores(magnitude_scores(w), 0.6, 16);
   std::stringstream buffer;
   write_pattern(buffer, pattern);
-  const TilePattern back = read_pattern(buffer);
+  MappedArtifact in = image_of(buffer);
+  const TilePattern back = read_pattern(in);
   EXPECT_EQ(back.k, pattern.k);
   EXPECT_EQ(back.n, pattern.n);
   EXPECT_EQ(back.g, pattern.g);
@@ -69,7 +81,8 @@ TEST(Serialize, TilesRoundTripPreservesExecution) {
 
   std::stringstream buffer;
   write_tiles(buffer, tiles);
-  const auto back = read_tiles(buffer);
+  MappedArtifact in = image_of(buffer);
+  const auto back = read_tiles(in);
 
   const MatrixF a = random_matrix(8, 48, 4);
   const MatrixF c1 = tw_matmul(a, tiles, 64);
@@ -84,15 +97,17 @@ TEST(Serialize, CsrRoundTrip) {
   const Csr csr = csr_from_dense(dense);
   std::stringstream buffer;
   write_csr(buffer, csr);
-  const Csr back = read_csr(buffer);
+  MappedArtifact in = image_of(buffer);
+  const CsrStore back = read_csr(in);
   EXPECT_EQ(back.nnz(), csr.nnz());
-  EXPECT_FLOAT_EQ(max_abs_diff(csr_to_dense(back), dense), 0.0f);
+  EXPECT_FLOAT_EQ(max_abs_diff(csr_to_dense(back.ref()), dense), 0.0f);
 }
 
 TEST(Serialize, BadMagicThrows) {
   std::stringstream buffer;
   write_matrix(buffer, MatrixF(2, 2));
-  EXPECT_THROW(read_pattern(buffer), std::runtime_error);
+  MappedArtifact in = image_of(buffer);
+  EXPECT_THROW(read_pattern(in), std::runtime_error);
 }
 
 TEST(Serialize, TruncatedStreamThrows) {
@@ -101,7 +116,8 @@ TEST(Serialize, TruncatedStreamThrows) {
   write_matrix(buffer, m);
   const std::string full = buffer.str();
   std::stringstream truncated(full.substr(0, full.size() / 2));
-  EXPECT_THROW(read_matrix(truncated), std::runtime_error);
+  MappedArtifact in = image_of(truncated);
+  EXPECT_THROW(read_matrix(in), std::runtime_error);
 }
 
 TEST(Serialize, CorruptPatternFailsValidation) {
@@ -112,18 +128,8 @@ TEST(Serialize, CorruptPatternFailsValidation) {
   ASSERT_GE(pattern.tiles.size(), 2u);
   pattern.tiles[1].out_cols[0] = pattern.tiles[0].out_cols[0];
   write_pattern(buffer, pattern);
-  EXPECT_THROW(read_pattern(buffer), std::logic_error);
-}
-
-TEST(Serialize, FileRoundTrip) {
-  const MatrixF w = random_matrix(32, 48, 8);
-  const TilePattern pattern =
-      tw_pattern_from_scores(magnitude_scores(w), 0.4, 8);
-  const std::string path = "/tmp/tilesparse_pattern_test.bin";
-  save_pattern(path, pattern);
-  const TilePattern back = load_pattern(path);
-  EXPECT_EQ(back.kept_elements(), pattern.kept_elements());
-  EXPECT_THROW(load_pattern("/nonexistent/dir/x.bin"), std::runtime_error);
+  MappedArtifact in = image_of(buffer);
+  EXPECT_THROW(read_pattern(in), std::logic_error);
 }
 
 TEST(Serialize, CscRoundTrip) {
@@ -133,9 +139,10 @@ TEST(Serialize, CscRoundTrip) {
   const Csc csc = csc_from_dense(dense);
   std::stringstream buffer;
   write_csc(buffer, csc);
-  const Csc back = read_csc(buffer);
+  MappedArtifact in = image_of(buffer);
+  const CscStore back = read_csc(in);
   EXPECT_EQ(back.nnz(), csc.nnz());
-  EXPECT_FLOAT_EQ(max_abs_diff(csc_to_dense(back), dense), 0.0f);
+  EXPECT_FLOAT_EQ(max_abs_diff(csc_to_dense(back.ref()), dense), 0.0f);
 }
 
 TEST(Serialize, CsrRejectsOutOfRangeIndices) {
@@ -146,7 +153,8 @@ TEST(Serialize, CsrRejectsOutOfRangeIndices) {
   csr.col_idx.front() = 100;  // out of [0, cols)
   std::stringstream buffer;
   write_csr(buffer, csr);
-  EXPECT_THROW(read_csr(buffer), std::runtime_error);
+  MappedArtifact in = image_of(buffer);
+  EXPECT_THROW(read_csr(in), std::runtime_error);
 }
 
 // ------------------------------------------------- whole-PackedWeight
@@ -210,6 +218,8 @@ TEST(PackedWeightArtifact, FileRoundTrip) {
   EXPECT_EQ(loaded->format(), "tw");
   EXPECT_FLOAT_EQ(max_abs_diff(loaded->to_dense(), packed->to_dense()), 0.0f);
   std::remove(path.c_str());
+  EXPECT_THROW(load_packed_weight("/nonexistent/dir/x.bin"),
+               std::runtime_error);
 }
 
 TEST(PackedWeightArtifact, BadMagicThrows) {
@@ -256,7 +266,7 @@ TEST(PackedWeightArtifact, TruncatedPayloadThrows) {
 
 TEST(PackedWeightArtifact, GarbageSizePrefixThrowsNotBadAlloc) {
   // A corrupt 64-bit length must be rejected against the remaining
-  // stream bytes before any allocation happens.
+  // image bytes before any allocation happens.
   MatrixF w = random_matrix(32, 32, 47);
   const TilePattern pattern =
       tw_pattern_from_scores(magnitude_scores(w), 0.5, 16);
@@ -267,7 +277,47 @@ TEST(PackedWeightArtifact, GarbageSizePrefixThrowsNotBadAlloc) {
   // Offset 8 is the tile-count u64 (after magic + version).
   for (std::size_t i = 8; i < 16; ++i) bytes[i] = '\xff';
   std::stringstream corrupt(bytes);
-  EXPECT_THROW(read_tiles(corrupt), std::runtime_error);
+  MappedArtifact in = image_of(corrupt);
+  EXPECT_THROW(read_tiles(in), std::runtime_error);
+}
+
+/// A pipe-like stream buffer: bytes flow forward only and every seek
+/// fails, so tellg() cannot report a position or a length.
+class ForwardOnlyBuf : public std::streambuf {
+ public:
+  explicit ForwardOnlyBuf(std::string bytes) : bytes_(std::move(bytes)) {
+    setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
+  }
+
+ private:
+  std::string bytes_;
+};
+
+TEST(PackedWeightArtifact, NonSeekableStreamRejectsGarbageSizePrefix) {
+  // Without seeking, a stream cannot be measured before the parse, so
+  // the length check has to come from the bytes actually read.
+  const auto packed = pack_for_serialize_test("tw", random_matrix(32, 32, 49));
+  std::stringstream buffer;
+  write_packed_weight(buffer, *packed);
+  std::string bytes = buffer.str();
+  // Offset 8 is the format-name length u64 (after magic + version);
+  // 2^50 bytes is more than any allocator will hand out.
+  const std::uint64_t garbage = std::uint64_t{1} << 50;
+  std::memcpy(bytes.data() + 8, &garbage, sizeof(garbage));
+  ForwardOnlyBuf pipe(bytes);
+  std::istream in(&pipe);
+  ASSERT_EQ(in.tellg(), std::istream::pos_type(-1));
+  EXPECT_THROW(read_packed_weight(in), std::runtime_error);
+}
+
+TEST(PackedWeightArtifact, StreamNotAtAlignedOffsetThrows) {
+  // Payload alignment is relative to where the artifact starts.
+  const auto packed = pack_for_serialize_test("dense", random_matrix(8, 8, 50));
+  std::stringstream buffer;
+  buffer << 'x';
+  write_packed_weight(buffer, *packed);
+  buffer.seekg(1);
+  EXPECT_THROW(read_packed_weight(buffer), std::runtime_error);
 }
 
 TEST(ModelArtifact, RoundTripsNamedLayers) {
