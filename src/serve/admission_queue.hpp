@@ -54,8 +54,6 @@ class AdmissionQueue {
   explicit AdmissionQueue(std::size_t capacity)
       : capacity_(capacity > 0 ? capacity : 1) {}
 
-  std::size_t capacity() const noexcept { return capacity_; }
-
   std::size_t size() const {
     std::lock_guard lock(mutex_);
     return size_;
@@ -163,11 +161,6 @@ class AdmissionQueue {
     }
     cv_.notify_all();
     return drained;
-  }
-
-  bool closed() const {
-    std::lock_guard lock(mutex_);
-    return closed_;
   }
 
   /// Entries a tenant currently has queued (diagnostics/tests).

@@ -13,8 +13,8 @@
 namespace tilesparse::serve {
 
 struct BatchPolicy {
-  /// Master switch.  Off, every batchable request runs solo on the
-  /// worker that popped it (the PR 8 path, bit-for-bit).
+  /// Master switch.  Off, the batcher runs every batchable request
+  /// solo on the worker that popped it, with the full retry budget.
   bool enabled = false;
   /// Flush a forming batch once its input rows reach this many.
   std::size_t max_batch_m = 256;

@@ -2,37 +2,25 @@
 
 #include <algorithm>
 #include <chrono>
-#include <exception>
-#include <stdexcept>
 #include <utility>
 
 #include "util/guards.hpp"
 
 namespace tilesparse::serve {
 
-RequestBatcher::RequestBatcher(const BatchPolicy& policy, Completer completer)
-    : policy_(policy), completer_(std::move(completer)) {
-  TS_CHECK(completer_ != nullptr, "RequestBatcher: null completer");
+RequestBatcher::RequestBatcher(const BatchPolicy& policy, RequestLedger& ledger)
+    : policy_(policy), ledger_(ledger) {
   if (policy_.max_batch_m == 0) policy_.max_batch_m = 1;
   if (policy_.max_linger.count() < 0) policy_.max_linger = {};
 }
 
-void RequestBatcher::complete_member(BatchMember& member, Response response) {
-  response.tag = member.tag;
-  response.queue_wait = member.arrival - member.enqueued;
-  response.service_time = Clock::now() - member.arrival;
-  completer_(member, std::move(response));
-}
-
-void RequestBatcher::complete_timeout(BatchMember& member, const char* reason) {
-  Response response;
-  response.status = RequestStatus::kTimeout;
-  response.error = reason;
-  complete_member(member, std::move(response));
+void RequestBatcher::complete_timeout(BatchMember& member, std::string reason) {
+  ledger_.finish(member,
+                 terminal_response(RequestStatus::kTimeout, std::move(reason)));
 }
 
 void RequestBatcher::serve(const std::shared_ptr<BatchEntry>& entry,
-                           BatchMember member, const BatchWorker& worker) {
+                           BatchMember member, AttemptExecutor& executor) {
   const Clock::time_point now = Clock::now();
   // Deadline-aware bypass: lingering costs up to max_linger; a member
   // without at least bypass_slack_factor x that much budget left would
@@ -52,8 +40,7 @@ void RequestBatcher::serve(const std::shared_ptr<BatchEntry>& entry,
   if (bypass) {
     if (policy_.enabled) ++stats_.solo_bypass;
     lock.unlock();
-    run_solo(*entry, member, worker, /*force_fallback=*/false,
-             /*prior_attempts=*/0);
+    run_solo(*entry, member, executor, /*first_attempt=*/0);
     return;
   }
 
@@ -69,11 +56,11 @@ void RequestBatcher::serve(const std::shared_ptr<BatchEntry>& entry,
     return;
   }
   group.leader_active = true;
-  lead(group, entry, worker, lock);
+  lead(group, entry, executor, lock);
 }
 
 void RequestBatcher::lead(Group& group, const std::shared_ptr<BatchEntry>& entry,
-                          const BatchWorker& worker,
+                          AttemptExecutor& executor,
                           std::unique_lock<std::mutex>& lock) {
   for (;;) {
     // Linger: wait for rows to reach max_batch_m, but never past
@@ -85,15 +72,9 @@ void RequestBatcher::lead(Group& group, const std::shared_ptr<BatchEntry>& entry
       if (Clock::now() >= flush_at) break;
       group.cv.wait_until(lock, flush_at);
     }
+    // close(kCancel) drains every group under this lock, and serve()
+    // enqueues nothing once cancelled_: a cancelled group is empty.
     if (group.scheduler.empty()) break;
-    if (cancelled_) {
-      std::vector<BatchMember> members = group.scheduler.drain();
-      lock.unlock();
-      for (BatchMember& member : members)
-        complete_timeout(member, "cancelled: runtime shutdown");
-      lock.lock();
-      break;
-    }
     std::vector<BatchMember> expired;
     std::vector<BatchMember> members =
         group.scheduler.select(policy_.max_batch_m, Clock::now(), expired);
@@ -101,7 +82,7 @@ void RequestBatcher::lead(Group& group, const std::shared_ptr<BatchEntry>& entry
     for (BatchMember& member : expired)
       complete_timeout(member, "deadline expired while waiting in batch");
     if (!members.empty())
-      run_batch(group, *entry, std::move(members), worker);
+      run_batch(group, *entry, std::move(members), executor);
     lock.lock();
     if (group.scheduler.empty()) break;
   }
@@ -110,7 +91,7 @@ void RequestBatcher::lead(Group& group, const std::shared_ptr<BatchEntry>& entry
 
 void RequestBatcher::run_batch(Group& group, BatchEntry& entry,
                                std::vector<BatchMember> members,
-                               const BatchWorker& worker) {
+                               AttemptExecutor& executor) {
   std::vector<const MatrixF*> parts;
   parts.reserve(members.size());
   Clock::time_point batch_deadline = Clock::time_point::min();
@@ -124,26 +105,27 @@ void RequestBatcher::run_batch(Group& group, BatchEntry& entry,
   // The armed deadline is the LATEST member deadline: the tightest
   // member must not kill its co-travellers — if it expires mid-run it
   // alone times out at scatter.
-  worker.cancel->reset(batch_deadline);
-  MatrixF out;
-  try {
-    out = entry.run(*worker.primary, staged);
-  } catch (const CancelledError& e) {
+  const Response batch =
+      executor.run_once(batch_deadline, [&](WorkerContext& context) {
+        return entry.run(context.scheduler, staged);
+      });
+  if (batch.status == RequestStatus::kTimeout) {
     // Past the latest deadline (or shutdown cancel): the whole batch
     // is out of time.
-    for (BatchMember& member : members) complete_timeout(member, e.what());
+    for (BatchMember& member : members) complete_timeout(member, batch.error);
     return;
-  } catch (...) {
+  }
+  if (batch.status == RequestStatus::kFailed) {
     // Batch-level fault (a poisoned member, an injected fault, a
-    // rejected graph): isolate by re-running every member SOLO on the
-    // serial fallback path, so exactly the culpable member fails.
+    // rejected graph): isolate by re-running every member SOLO from
+    // attempt 1 on the serial fallback, so exactly the culpable member
+    // fails.
     {
       std::lock_guard stats_lock(mutex_);
       stats_.solo_fallback += members.size();
     }
     for (BatchMember& member : members)
-      run_solo(entry, member, worker, /*force_fallback=*/true,
-               /*prior_attempts=*/1);
+      run_solo(entry, member, executor, /*first_attempt=*/1);
     return;
   }
 
@@ -167,50 +149,23 @@ void RequestBatcher::run_batch(Group& group, BatchEntry& entry,
     }
     Response response;
     response.status = RequestStatus::kOk;
-    response.attempts = 1;
+    response.attempts = batch.attempts;
     response.batched = true;
     response.batch_rows = batch_rows;
     const RowStage::Slice out_slice = RowStage::map_groups(
         slices[i], entry.group_rows_in(), entry.group_rows_out());
-    response.result = RowStage::scatter(out, out_slice);
-    complete_member(member, std::move(response));
+    response.result = RowStage::scatter(batch.result, out_slice);
+    ledger_.finish(member, std::move(response));
   }
 }
 
 void RequestBatcher::run_solo(BatchEntry& entry, BatchMember& member,
-                              const BatchWorker& worker, bool force_fallback,
-                              std::uint32_t prior_attempts) {
-  Response response;
-  for (std::uint32_t attempt = 0; attempt < 2; ++attempt) {
-    const bool use_fallback = force_fallback || attempt > 0;
-    response.attempts = prior_attempts + attempt + 1;
-    response.degraded = use_fallback;
-    worker.cancel->reset(member.deadline);
-    ExecScheduler& scheduler =
-        use_fallback ? *worker.fallback : *worker.primary;
-    try {
-      response.result = entry.run(scheduler, member.input);
-      response.status = RequestStatus::kOk;
-      break;
-    } catch (const CancelledError& e) {
-      response.status = RequestStatus::kTimeout;
-      response.error = e.what();
-      break;
-    } catch (const std::exception& e) {
-      response.status = RequestStatus::kFailed;
-      response.error = e.what();
-    } catch (...) {
-      response.status = RequestStatus::kFailed;
-      response.error = "unknown exception from batch entry";
-    }
-    if (use_fallback) break;  // the fallback attempt was the last word
-    if (Clock::now() >= member.deadline) {
-      response.status = RequestStatus::kTimeout;
-      response.error = "deadline expired before solo retry";
-      break;
-    }
-  }
-  complete_member(member, std::move(response));
+                              AttemptExecutor& executor,
+                              std::uint32_t first_attempt) {
+  const auto work = [&](WorkerContext& context) {
+    return entry.run(context.scheduler, member.input);
+  };
+  ledger_.finish(member, executor.run(member.deadline, work, first_attempt));
 }
 
 void RequestBatcher::close(Close mode) {

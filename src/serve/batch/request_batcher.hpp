@@ -5,11 +5,12 @@
 // The serving runtime's workers discover batches cooperatively, with
 // no dedicated batching thread:
 //
-//   worker pops item ──► serve(entry, member, worker)
+//   worker pops item ──► serve(entry, member, executor)
 //        │
 //        ├─ bypass?  remaining deadline budget below the linger
 //        │  window (policy.bypass_slack_factor x max_linger), or
-//        │  batching disabled ──► run solo on the calling worker now.
+//        │  batching disabled ──► run solo on the calling worker now,
+//        │  with the full retry budget (max_attempts, retry_backoff).
 //        │
 //        ├─ a leader is already forming a batch for this entry ──►
 //        │  deposit the member with the TenantScheduler, nudge the
@@ -20,24 +21,27 @@
 //           policy.max_linger from the oldest member's arrival (or
 //           until pending rows reach policy.max_batch_m), DRR-select
 //           a fair batch, gather rows (exec/row_stage.hpp), run the
-//           entry ONCE through this worker's scheduler, scatter each
+//           entry ONCE (a single attempt on the primary), scatter each
 //           member its own output rows.  Repeat while members remain,
 //           then step down.
 //
-// Failure isolation: a batch run that throws CancelledError times out
-// every member (the deadline armed is the latest member deadline, so
-// this means the whole batch was doomed or the runtime is shutting
-// down).  Any other failure re-runs each member SOLO on the worker's
-// serial fallback scheduler — one poisoned member then fails alone
-// (FAILED) while its co-travellers still complete OK.  A member whose
-// own deadline expired while the batch executed gets TIMEOUT and its
-// output slice is dropped.  Every member reaches exactly one terminal
-// status through the Completer, whatever path it took.
+// Every run, batch or solo, goes through the calling worker's
+// AttemptExecutor (serve/attempt_executor.hpp).
+//
+// Failure isolation: a batch run that times out times out every member
+// (the deadline armed is the latest member deadline, so the whole batch
+// was doomed or the runtime is shutting down).  Any other failure
+// re-runs each member SOLO from attempt index 1 on the serial fallback
+// (the batch run was attempt 0): always that one attempt, even with
+// max_attempts = 1, and more while the total stays within max_attempts.
+// One poisoned member then fails alone while its co-travellers still
+// complete OK.  A member whose own deadline expired while the batch
+// executed gets TIMEOUT and its output slice is dropped.  Every member
+// reaches exactly one terminal status through the RequestLedger.
 
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -46,37 +50,25 @@
 
 #include "exec/batch_entry.hpp"
 #include "exec/row_stage.hpp"
-#include "exec/scheduler.hpp"
+#include "serve/attempt_executor.hpp"
 #include "serve/batch/batch_policy.hpp"
 #include "serve/batch/tenant_scheduler.hpp"
-#include "util/cancellation.hpp"
+#include "serve/ledger.hpp"
 
 namespace tilesparse::serve {
 
-/// The execution resources a serving worker lends the batcher while it
-/// serves (or leads) a batch.  All pointers outlive the call.
-struct BatchWorker {
-  ExecScheduler* primary = nullptr;
-  ExecScheduler* fallback = nullptr;  ///< serial, validation-off
-  CancelToken* cancel = nullptr;
-  std::size_t worker_id = 0;
-};
-
 class RequestBatcher {
  public:
-  /// Called exactly once per member with its terminal response; the
-  /// runtime's completer records global + per-tenant accounting and
-  /// completes the member's handle.
-  using Completer = std::function<void(BatchMember& member, Response response)>;
+  /// Every member's terminal response goes through `ledger`, which
+  /// must outlive the batcher.
+  RequestBatcher(const BatchPolicy& policy, RequestLedger& ledger);
 
-  RequestBatcher(const BatchPolicy& policy, Completer completer);
-
-  /// Serves one admitted member of `entry` using the calling worker.
-  /// May block while the caller acts as batch leader.  On return the
-  /// member either reached a terminal status or was deposited with the
-  /// current leader (which will complete it).
+  /// Serves one admitted member of `entry` using the calling worker's
+  /// executor.  May block while the caller acts as batch leader.  On
+  /// return the member either reached a terminal status or was
+  /// deposited with the current leader (which will complete it).
   void serve(const std::shared_ptr<BatchEntry>& entry, BatchMember member,
-             const BatchWorker& worker);
+             AttemptExecutor& executor);
 
   enum class Close {
     kDrain,   ///< leaders flush immediately, new members still served
@@ -107,20 +99,17 @@ class RequestBatcher {
   };
 
   void lead(Group& group, const std::shared_ptr<BatchEntry>& entry,
-            const BatchWorker& worker, std::unique_lock<std::mutex>& lock);
+            AttemptExecutor& executor, std::unique_lock<std::mutex>& lock);
   void run_batch(Group& group, BatchEntry& entry,
-                 std::vector<BatchMember> members, const BatchWorker& worker);
-  /// Solo execution on the calling worker: primary attempt, serial
-  /// fallback retry on non-cancel failure (mirrors the runtime's
-  /// max_attempts=2 shape without backoff).
+                 std::vector<BatchMember> members, AttemptExecutor& executor);
+  /// Solo run of one member through the executor, from attempt index
+  /// `first_attempt` (0 on bypass, 1 when isolating after a batch fault).
   void run_solo(BatchEntry& entry, BatchMember& member,
-                const BatchWorker& worker, bool force_fallback,
-                std::uint32_t prior_attempts);
-  void complete_member(BatchMember& member, Response response);
-  void complete_timeout(BatchMember& member, const char* reason);
+                AttemptExecutor& executor, std::uint32_t first_attempt);
+  void complete_timeout(BatchMember& member, std::string reason);
 
   BatchPolicy policy_;
-  Completer completer_;
+  RequestLedger& ledger_;
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Group>> groups_;
   bool draining_ = false;

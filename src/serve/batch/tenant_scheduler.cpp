@@ -125,6 +125,4 @@ double TenantScheduler::served_cost(const std::string& tenant) const {
   return it == tenants_.end() ? 0.0 : it->second.served;
 }
 
-std::vector<std::string> TenantScheduler::tenants() const { return order_; }
-
 }  // namespace tilesparse::serve

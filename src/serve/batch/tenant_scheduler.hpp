@@ -27,22 +27,8 @@
 
 #include "serve/batch/batch_policy.hpp"
 #include "serve/request.hpp"
-#include "tensor/matrix.hpp"
 
 namespace tilesparse::serve {
-
-/// One request riding through the batcher: its completion handle, its
-/// activation, and the accounting facts the scheduler needs.
-struct BatchMember {
-  RequestHandle handle;
-  MatrixF input;
-  std::string tenant;
-  std::string tag;
-  Clock::time_point enqueued{};  ///< runtime admission (queue_wait base)
-  Clock::time_point arrival{};   ///< batcher arrival (linger base)
-  Clock::time_point deadline = Clock::time_point::max();
-  double cost = 1.0;  ///< byte·MAC service cost (BatchEntry::cost)
-};
 
 class TenantScheduler {
  public:
@@ -73,7 +59,6 @@ class TenantScheduler {
   /// Cumulative byte·MAC cost select() has handed out per tenant —
   /// the service measure the fairness tests assert on.
   double served_cost(const std::string& tenant) const;
-  std::vector<std::string> tenants() const;
 
  private:
   struct Tenant {

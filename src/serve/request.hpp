@@ -42,15 +42,6 @@ using Clock = std::chrono::steady_clock;
 enum class Priority : int { kBatch = 0, kNormal = 1, kInteractive = 2 };
 inline constexpr std::size_t kPriorityClasses = 3;
 
-inline const char* priority_name(Priority priority) noexcept {
-  switch (priority) {
-    case Priority::kBatch: return "batch";
-    case Priority::kNormal: return "normal";
-    case Priority::kInteractive: return "interactive";
-  }
-  return "?";
-}
-
 enum class RequestStatus : int {
   kPending = 0,  ///< not yet terminal (never visible in a Response)
   kOk,
@@ -70,7 +61,7 @@ inline const char* status_name(RequestStatus status) noexcept {
   return "?";
 }
 
-struct WorkerContext;  // serve/serving_runtime.hpp
+struct WorkerContext;  // serve/attempt_executor.hpp
 
 struct Request {
   Priority priority = Priority::kNormal;
@@ -113,6 +104,14 @@ struct Response {
   bool batched = false;       ///< served as a member of a coalesced batch
   std::size_t batch_rows = 0;  ///< total input rows of that batch (diagnostics)
 };
+
+/// A terminal response that carries only its status and the reason.
+inline Response terminal_response(RequestStatus status, std::string error) {
+  Response response;
+  response.status = status;
+  response.error = std::move(error);
+  return response;
+}
 
 /// Shared completion state for one submitted request.  The runtime is
 /// the single completer; any number of threads may wait.
@@ -170,5 +169,19 @@ class PendingRequest {
 };
 
 using RequestHandle = std::shared_ptr<PendingRequest>;
+
+/// One submitted request in flight: its handle, its activation (entry
+/// requests) and the facts the ledger and the TenantScheduler need.
+/// Entry requests ride through the batcher in it.
+struct BatchMember {
+  RequestHandle handle;
+  MatrixF input;
+  std::string tenant;
+  std::string tag;
+  Clock::time_point enqueued{};  ///< runtime admission (queue_wait base)
+  Clock::time_point arrival{};   ///< worker pop (linger and service base)
+  Clock::time_point deadline = Clock::time_point::max();
+  double cost = 1.0;  ///< byte·MAC service cost (BatchEntry::cost)
+};
 
 }  // namespace tilesparse::serve

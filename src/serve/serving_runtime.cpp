@@ -1,11 +1,8 @@
 #include "serve/serving_runtime.hpp"
 
-#include <algorithm>
-#include <exception>
 #include <stdexcept>
 #include <utility>
 
-#include "exec/validate.hpp"
 #include "util/guards.hpp"
 
 namespace tilesparse::serve {
@@ -31,87 +28,18 @@ const PackedWeight* SharedModel::find(std::string_view name) const noexcept {
   return nullptr;
 }
 
-struct ServingRuntime::Counters {
-  std::atomic<std::uint64_t> submitted{0};
-  std::atomic<std::uint64_t> admitted{0};
-  std::atomic<std::uint64_t> ok{0};
-  std::atomic<std::uint64_t> rejected_full{0};
-  std::atomic<std::uint64_t> rejected_closed{0};
-  std::atomic<std::uint64_t> evicted{0};
-  std::atomic<std::uint64_t> timeout{0};
-  std::atomic<std::uint64_t> failed{0};
-  std::atomic<std::uint64_t> retries{0};
-  std::atomic<std::uint64_t> degraded_ok{0};
-};
-
-ServingRuntime::ServingRuntime(ServingOptions options)
-    : options_(options), counters_(std::make_unique<Counters>()) {
+ServingRuntime::ServingRuntime(ServingOptions options) : options_(options) {
   if (options_.workers == 0) options_.workers = 1;
   if (options_.streams == 0) options_.streams = 1;
   if (options_.max_attempts == 0) options_.max_attempts = 1;
   queue_ = std::make_unique<AdmissionQueue<std::shared_ptr<Item>>>(
       options_.queue_capacity);
-  // The batcher completes members directly (they never return to
-  // serve_one), so its completer is the worker-side accounting path.
-  batcher_ = std::make_unique<RequestBatcher>(
-      options_.batch, [this](BatchMember& member, Response response) {
-        switch (response.status) {
-          case RequestStatus::kOk:
-            counters_->ok.fetch_add(1, std::memory_order_relaxed);
-            if (response.degraded)
-              counters_->degraded_ok.fetch_add(1, std::memory_order_relaxed);
-            break;
-          case RequestStatus::kTimeout:
-            counters_->timeout.fetch_add(1, std::memory_order_relaxed);
-            break;
-          case RequestStatus::kFailed:
-            counters_->failed.fetch_add(1, std::memory_order_relaxed);
-            break;
-          case RequestStatus::kRejected:
-          case RequestStatus::kPending:
-            TS_CHECK(false, "RequestBatcher: unexpected member status");
-            break;
-        }
-        if (response.attempts > 1)
-          counters_->retries.fetch_add(response.attempts - 1,
-                                       std::memory_order_relaxed);
-        bump_tenant(member.tenant, response.status, response.batched,
-                    member.cost);
-        member.handle->complete(std::move(response));
-      });
-
-  workers_.reserve(options_.workers);
-  for (std::size_t w = 0; w < options_.workers; ++w) {
-    auto worker = std::make_unique<Worker>();
-    SchedulerOptions primary = options_.scheduler;
-    primary.streams = options_.streams;
-    if (options_.streams > 1) {
-      // Private pool per worker: streams - 1 pool threads + the worker
-      // itself give exactly `streams` concurrent streams, and one
-      // worker's load never steals another's threads.
-      worker->pool = std::make_unique<ThreadPool>(options_.streams - 1);
-      worker->primary =
-          std::make_unique<ExecScheduler>(primary, worker->pool.get());
-    } else {
-      worker->primary = std::make_unique<ExecScheduler>(primary);
-    }
-    // The degraded path: serial, unsharded, and with validation off —
-    // after the primary path rejects a graph (validation) or faults
-    // (stream death), this is the smallest machinery that can still
-    // serve the request.
-    SchedulerOptions fallback;
-    fallback.streams = 1;
-    fallback.shard_wide_n = false;
-    fallback.validate = false;
-    worker->fallback = std::make_unique<ExecScheduler>(fallback);
-    worker->primary->set_cancel_token(&worker->cancel);
-    worker->fallback->set_cancel_token(&worker->cancel);
-    workers_.push_back(std::move(worker));
-  }
+  batcher_ = std::make_unique<RequestBatcher>(options_.batch, ledger_);
+  for (std::size_t w = 0; w < options_.workers; ++w)
+    executors_.push_back(std::make_unique<AttemptExecutor>(options_, w));
   // Threads last: workers touch only fully-constructed state.
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    workers_[w]->thread = std::thread([this, w] { worker_loop(w); });
-  }
+  for (std::size_t w = 0; w < options_.workers; ++w)
+    threads_.emplace_back([this, w] { worker_loop(w); });
 }
 
 ServingRuntime::~ServingRuntime() { shutdown(Shutdown::kDrain); }
@@ -126,111 +54,69 @@ RequestHandle ServingRuntime::submit(Request request) {
         "ServingRuntime::submit: a request carries either work or a batch "
         "entry, not both");
   }
-  std::shared_ptr<BatchEntry> entry;
+  auto item = std::make_shared<Item>();
   if (batchable) {
-    entry = batch_entry(request.entry);
-    if (!entry) {
+    item->entry = batch_entry(request.entry);
+    if (!item->entry) {
       throw std::invalid_argument("ServingRuntime::submit: unknown batch entry '" +
                                   request.entry + "'");
     }
     if (request.input.rows() == 0 ||
-        request.input.rows() % entry->group_rows_in() != 0 ||
-        request.input.cols() != entry->input_cols()) {
+        request.input.rows() % item->entry->group_rows_in() != 0 ||
+        request.input.cols() != item->entry->input_cols()) {
       throw std::invalid_argument(
           "ServingRuntime::submit: input for entry '" + request.entry +
           "' must be a non-empty multiple of " +
-          std::to_string(entry->group_rows_in()) + " rows x " +
-          std::to_string(entry->input_cols()) + " cols");
-    }
-    if (options_.batch.enabled) {
-      // The resolved entry rides on the item; serve_one routes it to
-      // the batcher instead of the work path.
-      request.work = nullptr;
-    } else {
-      // Batching off: synthesize the classic PR 8 work callable, so
-      // the request takes exactly the solo worker path (this is the
-      // "unbatched" baseline batched runs are compared against).
-      auto input = std::make_shared<const MatrixF>(std::move(request.input));
-      request.work = [entry, input](WorkerContext& context) {
-        return entry->run(context.scheduler, *input);
-      };
+          std::to_string(item->entry->group_rows_in()) + " rows x " +
+          std::to_string(item->entry->input_cols()) + " cols");
     }
   }
-  auto handle = std::make_shared<PendingRequest>(
+  BatchMember& member = item->member;
+  member.handle = std::make_shared<PendingRequest>(
       next_id_.fetch_add(1, std::memory_order_relaxed));
-  counters_->submitted.fetch_add(1, std::memory_order_relaxed);
-
-  auto item = std::make_shared<Item>();
-  item->enqueued = Clock::now();
-  item->deadline = request.deadline;
-  if (item->deadline == Clock::time_point::max() &&
+  member.enqueued = Clock::now();
+  member.deadline = request.deadline;
+  if (member.deadline == Clock::time_point::max() &&
       options_.default_deadline != Clock::duration::max()) {
-    item->deadline = item->enqueued + options_.default_deadline;
+    member.deadline = member.enqueued + options_.default_deadline;
   }
-  const Priority priority = request.priority;
-  item->request = std::move(request);
-  item->handle = handle;
-  if (batchable && options_.batch.enabled) item->entry = std::move(entry);
-  {
-    std::lock_guard lock(tenants_mutex_);
-    ++tenant_stats_[item->request.tenant_id].submitted;
-  }
+  member.input = std::move(request.input);
+  member.tenant = std::move(request.tenant_id);
+  member.tag = std::move(request.tag);
+  member.cost = item->entry ? item->entry->cost(member.input.rows()) : 0.0;
+  item->work = std::move(request.work);
+  // Copies: once admitted, a worker may pop the item and move from it.
+  const RequestHandle handle = member.handle;
+  const std::string tenant = member.tenant;
+  ledger_.submitted(tenant);
 
   std::shared_ptr<Item> shed;
-  const PushOutcome outcome =
-      queue_->push(item, priority, options_.evict_lower_priority ? &shed : nullptr,
-                   item->request.tenant_id);
-  switch (outcome) {
-    case PushOutcome::kAdmitted:
-      counters_->admitted.fetch_add(1, std::memory_order_relaxed);
-      {
-        std::lock_guard lock(tenants_mutex_);
-        ++tenant_stats_[item->request.tenant_id].admitted;
-      }
-      break;
-    case PushOutcome::kAdmittedAfterEvict: {
-      counters_->admitted.fetch_add(1, std::memory_order_relaxed);
+  switch (queue_->push(item, request.priority,
+                       options_.evict_lower_priority ? &shed : nullptr,
+                       tenant)) {
+    case PushOutcome::kAdmittedAfterEvict:
       TS_CHECK(shed != nullptr, "ServingRuntime: evict outcome without victim");
-      Response response;
-      response.status = RequestStatus::kRejected;
-      response.error = "shed from admission queue for a higher-priority arrival";
-      counters_->evicted.fetch_add(1, std::memory_order_relaxed);
-      {
-        std::lock_guard lock(tenants_mutex_);
-        ++tenant_stats_[item->request.tenant_id].admitted;
-        ++tenant_stats_[shed->request.tenant_id].evicted;
-      }
-      response.tag = shed->request.tag;
-      response.queue_wait = Clock::now() - shed->enqueued;
-      shed->handle->complete(std::move(response));
+      ledger_.finish(shed->member,
+                     terminal_response(RequestStatus::kRejected,
+                                       "shed from admission queue for a "
+                                       "higher-priority arrival"),
+                     RequestLedger::Shed::kEvicted);
+      [[fallthrough]];
+    case PushOutcome::kAdmitted:
+      ledger_.admitted(tenant);
       break;
-    }
-    case PushOutcome::kRejectedFull: {
-      counters_->rejected_full.fetch_add(1, std::memory_order_relaxed);
-      {
-        std::lock_guard lock(tenants_mutex_);
-        ++tenant_stats_[item->request.tenant_id].rejected_full;
-      }
-      Response response;
-      response.status = RequestStatus::kRejected;
-      response.error = "admission queue full";
-      response.tag = item->request.tag;
-      handle->complete(std::move(response));
+    case PushOutcome::kRejectedFull:
+      ledger_.finish(member,
+                     terminal_response(RequestStatus::kRejected,
+                                       "admission queue full"),
+                     RequestLedger::Shed::kQueueFull);
       break;
-    }
-    case PushOutcome::kRejectedClosed: {
-      counters_->rejected_closed.fetch_add(1, std::memory_order_relaxed);
-      {
-        std::lock_guard lock(tenants_mutex_);
-        ++tenant_stats_[item->request.tenant_id].rejected_closed;
-      }
-      Response response;
-      response.status = RequestStatus::kRejected;
-      response.error = "runtime shutting down";
-      response.tag = item->request.tag;
-      handle->complete(std::move(response));
+    case PushOutcome::kRejectedClosed:
+      ledger_.finish(member,
+                     terminal_response(RequestStatus::kRejected,
+                                       "runtime shutting down"),
+                     RequestLedger::Shed::kClosed);
       break;
-    }
   }
   return handle;
 }
@@ -248,186 +134,42 @@ std::shared_ptr<BatchEntry> ServingRuntime::batch_entry(
   return it == entries_.end() ? nullptr : it->second;
 }
 
-void ServingRuntime::bump_tenant(const std::string& tenant,
-                                 RequestStatus status, bool batched,
-                                 double cost) {
-  std::lock_guard lock(tenants_mutex_);
-  TenantStats& stats = tenant_stats_[tenant];
-  switch (status) {
-    case RequestStatus::kOk:
-      ++stats.ok;
-      stats.cost_ok += cost;
-      if (batched) ++stats.batched_ok;
-      break;
-    case RequestStatus::kTimeout:
-      ++stats.timeout;
-      break;
-    case RequestStatus::kFailed:
-      ++stats.failed;
-      break;
-    case RequestStatus::kRejected:
-    case RequestStatus::kPending:
-      TS_CHECK(false, "bump_tenant: unexpected worker-side status");
-      break;
-  }
-}
-
-void ServingRuntime::complete(Item& item, Response response) {
-  // Admission-side rejections (full / closed / evicted) are counted and
-  // completed inline in submit(); this path records worker-side
-  // terminal statuses only.
-  response.tag = item.request.tag;
-  switch (response.status) {
-    case RequestStatus::kOk:
-      counters_->ok.fetch_add(1, std::memory_order_relaxed);
-      if (response.degraded)
-        counters_->degraded_ok.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case RequestStatus::kTimeout:
-      counters_->timeout.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case RequestStatus::kFailed:
-      counters_->failed.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case RequestStatus::kRejected:
-    case RequestStatus::kPending:
-      TS_CHECK(false, "ServingRuntime: unexpected worker-side status");
-      break;
-  }
-  bump_tenant(item.request.tenant_id, response.status, response.batched, 0.0);
-  item.handle->complete(std::move(response));
-}
-
-bool ServingRuntime::backoff_wait(const Worker& worker, Clock::duration wait,
-                                  Clock::time_point deadline) {
-  const Clock::time_point wake = Clock::now() + wait;
-  while (true) {
-    const Clock::time_point now = Clock::now();
-    if (now >= wake) return true;
-    if (now >= deadline || worker.cancel.cancel_requested()) return false;
-    // Short slices keep the wait responsive to deadlines and to
-    // shutdown(kCancel) without a dedicated per-worker condition
-    // variable.
-    const Clock::duration slice = std::min<Clock::duration>(
-        std::chrono::microseconds(500), wake - now);
-    std::this_thread::sleep_for(slice);
-  }
-}
-
-void ServingRuntime::serve_one(Worker& worker, std::size_t worker_id,
-                               std::shared_ptr<Item> item) {
-  const Clock::time_point popped = Clock::now();
-  Response response;
-  response.queue_wait = popped - item->enqueued;
-
-  if (popped >= item->deadline) {
-    response.status = RequestStatus::kTimeout;
-    response.error = "deadline expired in admission queue";
-    complete(*item, std::move(response));
+void ServingRuntime::serve_one(AttemptExecutor& executor, Item& item) {
+  BatchMember& member = item.member;
+  member.arrival = Clock::now();
+  if (member.arrival >= member.deadline) {
+    ledger_.finish(member,
+                   terminal_response(RequestStatus::kTimeout,
+                                     "deadline expired in admission queue"));
     return;
   }
-
-  if (item->entry) {
-    // Batchable request with batching enabled: hand it to the batcher,
-    // which completes it (possibly inside a wide-M run with members
-    // other workers deposited).  This worker may serve as the batch
-    // leader for a while; that is by design — the remaining workers
-    // keep popping and feeding the forming batch.
-    BatchMember member;
-    member.handle = item->handle;
-    member.input = std::move(item->request.input);
-    member.tenant = item->request.tenant_id;
-    member.tag = item->request.tag;
-    member.enqueued = item->enqueued;
-    member.arrival = popped;
-    member.deadline = item->deadline;
-    member.cost = item->entry->cost(member.input.rows());
-    BatchWorker batch_worker{worker.primary.get(), worker.fallback.get(),
-                             &worker.cancel, worker_id};
-    batcher_->serve(item->entry, std::move(member), batch_worker);
+  if (item.entry) {
+    // Entry request: the batcher completes it — inside a wide-M run
+    // with members other workers deposited, or solo when batching is
+    // off or its deadline cannot afford the linger.  This worker may
+    // serve as the batch leader for a while; that is by design — the
+    // remaining workers keep popping and feeding the forming batch.
+    batcher_->serve(item.entry, std::move(member), executor);
     return;
   }
-
-  auto backoff = std::chrono::duration_cast<Clock::duration>(
-      options_.retry_backoff);
-  // Once streams == 1 the primary path IS serial; "degraded" then only
-  // ever means the validation-off fallback engaged.
-  bool degraded = false;
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    response.attempts = attempt + 1;
-    response.degraded = degraded;
-    if (attempt > 0) counters_->retries.fetch_add(1, std::memory_order_relaxed);
-    worker.cancel.reset(item->deadline);
-    ExecScheduler& scheduler =
-        degraded ? *worker.fallback : *worker.primary;
-    // Pin the attached model for this attempt: a concurrent
-    // attach_model must not destroy storage (possibly a borrowed mmap)
-    // the work callable is executing against.
-    const std::shared_ptr<const SharedModel> pinned_model = model();
-    WorkerContext context{scheduler, worker.cancel, worker_id, attempt,
-                          degraded, pinned_model.get()};
-    bool validation_failure = false;
-    try {
-      response.result = item->request.work(context);
-      response.status = RequestStatus::kOk;
-      break;
-    } catch (const CancelledError& e) {
-      // Deadline overrun (or shutdown cancel) observed at a node
-      // boundary: terminal, never retried — the deadline will not
-      // come back.
-      response.status = RequestStatus::kTimeout;
-      response.error = e.what();
-      break;
-    } catch (const GraphValidationError& e) {
-      response.status = RequestStatus::kFailed;
-      response.error = e.what();
-      validation_failure = true;
-    } catch (const std::exception& e) {
-      response.status = RequestStatus::kFailed;
-      response.error = e.what();
-    } catch (...) {
-      response.status = RequestStatus::kFailed;
-      response.error = "unknown exception from request work";
-    }
-
-    if (attempt + 1 >= options_.max_attempts) break;  // attempts exhausted
-    // Every retry runs degraded: after a fault on the overlapped path
-    // (a stream died mid-graph) or a rejected graph, the serial
-    // fallback is the robust choice; a fault on the fallback itself
-    // (transient, e.g. injected) retries there too.
-    degraded = true;
-    if (!validation_failure) {
-      // Transient-failure backoff; validation failures skip it (the
-      // fallback either serves the graph or never will).
-      if (!backoff_wait(worker, backoff, item->deadline)) {
-        if (Clock::now() >= item->deadline) {
-          response.status = RequestStatus::kTimeout;
-          response.error = "deadline expired during retry backoff";
-          break;
-        }
-        // Shutdown cancel: report the last real failure as terminal.
-        break;
-      }
-      backoff = std::chrono::duration_cast<Clock::duration>(
-          backoff * options_.backoff_multiplier);
-    }
-    if (Clock::now() >= item->deadline) {
-      response.status = RequestStatus::kTimeout;
-      response.error = "deadline expired before retry";
-      break;
-    }
-  }
-
-  response.service_time = Clock::now() - popped;
-  complete(*item, std::move(response));
+  Response response =
+      executor.run(member.deadline, [&](WorkerContext& context) {
+        // Pin the attached model for this attempt: a concurrent
+        // attach_model must not destroy storage (possibly a borrowed
+        // mmap) the work callable is executing against.
+        const std::shared_ptr<const SharedModel> pinned_model = model();
+        context.model = pinned_model.get();
+        return item.work(context);
+      });
+  ledger_.finish(member, std::move(response));
 }
 
 void ServingRuntime::worker_loop(std::size_t worker_id) {
-  Worker& worker = *workers_[worker_id];
+  AttemptExecutor& executor = *executors_[worker_id];
   std::shared_ptr<Item> item;
   while (queue_->pop(item)) {
-    serve_one(worker, worker_id, std::move(item));
-    item.reset();
+    serve_one(executor, *item);
+    item = nullptr;  // release it before blocking on the next pop
   }
 }
 
@@ -442,52 +184,19 @@ void ServingRuntime::shutdown(Shutdown mode) {
     // queued inside the batcher, then in-flight work.
     std::vector<std::shared_ptr<Item>> backlog = queue_->close_and_drain();
     for (std::shared_ptr<Item>& item : backlog) {
-      Response response;
-      response.status = RequestStatus::kTimeout;
-      response.error = "cancelled: runtime shutdown";
-      response.queue_wait = Clock::now() - item->enqueued;
-      complete(*item, std::move(response));
+      ledger_.finish(item->member,
+                     terminal_response(RequestStatus::kTimeout,
+                                       "cancelled: runtime shutdown"));
     }
     batcher_->close(RequestBatcher::Close::kCancel);
-    for (auto& worker : workers_) worker->cancel.cancel();
+    for (auto& executor : executors_) executor->cancel();
   } else {
     queue_->close();
     // Leaders flush without further lingering; members still drain.
     batcher_->close(RequestBatcher::Close::kDrain);
   }
-  for (auto& worker : workers_) {
-    if (worker->thread.joinable()) worker->thread.join();
-  }
-  for (auto& worker : workers_) {
-    if (worker->pool) worker->pool->shutdown();
-  }
-}
-
-ServingRuntime::Stats ServingRuntime::stats() const {
-  Stats stats;
-  stats.submitted = counters_->submitted.load(std::memory_order_relaxed);
-  stats.admitted = counters_->admitted.load(std::memory_order_relaxed);
-  stats.ok = counters_->ok.load(std::memory_order_relaxed);
-  stats.rejected_full =
-      counters_->rejected_full.load(std::memory_order_relaxed);
-  stats.rejected_closed =
-      counters_->rejected_closed.load(std::memory_order_relaxed);
-  stats.evicted = counters_->evicted.load(std::memory_order_relaxed);
-  stats.timeout = counters_->timeout.load(std::memory_order_relaxed);
-  stats.failed = counters_->failed.load(std::memory_order_relaxed);
-  stats.retries = counters_->retries.load(std::memory_order_relaxed);
-  stats.degraded_ok = counters_->degraded_ok.load(std::memory_order_relaxed);
-  return stats;
-}
-
-std::map<std::string, ServingRuntime::TenantStats> ServingRuntime::tenant_stats()
-    const {
-  std::lock_guard lock(tenants_mutex_);
-  return tenant_stats_;
-}
-
-RequestBatcher::BatchStats ServingRuntime::batch_stats() const {
-  return batcher_->stats();
+  for (std::thread& thread : threads_)
+    if (thread.joinable()) thread.join();
 }
 
 void ServingRuntime::attach_model(std::shared_ptr<const SharedModel> model) {

@@ -5,10 +5,10 @@
 // Nothing above the scheduler used to absorb traffic or isolate
 // failures: one bad request, corrupt artifact, or hung stream took the
 // process with it.  ServingRuntime is that missing layer.  It owns a
-// bounded AdmissionQueue and a set of serving workers, each with its
-// own ExecScheduler pair and deadline-armed CancelToken, and it
-// guarantees that every submitted request reaches exactly one terminal
-// status (see serve/request.hpp) no matter what fails underneath:
+// bounded AdmissionQueue and a set of serving workers, each running its
+// work through its own AttemptExecutor, and it guarantees that every
+// submitted request reaches exactly one terminal status (see
+// serve/request.hpp and serve/ledger.hpp) no matter what fails below:
 //
 //  * Admission: push never blocks.  A full queue sheds (REJECTED) —
 //    optionally evicting a strictly lower-priority entry to admit a
@@ -21,11 +21,11 @@
 //    mid-graph, an artifact that fails to parse, an injected fault —
 //    is captured per-request (FAILED); the worker and its schedulers
 //    keep serving subsequent requests.
-//  * Graceful degradation: transient failures retry with bounded
-//    exponential backoff, and after the overlapped multi-stream path
-//    faults (or its graph fails validation) the retry runs on the
-//    streams=1 serial fallback scheduler — slower, but with the
-//    smallest possible machinery still in the loop.
+//  * Graceful degradation: failures retry up to max_attempts with
+//    bounded exponential backoff, every retry on the streams=1 serial
+//    fallback scheduler — slower, but with the smallest possible
+//    machinery still in the loop.  The same budget covers the batcher's
+//    solo runs (serve/attempt_executor.hpp).
 //  * Teardown: shutdown(kDrain) serves the backlog to completion;
 //    shutdown(kCancel) completes the backlog as TIMEOUT and cancels
 //    in-flight work at the next node boundary.  Either way the
@@ -36,6 +36,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -48,11 +49,11 @@
 #include "exec/scheduler.hpp"
 #include "io/serialize.hpp"
 #include "serve/admission_queue.hpp"
+#include "serve/attempt_executor.hpp"
 #include "serve/batch/batch_policy.hpp"
 #include "serve/batch/request_batcher.hpp"
+#include "serve/ledger.hpp"
 #include "serve/request.hpp"
-#include "util/cancellation.hpp"
-#include "util/threadpool.hpp"
 
 namespace tilesparse::serve {
 
@@ -87,7 +88,8 @@ struct ServingOptions {
   /// Scheduler streams per worker on the primary path; 1 serves every
   /// graph serially.
   std::size_t streams = 2;
-  /// Total execution attempts per request (first try + retries).
+  /// Total execution attempts per request (first try + retries), solo
+  /// runs in the batcher included; see RequestBatcher for isolation.
   std::uint32_t max_attempts = 2;
   /// Backoff before the first retry; grows by backoff_multiplier per
   /// further retry.  The wait is deadline- and shutdown-aware.
@@ -103,27 +105,9 @@ struct ServingOptions {
   /// overridden by `streams` above).
   SchedulerOptions scheduler;
   /// Cross-request batching policy (serve/batch/batch_policy.hpp).
-  /// Disabled by default: batchable requests then run solo through the
-  /// classic worker path, bit-for-bit.
+  /// Disabled by default: batchable requests then run solo on the
+  /// worker that popped them, bit-for-bit.
   BatchPolicy batch;
-};
-
-/// What a Request::work callable sees while running on a worker.
-struct WorkerContext {
-  /// The scheduler to run graphs through.  Its cancel token is armed
-  /// with the request deadline, so graph runs time out cooperatively.
-  ExecScheduler& scheduler;
-  /// The worker's cancel token, for work that loops outside graph runs
-  /// (check cancel.expired() / throw_if_expired() at safe points).
-  const CancelToken& cancel;
-  std::size_t worker_id = 0;
-  std::uint32_t attempt = 0;  ///< 0-based attempt number
-  /// True on the serial fallback path (after an overlapped-path fault
-  /// or validation failure, or always once streams == 1 retries).
-  bool degraded = false;
-  /// The runtime's attached model (attach_model), or null when none is
-  /// attached.  Valid for the duration of the work callable.
-  const SharedModel* model = nullptr;
 };
 
 class ServingRuntime {
@@ -144,8 +128,9 @@ class ServingRuntime {
   RequestHandle submit(Request request);
 
   /// Registers (or replaces) a batch-capable graph entry; requests
-  /// naming it in Request::entry may be coalesced into wide-M runs
-  /// when options().batch.enabled.  Thread-safe.
+  /// naming it in Request::entry go through the batcher, which
+  /// coalesces them into wide-M runs when options().batch.enabled and
+  /// otherwise runs each solo.  Thread-safe.
   void register_batch_entry(std::shared_ptr<BatchEntry> entry);
   /// Registered entry by name; null when absent.
   std::shared_ptr<BatchEntry> batch_entry(std::string_view name) const;
@@ -158,65 +143,19 @@ class ServingRuntime {
   /// call's mode wins.  On return every submitted request is terminal.
   void shutdown(Shutdown mode = Shutdown::kDrain);
 
-  /// Monotonic counters.  The conservation identities
-  ///   submitted == admitted + rejected_full + rejected_closed
-  ///   admitted  == ok + timeout + failed + evicted      (once quiesced)
-  /// hold exactly after shutdown() returns (mid-flight, popped-but-
-  /// unfinished requests are in neither bucket).
-  struct Stats {
-    std::uint64_t submitted = 0;
-    std::uint64_t admitted = 0;
-    std::uint64_t ok = 0;
-    std::uint64_t rejected_full = 0;    ///< shed at admission: queue full
-    std::uint64_t rejected_closed = 0;  ///< shed at admission: shutting down
-    std::uint64_t evicted = 0;     ///< admitted, then shed for higher priority
-    std::uint64_t timeout = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t retries = 0;      ///< extra attempts beyond each first
-    std::uint64_t degraded_ok = 0;  ///< OK served by the serial fallback
-    std::uint64_t terminal() const noexcept {
-      return ok + rejected_full + rejected_closed + evicted + timeout + failed;
-    }
-    bool conserved() const noexcept {
-      return submitted == terminal() &&
-             admitted == ok + evicted + timeout + failed;
-    }
-  };
-  Stats stats() const;
-
-  /// Per-tenant slice of the same accounting, keyed by
-  /// Request::tenant_id (the empty key is the anonymous tenant).  The
-  /// conservation identity holds for EVERY tenant after shutdown, not
-  /// just globally — one tenant's chaos cannot leak statuses into
-  /// another's books.  cost_ok additionally accumulates the byte·MAC
-  /// service cost of OK batchable work, the measure DRR fairness is
-  /// judged by.
-  struct TenantStats {
-    std::uint64_t submitted = 0;
-    std::uint64_t admitted = 0;
-    std::uint64_t ok = 0;
-    std::uint64_t rejected_full = 0;
-    std::uint64_t rejected_closed = 0;
-    std::uint64_t evicted = 0;
-    std::uint64_t timeout = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t batched_ok = 0;  ///< OK responses served inside a batch
-    double cost_ok = 0.0;          ///< byte·MAC cost of OK batchable work
-    std::uint64_t terminal() const noexcept {
-      return ok + rejected_full + rejected_closed + evicted + timeout + failed;
-    }
-    bool conserved() const noexcept {
-      return submitted == terminal() &&
-             admitted == ok + evicted + timeout + failed;
-    }
-  };
-  std::map<std::string, TenantStats> tenant_stats() const;
+  /// The books (serve/ledger.hpp): conservation identities hold
+  /// exactly after shutdown() returns, globally and for every tenant.
+  using Stats = ServingStats;
+  using TenantStats = serve::TenantStats;
+  Stats stats() const { return ledger_.stats(); }
+  std::map<std::string, TenantStats> tenant_stats() const {
+    return ledger_.tenant_stats();
+  }
 
   /// Batching diagnostics (zeroed when batching is disabled).
-  RequestBatcher::BatchStats batch_stats() const;
+  RequestBatcher::BatchStats batch_stats() const { return batcher_->stats(); }
 
   const ServingOptions& options() const noexcept { return options_; }
-  std::size_t queue_depth() const { return queue_->size(); }
 
   /// Attaches (or, with null, detaches) the model requests see as
   /// WorkerContext::model.  Thread-safe; requests already running keep
@@ -228,50 +167,29 @@ class ServingRuntime {
 
  private:
   struct Item {
-    Request request;
-    RequestHandle handle;
-    Clock::time_point enqueued{};
-    Clock::time_point deadline = Clock::time_point::max();
-    /// Resolved batch entry, pinned at submit (only set when batching
-    /// is enabled; a later register_batch_entry replacing the name
-    /// must not swap graphs under an admitted request).
+    BatchMember member;
+    std::function<MatrixF(WorkerContext&)> work;  ///< classic requests
+    /// Entry requests: resolved at submit, so a later re-registration
+    /// cannot swap graphs under an admitted request.
     std::shared_ptr<BatchEntry> entry;
   };
-  struct Worker {
-    std::unique_ptr<ThreadPool> pool;  ///< null when streams == 1
-    std::unique_ptr<ExecScheduler> primary;
-    std::unique_ptr<ExecScheduler> fallback;  ///< streams=1, no sharding
-    CancelToken cancel;
-    std::thread thread;
-  };
-  struct Counters;
 
   void worker_loop(std::size_t worker_id);
-  void serve_one(Worker& worker, std::size_t worker_id,
-                 std::shared_ptr<Item> item);
-  void complete(Item& item, Response response);
-  /// Deadline/cancel-aware sleep; false when the wait was cut short.
-  bool backoff_wait(const Worker& worker, Clock::duration wait,
-                    Clock::time_point deadline);
-  /// Per-tenant ledger entry for one terminal status (all terminal
-  /// paths — worker, admission shed, batcher completer — funnel here).
-  void bump_tenant(const std::string& tenant, RequestStatus status,
-                   bool batched, double cost);
+  void serve_one(AttemptExecutor& executor, Item& item);
 
   ServingOptions options_;
   std::unique_ptr<AdmissionQueue<std::shared_ptr<Item>>> queue_;
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::unique_ptr<Counters> counters_;
+  std::vector<std::unique_ptr<AttemptExecutor>> executors_;
+  RequestLedger ledger_;
   std::unique_ptr<RequestBatcher> batcher_;
   mutable std::mutex entries_mutex_;
   std::map<std::string, std::shared_ptr<BatchEntry>, std::less<>> entries_;
-  mutable std::mutex tenants_mutex_;
-  std::map<std::string, TenantStats> tenant_stats_;
   std::atomic<std::uint64_t> next_id_{1};
   std::mutex shutdown_mutex_;
   bool shut_down_ = false;
   mutable std::mutex model_mutex_;
   std::shared_ptr<const SharedModel> model_;
+  std::vector<std::thread> threads_;  ///< last: they use every member above
 };
 
 }  // namespace tilesparse::serve

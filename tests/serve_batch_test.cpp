@@ -618,39 +618,86 @@ class PoisonEntry : public BatchEntry {
   std::string name_ = "poison";
 };
 
+// The isolation rule: after a batch fault every member is re-run solo
+// on the fallback as attempt 1 (the batch run was attempt 0).  That one
+// re-run is owed even when max_attempts = 1 — otherwise a poisoned
+// member would take its co-travellers down with it.
 TEST(ServeBatchTest, PoisonedMemberFailsAloneCoTravellersStillOk) {
-  ServingOptions options;
-  options.workers = 2;
-  options.batch.enabled = true;
-  options.batch.max_linger = 150ms;
-  options.batch.max_batch_m = 1024;
-  ServingRuntime runtime(options);
-  runtime.register_batch_entry(std::make_shared<PoisonEntry>());
+  for (const std::uint32_t max_attempts : {2u, 1u}) {
+    SCOPED_TRACE("max_attempts " + std::to_string(max_attempts));
+    ServingOptions options;
+    options.workers = 2;
+    options.max_attempts = max_attempts;
+    options.batch.enabled = true;
+    options.batch.max_linger = 150ms;
+    options.batch.max_batch_m = 1024;
+    ServingRuntime runtime(options);
+    runtime.register_batch_entry(std::make_shared<PoisonEntry>());
 
-  const MatrixF good_a = random_matrix(2, 4, 61);
-  const MatrixF good_c = random_matrix(3, 4, 62);
-  MatrixF bad(1, 4);
-  bad(0, 0) = PoisonEntry::kMarker;
-  auto ok_a = runtime.submit(batch_request("poison", good_a, "a", "a"));
-  auto fail_b = runtime.submit(batch_request("poison", bad, "b", "b"));
-  auto ok_c = runtime.submit(batch_request("poison", good_c, "c", "c"));
+    const MatrixF good_a = random_matrix(2, 4, 61);
+    const MatrixF good_c = random_matrix(3, 4, 62);
+    MatrixF bad(1, 4);
+    bad(0, 0) = PoisonEntry::kMarker;
+    auto ok_a = runtime.submit(batch_request("poison", good_a, "a", "a"));
+    auto fail_b = runtime.submit(batch_request("poison", bad, "b", "b"));
+    auto ok_c = runtime.submit(batch_request("poison", good_c, "c", "c"));
 
-  const Response& response_b = fail_b->wait();
-  EXPECT_EQ(response_b.status, RequestStatus::kFailed);
-  EXPECT_NE(response_b.error.find("poison"), std::string::npos);
-  for (const auto& [handle, good] :
-       {std::pair{&ok_a, &good_a}, std::pair{&ok_c, &good_c}}) {
-    const Response& response = (*handle)->wait();
-    ASSERT_EQ(response.status, RequestStatus::kOk) << response.error;
-    MatrixF expected(good->rows(), good->cols());
-    for (std::size_t i = 0; i < expected.size(); ++i)
-      expected.data()[i] = 2.0f * good->data()[i];
-    EXPECT_TRUE(bit_identical(response.result, expected));
+    const Response& response_b = fail_b->wait();
+    EXPECT_EQ(response_b.status, RequestStatus::kFailed);
+    EXPECT_NE(response_b.error.find("poison"), std::string::npos);
+    for (const auto& [handle, good] :
+         {std::pair{&ok_a, &good_a}, std::pair{&ok_c, &good_c}}) {
+      const Response& response = (*handle)->wait();
+      ASSERT_EQ(response.status, RequestStatus::kOk) << response.error;
+      MatrixF expected(good->rows(), good->cols());
+      for (std::size_t i = 0; i < expected.size(); ++i)
+        expected.data()[i] = 2.0f * good->data()[i];
+      EXPECT_TRUE(bit_identical(response.result, expected));
+    }
+    for (const RequestHandle* handle : {&ok_a, &fail_b, &ok_c}) {
+      const Response& response = (*handle)->wait();
+      EXPECT_EQ(response.attempts, 2u) << response.tag;
+      EXPECT_TRUE(response.degraded) << response.tag;
+    }
+    runtime.shutdown();
+    EXPECT_TRUE(runtime.stats().conserved());
+    EXPECT_EQ(runtime.stats().retries, 3u);
+    for (const auto& [tenant, stats] : runtime.tenant_stats())
+      EXPECT_TRUE(stats.conserved()) << "tenant " << tenant;
   }
-  runtime.shutdown();
-  EXPECT_TRUE(runtime.stats().conserved());
-  for (const auto& [tenant, stats] : runtime.tenant_stats())
-    EXPECT_TRUE(stats.conserved()) << "tenant " << tenant;
+}
+
+// A member whose deadline cannot afford the linger window bypasses
+// batching and runs solo on the popping worker, through the same
+// attempt executor as classic work: max_attempts and retry_backoff
+// bound it exactly as they bound any other request.
+TEST(ServeBatchTest, BypassSoloRunsHonourMaxAttempts) {
+  for (const std::uint32_t max_attempts : {3u, 1u}) {
+    SCOPED_TRACE("max_attempts " + std::to_string(max_attempts));
+    ServingOptions options;
+    options.workers = 1;
+    options.max_attempts = max_attempts;
+    options.retry_backoff = 100us;
+    options.batch.enabled = true;
+    options.batch.max_linger = 10s;  // bypass: budget below 2 x 10s
+    ServingRuntime runtime(options);
+    runtime.register_batch_entry(std::make_shared<PoisonEntry>());
+
+    MatrixF bad(1, 4);
+    bad(0, 0) = PoisonEntry::kMarker;
+    Request request = batch_request("poison", bad, "t", "bypass");
+    request.deadline = Clock::now() + 5s;
+    const Response response = runtime.submit(std::move(request))->wait();
+    runtime.shutdown();
+
+    EXPECT_EQ(response.status, RequestStatus::kFailed) << response.error;
+    EXPECT_FALSE(response.batched);
+    EXPECT_EQ(response.attempts, max_attempts);
+    EXPECT_EQ(response.degraded, max_attempts > 1);
+    EXPECT_EQ(runtime.stats().retries, max_attempts - 1);
+    EXPECT_EQ(runtime.batch_stats().solo_bypass, 1u);
+    EXPECT_TRUE(runtime.stats().conserved());
+  }
 }
 
 TEST(ServeBatchTest, PerTenantAccountingConservesAndTracksBatchedCost) {

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -196,6 +197,26 @@ Request artifact_request(const std::string* path, const MatrixF* input,
   return request;
 }
 
+// The retry books, rebuilt from the responses: every attempt beyond a
+// request's first is one retry, and degraded_ok counts exactly the OK
+// responses served on the fallback.  Classic and batched traffic must
+// both balance against runtime.stats(), whichever path each took.
+struct RetryLedger {
+  std::uint64_t retries = 0;
+  std::uint64_t degraded_ok = 0;
+
+  void add(const Response& response) {
+    retries += std::max<std::uint32_t>(response.attempts, 1) - 1;
+    if (response.status == RequestStatus::kOk && response.degraded)
+      ++degraded_ok;
+  }
+
+  void expect_matches(const ServingRuntime::Stats& stats, int iter) const {
+    EXPECT_EQ(stats.retries, retries) << "iteration " << iter;
+    EXPECT_EQ(stats.degraded_ok, degraded_ok) << "iteration " << iter;
+  }
+};
+
 TEST_F(ServeChaosTest, HundredIterationsConserveAndStayBitIdentical) {
   constexpr int kIterations = 100;
   std::uint64_t total_ok = 0, total_failed = 0, total_timeout = 0,
@@ -262,10 +283,12 @@ TEST_F(ServeChaosTest, HundredIterationsConserveAndStayBitIdentical) {
     // No-deadlock promise: this must return (ctest TIMEOUT backstops).
     runtime.shutdown(ServingRuntime::Shutdown::kDrain);
 
+    RetryLedger retry_ledger;
     for (const Expected& entry : submitted) {
       ASSERT_TRUE(entry.handle->done());
       const Response& response = entry.handle->response();
       ASSERT_NE(response.status, RequestStatus::kPending);
+      retry_ledger.add(response);
       switch (response.status) {
         case RequestStatus::kOk:
           ++total_ok;
@@ -297,6 +320,7 @@ TEST_F(ServeChaosTest, HundredIterationsConserveAndStayBitIdentical) {
         << "iteration " << iter << ": submitted " << stats.submitted
         << " terminal " << stats.terminal() << " admitted " << stats.admitted;
     ASSERT_EQ(stats.submitted, 12u);
+    retry_ledger.expect_matches(stats, iter);
   }
 
   // Poison requests exist every iteration, so failures are guaranteed;
@@ -397,9 +421,11 @@ TEST_F(ServeChaosTest, BatchedHundredIterationsConservePerTenant) {
 
     runtime.shutdown(ServingRuntime::Shutdown::kDrain);
 
+    RetryLedger retry_ledger;
     for (const Expected& entry : submitted) {
       ASSERT_TRUE(entry.handle->done());
       const Response& response = entry.handle->response();
+      retry_ledger.add(response);
       switch (response.status) {
         case RequestStatus::kOk:
           ++total_ok;
@@ -423,6 +449,7 @@ TEST_F(ServeChaosTest, BatchedHundredIterationsConservePerTenant) {
         << "iteration " << iter << ": submitted " << stats.submitted
         << " terminal " << stats.terminal();
     ASSERT_EQ(stats.submitted, 12u);
+    retry_ledger.expect_matches(stats, iter);
     std::uint64_t tenant_submitted = 0;
     for (const auto& [tenant, per_tenant] : runtime.tenant_stats()) {
       ASSERT_TRUE(per_tenant.conserved())
