@@ -24,26 +24,30 @@ GraphBatchEntry::GraphBatchEntry(Config config) : config_(std::move(config)) {
       config_.group_rows_out == 0) {
     throw std::invalid_argument("GraphBatchEntry: bad config shape");
   }
-  if (config_.graph_cache_capacity == 0) config_.graph_cache_capacity = 1;
 }
 
-GraphBatchEntry::CachedGraph& GraphBatchEntry::graph_for(std::size_t rows) {
-  for (auto it = graphs_.begin(); it != graphs_.end(); ++it) {
-    if (it->rows == rows) {
-      graphs_.splice(graphs_.begin(), graphs_, it);  // move to MRU front
-      return graphs_.front();
+std::unique_ptr<GraphBatchEntry::Graph> GraphBatchEntry::acquire() {
+  {
+    std::lock_guard lock(idle_mutex_);
+    if (!idle_.empty()) {
+      std::unique_ptr<Graph> graph = std::move(idle_.back());
+      idle_.pop_back();
+      return graph;
     }
+    // Room for every graph that will exist, so release() never allocates.
+    idle_.reserve(++built_);
   }
-  CachedGraph entry;
-  entry.rows = rows;
-  entry.graph = std::make_unique<ExecGraph>();
-  entry.input = entry.graph->add_slot(config_.name + ".in");
-  entry.graph->mark_input(entry.input);
-  entry.output = config_.builder(*entry.graph, entry.input, rows);
-  entry.graph->mark_output(entry.output);
-  if (graphs_.size() >= config_.graph_cache_capacity) graphs_.pop_back();
-  graphs_.push_front(std::move(entry));
-  return graphs_.front();
+  auto graph = std::make_unique<Graph>();
+  graph->input = graph->graph.add_slot(config_.name + ".in");
+  graph->graph.mark_input(graph->input);
+  graph->output = config_.builder(graph->graph, graph->input);
+  graph->graph.mark_output(graph->output);
+  return graph;
+}
+
+void GraphBatchEntry::release(std::unique_ptr<Graph> graph) noexcept {
+  std::lock_guard lock(idle_mutex_);
+  idle_.push_back(std::move(graph));
 }
 
 MatrixF GraphBatchEntry::run(ExecScheduler& scheduler, const MatrixF& input) {
@@ -55,23 +59,23 @@ MatrixF GraphBatchEntry::run(ExecScheduler& scheduler, const MatrixF& input) {
                                 " rows x " +
                                 std::to_string(config_.input_cols) + " cols");
   }
-  // One run at a time: graphs and the layer state their host nodes
-  // touch are not concurrency-safe, and the lock also protects the LRU.
-  std::lock_guard lock(mutex_);
-  CachedGraph& cached = graph_for(input.rows());
-  MatrixF& in_slot = cached.graph->slot(cached.input);
+  // This run owns `held` until the guard hands it back — also when the
+  // scheduler throws; a graph abandoned mid-run re-executes every node
+  // on its next run.
+  struct Held {
+    GraphBatchEntry& entry;
+    std::unique_ptr<Graph> graph;
+    ~Held() { entry.release(std::move(graph)); }
+  } held{*this, acquire()};
+  ExecGraph& graph = held.graph->graph;
+  MatrixF& in_slot = graph.slot(held.graph->input);
   if (in_slot.rows() != input.rows() || in_slot.cols() != input.cols()) {
     in_slot = MatrixF(input.rows(), input.cols());
   }
   std::memcpy(in_slot.data(), input.data(),
               input.rows() * input.cols() * sizeof(float));
-  scheduler.run(*cached.graph);
-  return cached.graph->slot(cached.output);  // deep copy (owning matrix)
-}
-
-std::size_t GraphBatchEntry::cached_graphs() const {
-  std::lock_guard lock(mutex_);
-  return graphs_.size();
+  scheduler.run(graph);
+  return graph.slot(held.graph->output);  // deep copy (owning matrix)
 }
 
 std::unique_ptr<GraphBatchEntry> make_gemm_entry(std::string name,
@@ -87,8 +91,7 @@ std::unique_ptr<GraphBatchEntry> make_gemm_entry(std::string name,
   config.macs_per_row =
       weight->macs(2) - weight->macs(1);  // per-row marginal MACs
   config.weight_bytes = weight->bytes();
-  config.builder = [weight, bias](ExecGraph& graph, ExecGraph::SlotId input,
-                                  std::size_t) {
+  config.builder = [weight, bias](ExecGraph& graph, ExecGraph::SlotId input) {
     ExecGraph::SlotId out = graph.add_slot("out");
     graph.add_gemm("gemm", weight, input, out, ExecContext{}, bias);
     return out;

@@ -14,24 +14,23 @@
 // per-sequence exact while GEMMs run at batch width.
 //
 // GraphBatchEntry is the generic implementation: a builder callback
-// appends the model's nodes to a fresh ExecGraph for a given M, and a
-// small M-keyed LRU keeps the graphs for the batch sizes the policy
-// actually produces (slots are sized by their first writer, so one
-// graph per M reuses every buffer run to run; distinct Ms get distinct
-// graphs so no run ever resizes another's slots).  run() serializes
-// callers — model graphs and the layer caches their host nodes touch
-// are not concurrency-safe — which is exactly the batcher's execution
-// model: one leader runs per entry at a time.
+// appends the model's nodes to a fresh ExecGraph, and each concurrent
+// run() takes a graph of its own from a stack of idle ones (building
+// one, lazily, when the stack is empty).  A graph serves every M — its
+// slots resize to the input on demand — so the entry holds only as
+// many graphs as runs were ever in flight at once.  No lock is held
+// while a graph runs: builders must append nodes that mutate nothing
+// but their graph's slots (nn layers' const infer() paths).
 //
 // cost(rows) is the byte·MAC figure the tenant scheduler charges per
 // member (see serve/batch/tenant_scheduler.hpp).
 
 #include <cstddef>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "exec/graph.hpp"
 #include "exec/scheduler.hpp"
@@ -57,8 +56,8 @@ class BatchEntry {
   /// Runs the entry on `input` (rows % group_rows_in() == 0) through
   /// `scheduler`, returning the (rows / g_in * g_out) x output_cols
   /// result.  Row groups are independent: group i of a wide run is
-  /// bit-identical to a solo run of group i.  Safe to call from
-  /// multiple workers (implementations serialize internally).
+  /// bit-identical to a solo run of group i.  Must be safe for
+  /// concurrent calls, each with its own scheduler.
   virtual MatrixF run(ExecScheduler& scheduler, const MatrixF& input) = 0;
 
   /// MACs one run at `rows` input rows costs (the DRR charge numerator).
@@ -73,14 +72,15 @@ class BatchEntry {
   double cost(std::size_t rows) const noexcept;
 };
 
-/// Generic graph-backed entry with an M-keyed graph LRU.
+/// Generic graph-backed entry with one graph per concurrent run.
 class GraphBatchEntry : public BatchEntry {
  public:
-  /// Appends the model's nodes to `graph` for `rows` input rows: reads
-  /// the returned-by-reference input slot (marked input by the entry),
-  /// returns the output slot (marked output by the entry).
-  using Builder = std::function<ExecGraph::SlotId(
-      ExecGraph& graph, ExecGraph::SlotId input, std::size_t rows)>;
+  /// Appends the model's nodes to `graph`: reads the `input` slot
+  /// (marked input by the entry), returns the output slot (marked
+  /// output by the entry).  May be called concurrently; the nodes it
+  /// appends must write nothing outside their graph's slots.
+  using Builder = std::function<ExecGraph::SlotId(ExecGraph& graph,
+                                                  ExecGraph::SlotId input)>;
 
   struct Config {
     std::string name;
@@ -90,7 +90,6 @@ class GraphBatchEntry : public BatchEntry {
     std::size_t group_rows_out = 1;
     double macs_per_row = 0;     ///< macs(rows) = macs_per_row * rows
     std::size_t weight_bytes = 0;
-    std::size_t graph_cache_capacity = 4;  ///< distinct Ms kept alive
     Builder builder;
   };
 
@@ -117,21 +116,19 @@ class GraphBatchEntry : public BatchEntry {
     return config_.weight_bytes;
   }
 
-  /// Distinct-M graphs currently cached (diagnostics).
-  std::size_t cached_graphs() const;
-
  private:
-  struct CachedGraph {
-    std::size_t rows = 0;
-    std::unique_ptr<ExecGraph> graph;
+  struct Graph {
+    ExecGraph graph;
     ExecGraph::SlotId input = 0;
     ExecGraph::SlotId output = 0;
   };
-  CachedGraph& graph_for(std::size_t rows);
+  std::unique_ptr<Graph> acquire();
+  void release(std::unique_ptr<Graph> graph) noexcept;
 
   Config config_;
-  mutable std::mutex mutex_;  ///< one run at a time; guards the cache
-  std::list<CachedGraph> graphs_;  ///< front = most recently used
+  std::mutex idle_mutex_;  ///< guards idle_ and built_, never held across a run
+  std::vector<std::unique_ptr<Graph>> idle_;  ///< graphs no run holds
+  std::size_t built_ = 0;  ///< graphs ever built; idle_'s capacity
 };
 
 /// A single-GEMM entry over one packed weight (out = in * weight

@@ -194,8 +194,7 @@ void ExecScheduler::run(ExecGraph& graph) {
     // shapes, shard plans.  Throws GraphValidationError (all findings
     // listed) instead of dispatching a malformed plan.  The validated
     // set is a bounded ring for the same reason the plan cache is an
-    // LRU: batching rotates several M-keyed graphs through one
-    // scheduler.
+    // LRU: one worker's scheduler runs graphs of several entries.
     validate_graph_or_throw(graph);
     if (validated_build_ids_.size() >= 2 * kPlanCacheCapacity)
       validated_build_ids_.erase(validated_build_ids_.begin());

@@ -152,9 +152,9 @@ class ExecScheduler {
   // Plan cache: shard slices repack weight columns and the task DAG
   // expansion allocates, so both are built once per (graph build id,
   // node count, stream count) — the serving hot path re-runs the same
-  // graph per request.  A small LRU (not a single entry) because the
-  // batching front end rotates a handful of M-keyed graphs through one
-  // worker's scheduler; one slot would replan on every alternation.
+  // graph per request, whatever its M.  A small LRU (not a single
+  // entry) because one worker's scheduler runs the graphs of several
+  // batch entries; one slot would replan on every alternation.
   // Models allocate a fresh ExecGraph (fresh build id) whenever weights
   // are re-packed; the node count catches a graph that grew new nodes
   // in place.

@@ -1,107 +1,49 @@
 #include "gemm/fused_ops.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace tilesparse {
 
-namespace {
-inline float gelu_scalar(float x) noexcept {
-  // tanh approximation (as used by BERT implementations).
+void gelu_row(const float* in, float* out, std::size_t n) noexcept {
   const float c = 0.7978845608028654f;  // sqrt(2/pi)
-  const float inner = c * (x + 0.044715f * x * x * x);
-  return 0.5f * x * (1.0f + std::tanh(inner));
+  for (std::size_t j = 0; j < n; ++j) {
+    const float x = in[j];
+    out[j] = 0.5f * x * (1.0f + std::tanh(c * (x + 0.044715f * x * x * x)));
+  }
 }
 
-inline void normalize_row(float* row, std::size_t n, const float* gamma,
-                          const float* beta, float eps) {
-  float sum = 0.0f;
-  for (std::size_t j = 0; j < n; ++j) sum += row[j];
-  const float mean = sum / static_cast<float>(n);
+float layer_norm_row(const float* in, float* out, std::size_t n,
+                     const float* gamma, const float* beta, float eps,
+                     float* normalized) noexcept {
+  float mean = 0.0f;
+  for (std::size_t j = 0; j < n; ++j) mean += in[j];
+  mean /= static_cast<float>(n);
   float var = 0.0f;
   for (std::size_t j = 0; j < n; ++j) {
-    const float d = row[j] - mean;
+    const float d = in[j] - mean;
     var += d * d;
   }
   var /= static_cast<float>(n);
   const float inv = 1.0f / std::sqrt(var + eps);
-  for (std::size_t j = 0; j < n; ++j)
-    row[j] = (row[j] - mean) * inv * gamma[j] + beta[j];
-}
-}  // namespace
-
-void add_bias(MatrixF& x, std::span<const float> bias) {
-  assert(bias.size() == x.cols());
-  const std::size_t n = x.cols();
-#pragma omp parallel for schedule(static)
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    float* row = x.data() + r * n;
-    for (std::size_t j = 0; j < n; ++j) row[j] += bias[j];
+  for (std::size_t j = 0; j < n; ++j) {
+    const float nj = (in[j] - mean) * inv;
+    if (normalized) normalized[j] = nj;
+    out[j] = nj * gamma[j] + beta[j];
   }
+  return inv;
 }
 
-void layer_norm(MatrixF& x, std::span<const float> gamma,
-                std::span<const float> beta, float eps) {
-  assert(gamma.size() == x.cols() && beta.size() == x.cols());
-  const std::size_t n = x.cols();
-#pragma omp parallel for schedule(static)
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    normalize_row(x.data() + r * n, n, gamma.data(), beta.data(), eps);
+void softmax_row(float* row, std::size_t n) noexcept {
+  float maxv = row[0];
+  for (std::size_t j = 1; j < n; ++j) maxv = std::max(maxv, row[j]);
+  float sum = 0.0f;
+  for (std::size_t j = 0; j < n; ++j) {
+    row[j] = std::exp(row[j] - maxv);
+    sum += row[j];
   }
-}
-
-void gelu(MatrixF& x) {
-#pragma omp parallel for schedule(static)
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    float* row = x.data() + r * x.cols();
-    for (std::size_t j = 0; j < x.cols(); ++j) row[j] = gelu_scalar(row[j]);
-  }
-}
-
-void relu(MatrixF& x) {
-  for (float& v : x.flat()) v = std::max(0.0f, v);
-}
-
-void softmax_rows(MatrixF& x) {
-  const std::size_t n = x.cols();
-#pragma omp parallel for schedule(static)
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    float* row = x.data() + r * n;
-    float maxv = row[0];
-    for (std::size_t j = 1; j < n; ++j) maxv = std::max(maxv, row[j]);
-    float sum = 0.0f;
-    for (std::size_t j = 0; j < n; ++j) {
-      row[j] = std::exp(row[j] - maxv);
-      sum += row[j];
-    }
-    const float inv = 1.0f / sum;
-    for (std::size_t j = 0; j < n; ++j) row[j] *= inv;
-  }
-}
-
-void fused_bias_layer_norm(MatrixF& x, std::span<const float> bias,
-                           std::span<const float> gamma,
-                           std::span<const float> beta, float eps) {
-  assert(bias.size() == x.cols());
-  assert(gamma.size() == x.cols() && beta.size() == x.cols());
-  const std::size_t n = x.cols();
-#pragma omp parallel for schedule(static)
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    float* row = x.data() + r * n;
-    for (std::size_t j = 0; j < n; ++j) row[j] += bias[j];
-    normalize_row(row, n, gamma.data(), beta.data(), eps);
-  }
-}
-
-void fused_bias_gelu(MatrixF& x, std::span<const float> bias) {
-  assert(bias.size() == x.cols());
-  const std::size_t n = x.cols();
-#pragma omp parallel for schedule(static)
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    float* row = x.data() + r * n;
-    for (std::size_t j = 0; j < n; ++j) row[j] = gelu_scalar(row[j] + bias[j]);
-  }
+  const float inv = 1.0f / sum;
+  for (std::size_t j = 0; j < n; ++j) row[j] *= inv;
 }
 
 }  // namespace tilesparse

@@ -1,41 +1,35 @@
 #pragma once
-// Non-GEMM kernels and their fused variants.
+// Non-GEMM row kernels: the one implementation of GELU, LayerNorm and
+// softmax.  Bias is tensor/ops add_row_bias.
 //
-// The paper (Sec. VI, "Kernel Fusion") fuses consecutive element-wise
-// kernels (Add-bias + LayerNormalization, Add-bias + GELU) to cut kernel
-// launches and global-memory round trips; that reduces BERT's non-GEMM
-// share from 39% to 29%.  We provide both the separate kernels and the
-// fused ones so the end-to-end benchmarks can toggle the optimization.
+// The paper (Sec. VI, "Kernel Fusion") shows the non-GEMM glue is 39%
+// of BERT's time before fusion and 29% after.  Training layers
+// (nn/layers, nn/attention, nn/loss) and the inference graph's host
+// nodes all call these kernels, so graph ≡ forward() holds bit for bit
+// and a faster kernel is a change to one function.
+//
+// The kernels are serial (no OpenMP): graph host nodes run on
+// scheduler streams, which already supply the parallelism.  Callers
+// apply them per row, never over a flat multi-row buffer, so a row's
+// bits depend only on that row (batched ≡ solo).
 
 #include <cstddef>
-#include <span>
-
-#include "tensor/matrix.hpp"
 
 namespace tilesparse {
 
-/// x[r, :] += bias for every row.
-void add_bias(MatrixF& x, std::span<const float> bias);
+/// tanh-approximation GELU: out[j] = gelu(in[j]) for j < n.  `in` may
+/// equal `out`.
+void gelu_row(const float* in, float* out, std::size_t n) noexcept;
 
-/// Row-wise LayerNorm: y = (x - mean) / sqrt(var + eps) * gamma + beta.
-void layer_norm(MatrixF& x, std::span<const float> gamma,
-                std::span<const float> beta, float eps = 1e-5f);
+/// LayerNorm of one row: out[j] = (in[j] - mean) * inv_std * gamma[j] +
+/// beta[j] with inv_std = 1 / sqrt(var + eps).  When `normalized` is
+/// non-null it receives (in[j] - mean) * inv_std, the value backward
+/// needs.  Returns inv_std.  `in` may equal `out`.
+float layer_norm_row(const float* in, float* out, std::size_t n,
+                     const float* gamma, const float* beta, float eps,
+                     float* normalized = nullptr) noexcept;
 
-/// tanh-approximation GELU, element-wise in place.
-void gelu(MatrixF& x);
-
-/// ReLU in place.
-void relu(MatrixF& x);
-
-/// Row-wise softmax in place (numerically stable).
-void softmax_rows(MatrixF& x);
-
-/// Fused add_bias + layer_norm: single pass over each row.
-void fused_bias_layer_norm(MatrixF& x, std::span<const float> bias,
-                           std::span<const float> gamma,
-                           std::span<const float> beta, float eps = 1e-5f);
-
-/// Fused add_bias + gelu.
-void fused_bias_gelu(MatrixF& x, std::span<const float> bias);
+/// Numerically stable softmax of one row, in place.
+void softmax_row(float* row, std::size_t n) noexcept;
 
 }  // namespace tilesparse

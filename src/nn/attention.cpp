@@ -3,27 +3,9 @@
 #include <cassert>
 #include <cmath>
 
+#include "gemm/fused_ops.hpp"
+
 namespace tilesparse {
-namespace {
-
-/// Softmax over each row of a seq x seq score block, in place.
-void softmax_inplace(MatrixF& scores) {
-  for (std::size_t r = 0; r < scores.rows(); ++r) {
-    float* row = scores.data() + r * scores.cols();
-    float maxv = row[0];
-    for (std::size_t c = 1; c < scores.cols(); ++c)
-      maxv = std::max(maxv, row[c]);
-    float sum = 0.0f;
-    for (std::size_t c = 0; c < scores.cols(); ++c) {
-      row[c] = std::exp(row[c] - maxv);
-      sum += row[c];
-    }
-    const float inv = 1.0f / sum;
-    for (std::size_t c = 0; c < scores.cols(); ++c) row[c] *= inv;
-  }
-}
-
-}  // namespace
 
 MultiHeadAttention::MultiHeadAttention(std::string name, std::size_t dim,
                                        std::size_t heads, std::size_t seq,
@@ -57,16 +39,18 @@ std::vector<Linear*> MultiHeadAttention::projection_layers() {
 }
 
 void MultiHeadAttention::attention_core(const MatrixF& q, const MatrixF& k,
-                                        const MatrixF& v, MatrixF& context) {
+                                        const MatrixF& v, MatrixF& context,
+                                        std::vector<MatrixF>* probs) const {
   const std::size_t batch = q.rows() / seq_;
-  attn_.assign(batch * heads_, MatrixF{});
+  if (probs) probs->assign(batch * heads_, MatrixF(seq_, seq_));
+  MatrixF scratch(seq_, seq_);
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
 
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t h = 0; h < heads_; ++h) {
       const std::size_t col0 = h * head_dim_;
       // scores(s, t) = scale * <q_s, k_t> over this head's columns.
-      MatrixF scores(seq_, seq_);
+      MatrixF& scores = probs ? (*probs)[b * heads_ + h] : scratch;
       for (std::size_t s = 0; s < seq_; ++s) {
         const float* qrow = q.data() + (b * seq_ + s) * dim_ + col0;
         for (std::size_t t = 0; t < seq_; ++t) {
@@ -76,7 +60,8 @@ void MultiHeadAttention::attention_core(const MatrixF& q, const MatrixF& k,
           scores(s, t) = dot * scale;
         }
       }
-      softmax_inplace(scores);
+      for (std::size_t s = 0; s < seq_; ++s)
+        softmax_row(scores.data() + s * seq_, seq_);
       // context rows = probs * V.
       for (std::size_t s = 0; s < seq_; ++s) {
         float* crow = context.data() + (b * seq_ + s) * dim_ + col0;
@@ -86,7 +71,6 @@ void MultiHeadAttention::attention_core(const MatrixF& q, const MatrixF& k,
           for (std::size_t d = 0; d < head_dim_; ++d) crow[d] += p * vrow[d];
         }
       }
-      attn_[b * heads_ + h] = std::move(scores);
     }
   }
 }
@@ -97,13 +81,13 @@ MatrixF MultiHeadAttention::forward(const MatrixF& x) {
   k_act_ = k_.forward(x);
   v_act_ = v_.forward(x);
   MatrixF context(x.rows(), dim_);
-  attention_core(q_act_, k_act_, v_act_, context);
+  attention_core(q_act_, k_act_, v_act_, context, &attn_);
   return out_.forward(context);
 }
 
 ExecGraph::NodeId MultiHeadAttention::add_to_graph(ExecGraph& graph,
                                                    ExecGraph::SlotId in,
-                                                   ExecGraph::SlotId out) {
+                                                   ExecGraph::SlotId out) const {
   const ExecGraph::SlotId q = graph.add_slot(q_.weight().name + ".act");
   const ExecGraph::SlotId k = graph.add_slot(k_.weight().name + ".act");
   const ExecGraph::SlotId v = graph.add_slot(v_.weight().name + ".act");
@@ -120,7 +104,7 @@ ExecGraph::NodeId MultiHeadAttention::add_to_graph(ExecGraph& graph,
                      ctx = MatrixF(qa.rows(), dim_);
                    else
                      ctx.fill(0.0f);
-                   attention_core(qa, g.slot(k), g.slot(v), ctx);
+                   attention_core(qa, g.slot(k), g.slot(v), ctx, nullptr);
                  });
   return out_.add_to_graph(graph, context, out);
 }

@@ -29,17 +29,19 @@ class MultiHeadAttention : public Layer {
   /// three *independent* GEMM nodes (the scheduler overlaps them on
   /// separate streams — the paper's Fig. 7-4 assignment), a host node
   /// for the softmax(QK^T)V core, and the output projection.  Produces
-  /// exactly what forward() produces; the block must outlive the graph.
+  /// exactly what forward() produces and fills no cache; the block
+  /// must outlive the graph.
   ExecGraph::NodeId add_to_graph(ExecGraph& graph, ExecGraph::SlotId in,
-                                 ExecGraph::SlotId out);
+                                 ExecGraph::SlotId out) const;
 
  private:
-  /// softmax(scale * Q K^T) V per (batch, head), writing `context`
-  /// (pre-sized to q.rows() x dim) and caching the probabilities in
-  /// attn_.  Shared by forward() and the graph host node so both paths
-  /// are the same arithmetic.
+  /// softmax(scale * Q K^T) V per (batch, head), accumulating into
+  /// `context` (pre-sized to q.rows() x dim, zero-filled).  `probs`,
+  /// when non-null, receives the probabilities per (batch, head) —
+  /// forward() passes its backward cache, the graph host node passes
+  /// null.  Both paths are the same arithmetic.
   void attention_core(const MatrixF& q, const MatrixF& k, const MatrixF& v,
-                      MatrixF& context);
+                      MatrixF& context, std::vector<MatrixF>* probs) const;
 
   std::size_t dim_, heads_, seq_, head_dim_;
   Linear q_, k_, v_, out_;

@@ -37,9 +37,9 @@ std::unique_ptr<GraphBatchEntry> make_bert_entry(std::string name,
   weight_bytes += config.dim * config.classes * sizeof(float);
   entry.macs_per_row = macs_per_row;
   entry.weight_bytes = weight_bytes;
-  entry.builder = [&model](ExecGraph& graph, ExecGraph::SlotId input,
-                           std::size_t) {
-    return model.append_exec_graph(graph, input);
+  const BertMini* bert = &model;
+  entry.builder = [bert](ExecGraph& graph, ExecGraph::SlotId input) {
+    return bert->append_exec_graph(graph, input);
   };
   return std::make_unique<GraphBatchEntry>(std::move(entry));
 }

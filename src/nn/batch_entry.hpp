@@ -7,13 +7,13 @@
 // the runtime coalesces activations from many clients into one wide-M
 // graph run.  make_bert_entry packages a BertMini as such an entry:
 // group_rows_in = seq (one request unit = one embedded sequence),
-// group_rows_out = 1 (pooled logits row), graphs built per batch size
-// through BertMini::append_exec_graph and kept in the entry's M-keyed
-// LRU.
+// group_rows_out = 1 (pooled logits row).  Its graphs come from
+// BertMini::append_exec_graph, one per concurrent run, each serving
+// every batch size.
 //
 // Lifetime: the model must outlive the entry, and the entry must be
 // re-created (re-registered) after pack_weights / clear_packed_weights
-// or artifact loads into the layers — its cached graphs hold refs to
+// or artifact loads into the layers — its graphs hold refs to
 // the packed backends current at creation, exactly like the model's
 // own exec graph.
 
@@ -27,8 +27,9 @@ namespace tilesparse {
 
 /// Batch entry over a BertMini encoder stack.  Inputs are embed()
 /// activations: (k * seq) x dim rows per request; outputs are k x
-/// classes logits.  The model is serialized inside the entry (its
-/// layer caches are not concurrency-safe).
+/// classes logits.  Runs never lock the model: its graphs' host nodes
+/// call the layers' const infer() paths, so concurrent runs share it
+/// read-only.
 std::unique_ptr<GraphBatchEntry> make_bert_entry(std::string name,
                                                  BertMini& model);
 

@@ -186,19 +186,23 @@ ExecGraph& BertMini::build_exec_graph() {
   return g;
 }
 
-ExecGraph::SlotId BertMini::append_exec_graph(ExecGraph& g,
-                                              ExecGraph::SlotId input) {
+ExecGraph::SlotId BertMini::append_exec_graph(
+    ExecGraph& g, ExecGraph::SlotId input) const {
+  // Host nodes capture const layer pointers and call infer(): a running
+  // graph mutates only its own slots, so concurrent graphs over one
+  // model never race.
   ExecGraph::SlotId x = input;
   for (std::size_t l = 0; l < blocks_.size(); ++l) {
-    Block* blk = &blocks_[l];
+    const Block& blk = blocks_[l];
     const std::string p = "block" + std::to_string(l);
     // Attention branch with residual (pre-LN, matching forward()).
     const ExecGraph::SlotId h = g.add_slot(p + ".ln1.out");
-    g.add_host(p + ".ln1", {x}, {h}, [blk, x, h](ExecGraph& gg) {
-      gg.slot(h) = blk->ln1->forward(gg.slot(x));
+    const LayerNorm* ln1 = blk.ln1.get();
+    g.add_host(p + ".ln1", {x}, {h}, [ln1, x, h](ExecGraph& gg) {
+      gg.slot(h) = ln1->infer(gg.slot(x));
     });
     const ExecGraph::SlotId attn_out = g.add_slot(p + ".attn.out");
-    blk->attn->add_to_graph(g, h, attn_out);
+    blk.attn->add_to_graph(g, h, attn_out);
     const ExecGraph::SlotId x1 = g.add_slot(p + ".res1");
     g.add_host(p + ".res1", {attn_out, x}, {x1},
                [attn_out, x, x1](ExecGraph& gg) {
@@ -210,17 +214,19 @@ ExecGraph::SlotId BertMini::append_exec_graph(ExecGraph& g,
                });
     // FFN branch with residual.
     const ExecGraph::SlotId f = g.add_slot(p + ".ln2.out");
-    g.add_host(p + ".ln2", {x1}, {f}, [blk, x1, f](ExecGraph& gg) {
-      gg.slot(f) = blk->ln2->forward(gg.slot(x1));
+    const LayerNorm* ln2 = blk.ln2.get();
+    g.add_host(p + ".ln2", {x1}, {f}, [ln2, x1, f](ExecGraph& gg) {
+      gg.slot(f) = ln2->infer(gg.slot(x1));
     });
     const ExecGraph::SlotId f1 = g.add_slot(p + ".ffn_in.out");
-    blk->ffn_in->add_to_graph(g, f, f1);
+    blk.ffn_in->add_to_graph(g, f, f1);
     const ExecGraph::SlotId f2 = g.add_slot(p + ".gelu.out");
-    g.add_host(p + ".gelu", {f1}, {f2}, [blk, f1, f2](ExecGraph& gg) {
-      gg.slot(f2) = blk->gelu->forward(gg.slot(f1));
+    const Gelu* gelu = blk.gelu.get();
+    g.add_host(p + ".gelu", {f1}, {f2}, [gelu, f1, f2](ExecGraph& gg) {
+      gg.slot(f2) = gelu->infer(gg.slot(f1));
     });
     const ExecGraph::SlotId f3 = g.add_slot(p + ".ffn_out.out");
-    blk->ffn_out->add_to_graph(g, f2, f3);
+    blk.ffn_out->add_to_graph(g, f2, f3);
     const ExecGraph::SlotId x2 = g.add_slot(p + ".res2");
     g.add_host(p + ".res2", {f3, x1}, {x2}, [f3, x1, x2](ExecGraph& gg) {
       MatrixF sum = gg.slot(f3);
@@ -232,8 +238,9 @@ ExecGraph::SlotId BertMini::append_exec_graph(ExecGraph& g,
     x = x2;
   }
   const ExecGraph::SlotId pooled = g.add_slot("pooled");
-  g.add_host("pool", {x}, {pooled}, [this, x, pooled](ExecGraph& gg) {
-    gg.slot(pooled) = pool_.forward(gg.slot(x));
+  const MeanPoolRows* pool = &pool_;
+  g.add_host("pool", {x}, {pooled}, [pool, x, pooled](ExecGraph& gg) {
+    gg.slot(pooled) = pool->infer(gg.slot(x));
   });
   const ExecGraph::SlotId logits = g.add_slot("logits");
   classifier_->add_to_graph(g, pooled, logits);

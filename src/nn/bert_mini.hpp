@@ -72,12 +72,14 @@ class BertMini {
   /// Appends the whole encoder stack (blocks, pool, classifier) to an
   /// externally owned graph, reading embedded rows from `input` and
   /// returning the logits slot.  This is build_exec_graph()'s body,
-  /// reusable by batch entries that keep one graph per batch size; the
-  /// appended nodes hold refs to the current packed backends, so the
-  /// external graph must be discarded after pack_weights /
-  /// clear_packed_weights / artifact loads, exactly like graph_.
+  /// reusable by batch entries that keep one graph per concurrent run.
+  /// Host nodes call the layers' const infer() paths, so any number of
+  /// such graphs may run at once.  The appended nodes hold refs to the
+  /// current packed backends, so the external graph must be discarded
+  /// after pack_weights / clear_packed_weights / artifact loads,
+  /// exactly like graph_.
   ExecGraph::SlotId append_exec_graph(ExecGraph& graph,
-                                      ExecGraph::SlotId input);
+                                      ExecGraph::SlotId input) const;
 
   /// Routes forward() through the execution graph dispatched by
   /// `scheduler` (non-owning; null returns to the layer-by-layer

@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "gemm/dense_gemm.hpp"
+#include "gemm/fused_ops.hpp"
 #include "io/serialize.hpp"
 #include "tensor/ops.hpp"
 
@@ -51,6 +52,10 @@ void Linear::set_packed_weight(std::unique_ptr<PackedWeight> packed) {
 
 MatrixF Linear::forward(const MatrixF& x) {
   x_ = x;
+  return infer(x);
+}
+
+MatrixF Linear::infer(const MatrixF& x) const {
   MatrixF y;
   if (packed_) {
     ExecContext ctx = ctx_;
@@ -65,14 +70,14 @@ MatrixF Linear::forward(const MatrixF& x) {
 }
 
 ExecGraph::NodeId Linear::add_to_graph(ExecGraph& graph, ExecGraph::SlotId in,
-                                       ExecGraph::SlotId out) {
+                                       ExecGraph::SlotId out) const {
   if (packed_) {
     return graph.add_gemm(weight_.name, packed_.get(), in, out, ctx_,
                           &bias_.value);
   }
   return graph.add_host(weight_.name, {in}, {out},
                         [this, in, out](ExecGraph& g) {
-                          g.slot(out) = forward(g.slot(in));
+                          g.slot(out) = infer(g.slot(in));
                         });
 }
 
@@ -182,10 +187,6 @@ MatrixF ReLU::backward(const MatrixF& dy) {
 namespace {
 constexpr float kSqrt2OverPi = 0.7978845608028654f;
 
-inline float gelu_forward_scalar(float x) {
-  return 0.5f * x * (1.0f + std::tanh(kSqrt2OverPi * (x + 0.044715f * x * x * x)));
-}
-
 inline float gelu_backward_scalar(float x) {
   const float x3 = x * x * x;
   const float inner = kSqrt2OverPi * (x + 0.044715f * x3);
@@ -198,8 +199,13 @@ inline float gelu_backward_scalar(float x) {
 
 MatrixF Gelu::forward(const MatrixF& x) {
   x_ = x;
-  MatrixF y = x;
-  for (float& v : y.flat()) v = gelu_forward_scalar(v);
+  return infer(x);
+}
+
+MatrixF Gelu::infer(const MatrixF& x) const {
+  MatrixF y(x.rows(), x.cols());
+  for (std::size_t r = 0; r < x.rows(); ++r)
+    gelu_row(x.data() + r * x.cols(), y.data() + r * y.cols(), x.cols());
   return y;
 }
 
@@ -222,27 +228,20 @@ MatrixF LayerNorm::forward(const MatrixF& x) {
   normalized_ = MatrixF(x.rows(), n);
   inv_std_.assign(x.rows(), 0.0f);
   MatrixF y(x.rows(), n);
-  const float* gamma = gamma_.value.data();
-  const float* beta = beta_.value.data();
   for (std::size_t r = 0; r < x.rows(); ++r) {
-    const float* row = x.data() + r * n;
-    float mean = 0.0f;
-    for (std::size_t c = 0; c < n; ++c) mean += row[c];
-    mean /= static_cast<float>(n);
-    float var = 0.0f;
-    for (std::size_t c = 0; c < n; ++c) {
-      const float d = row[c] - mean;
-      var += d * d;
-    }
-    var /= static_cast<float>(n);
-    const float inv = 1.0f / std::sqrt(var + kEps);
-    inv_std_[r] = inv;
-    float* nrow = normalized_.data() + r * n;
-    float* yrow = y.data() + r * n;
-    for (std::size_t c = 0; c < n; ++c) {
-      nrow[c] = (row[c] - mean) * inv;
-      yrow[c] = nrow[c] * gamma[c] + beta[c];
-    }
+    inv_std_[r] = layer_norm_row(x.data() + r * n, y.data() + r * n, n,
+                                 gamma_.value.data(), beta_.value.data(), kEps,
+                                 normalized_.data() + r * n);
+  }
+  return y;
+}
+
+MatrixF LayerNorm::infer(const MatrixF& x) const {
+  const std::size_t n = x.cols();
+  MatrixF y(x.rows(), n);
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    layer_norm_row(x.data() + r * n, y.data() + r * n, n, gamma_.value.data(),
+                   beta_.value.data(), kEps);
   }
   return y;
 }
@@ -316,8 +315,12 @@ void Embedding::backward(const MatrixF& dy) {
 // ---------------------------------------------------------------- MeanPool
 
 MatrixF MeanPoolRows::forward(const MatrixF& x) {
-  assert(group_ > 0 && x.rows() % group_ == 0);
   in_rows_ = x.rows();
+  return infer(x);
+}
+
+MatrixF MeanPoolRows::infer(const MatrixF& x) const {
+  assert(group_ > 0 && x.rows() % group_ == 0);
   const std::size_t out_rows = x.rows() / group_;
   MatrixF y(out_rows, x.cols());
   const float scale = 1.0f / static_cast<float>(group_);

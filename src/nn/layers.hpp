@@ -6,7 +6,10 @@
 //  * weight matrices are stored K x N (input-dim x output-dim), the same
 //    orientation the TW pruner and the GEMM substrate use;
 //  * forward() caches whatever backward() needs; backward(dy) returns dx
-//    and accumulates parameter gradients (call zero_grad between steps).
+//    and accumulates parameter gradients (call zero_grad between steps);
+//  * layers an inference graph runs also have a const infer(x) that
+//    computes exactly forward()'s output and fills no cache, so one
+//    layer can serve any number of concurrent graph runs.
 
 #include <cstddef>
 #include <cstdint>
@@ -46,10 +49,12 @@ class Linear : public Layer {
   Linear(std::string name, std::size_t in, std::size_t out, Rng& rng);
 
   MatrixF forward(const MatrixF& x) override;
+  MatrixF infer(const MatrixF& x) const;
   MatrixF backward(const MatrixF& dy) override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
 
   Param& weight() noexcept { return weight_; }
+  const Param& weight() const noexcept { return weight_; }
   Param& bias() noexcept { return bias_; }
 
   /// Packs the current master weight under a registered format.
@@ -77,11 +82,11 @@ class Linear : public Layer {
 
   /// Adds this layer's y = x W + b to an execution graph: a GEMM node
   /// over the packed weight when one is installed (independent layers
-  /// then overlap across scheduler streams), a host node running the
-  /// plain forward() otherwise.  Both produce exactly what forward()
-  /// produces.  The layer must outlive the graph.
+  /// then overlap across scheduler streams), a host node running
+  /// infer() otherwise.  Both produce exactly what forward() produces.
+  /// The layer must outlive the graph.
   ExecGraph::NodeId add_to_graph(ExecGraph& graph, ExecGraph::SlotId in,
-                                 ExecGraph::SlotId out);
+                                 ExecGraph::SlotId out) const;
 
  private:
   Param weight_;  ///< in x out
@@ -142,6 +147,7 @@ class ReLU : public Layer {
 class Gelu : public Layer {
  public:
   MatrixF forward(const MatrixF& x) override;
+  MatrixF infer(const MatrixF& x) const;
   MatrixF backward(const MatrixF& dy) override;
 
  private:
@@ -154,6 +160,7 @@ class LayerNorm : public Layer {
   LayerNorm(std::string name, std::size_t dim);
 
   MatrixF forward(const MatrixF& x) override;
+  MatrixF infer(const MatrixF& x) const;
   MatrixF backward(const MatrixF& dy) override;
   std::vector<Param*> params() override { return {&gamma_, &beta_}; }
 
@@ -192,6 +199,7 @@ class MeanPoolRows : public Layer {
  public:
   explicit MeanPoolRows(std::size_t group) : group_(group) {}
   MatrixF forward(const MatrixF& x) override;
+  MatrixF infer(const MatrixF& x) const;
   MatrixF backward(const MatrixF& dy) override;
 
  private:

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "gemm/fused_ops.hpp"
+
 namespace tilesparse {
 
 float softmax_cross_entropy(const MatrixF& logits,
@@ -17,17 +19,11 @@ float softmax_cross_entropy(const MatrixF& logits,
   for (std::size_t b = 0; b < batch; ++b) {
     const float* row = logits.data() + b * classes;
     float* drow = dlogits.data() + b * classes;
-    float maxv = row[0];
-    for (std::size_t c = 1; c < classes; ++c) maxv = std::max(maxv, row[c]);
-    float sum = 0.0f;
-    for (std::size_t c = 0; c < classes; ++c) {
-      drow[c] = std::exp(row[c] - maxv);
-      sum += drow[c];
-    }
-    const float inv = 1.0f / sum;
+    std::copy(row, row + classes, drow);
+    softmax_row(drow, classes);
     const auto label = static_cast<std::size_t>(labels[b]);
     for (std::size_t c = 0; c < classes; ++c) {
-      const float p = drow[c] * inv;
+      const float p = drow[c];
       drow[c] = (p - (c == label ? 1.0f : 0.0f)) * inv_batch;
       if (c == label) loss -= std::log(std::max(p, 1e-12f));
     }

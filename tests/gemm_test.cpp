@@ -2,7 +2,6 @@
 
 #include <tuple>
 
-#include "gemm/batched_gemm.hpp"
 #include "gemm/dense_gemm.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
@@ -78,32 +77,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(33, 65, 127), std::make_tuple(128, 256, 64),
                       std::make_tuple(100, 1, 50), std::make_tuple(2, 300, 7),
                       std::make_tuple(255, 33, 254)));
-
-TEST(BatchedGemm, MatchesIndividualGemms) {
-  const MatrixF a1 = random_matrix(20, 30, 40);
-  const MatrixF b1 = random_matrix(30, 10, 41);
-  const MatrixF a2 = random_matrix(50, 8, 42);
-  const MatrixF b2 = random_matrix(8, 25, 43);
-  MatrixF c1(20, 10), c2(50, 25);
-  batched_gemm({{&a1, &b1, &c1}, {&a2, &b2, &c2}});
-  EXPECT_LT(max_abs_diff(c1, matmul_reference(a1, b1)), 1e-4f);
-  EXPECT_LT(max_abs_diff(c2, matmul_reference(a2, b2)), 1e-4f);
-}
-
-TEST(BatchedGemm, AccumulatesIntoC) {
-  const MatrixF a = random_matrix(4, 4, 44);
-  const MatrixF b = random_matrix(4, 4, 45);
-  MatrixF c(4, 4);
-  c.fill(1.0f);
-  batched_gemm({{&a, &b, &c}});
-  const MatrixF ref = matmul_reference(a, b);
-  for (std::size_t i = 0; i < c.size(); ++i)
-    EXPECT_NEAR(c.data()[i], ref.data()[i] + 1.0f, 1e-4f);
-}
-
-TEST(BatchedGemm, EmptyBatchIsNoop) {
-  batched_gemm({});  // must not crash
-}
 
 TEST(GemmFlops, Formula) {
   EXPECT_DOUBLE_EQ(gemm_flops(2, 3, 4), 48.0);

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "exec/scheduler.hpp"
 #include "gemm/fused_ops.hpp"
+#include "nn/attention.hpp"
 #include "nn/layers.hpp"
 #include "nn/loss.hpp"
 #include "prune/tw_pruner.hpp"
@@ -78,21 +82,31 @@ TEST(NmtOps, ElementwiseBytesArePositive) {
   }
 }
 
-// ---- fused_ops vs nn layer consistency (two implementations of the
-// same math must agree).
+// ---- fused_ops vs nn layer consistency.  The layers call the row
+// kernels, so the bits must match exactly, and each layer's const
+// infer() path (what graph host nodes run) must match its forward().
+
+bool bit_identical(const MatrixF& a, const MatrixF& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
 
 TEST(Consistency, LayerNormLayerMatchesFusedKernel) {
   Rng rng(2);
   MatrixF x(6, 32);
   fill_normal(x, rng, 2.0f, 3.0f);
-  MatrixF x2 = x;
 
   LayerNorm layer("ln", 32);
   const MatrixF y_layer = layer.forward(x);
 
   std::vector<float> gamma(32, 1.0f), beta(32, 0.0f);
-  layer_norm(x2, gamma, beta);
-  EXPECT_LT(max_abs_diff(y_layer, x2), 1e-4f);
+  MatrixF y_kernel(6, 32);
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    layer_norm_row(x.data() + r * 32, y_kernel.data() + r * 32, 32,
+                   gamma.data(), beta.data(), 1e-5f);
+  }
+  EXPECT_TRUE(bit_identical(y_layer, y_kernel));
+  EXPECT_TRUE(bit_identical(layer.infer(x), y_layer));
 }
 
 TEST(Consistency, GeluLayerMatchesFusedKernel) {
@@ -102,8 +116,42 @@ TEST(Consistency, GeluLayerMatchesFusedKernel) {
   MatrixF x2 = x;
   Gelu layer;
   const MatrixF y_layer = layer.forward(x);
-  gelu(x2);
-  EXPECT_LT(max_abs_diff(y_layer, x2), 1e-5f);
+  for (std::size_t r = 0; r < x2.rows(); ++r)
+    gelu_row(x2.data() + r * 16, x2.data() + r * 16, 16);
+  EXPECT_TRUE(bit_identical(y_layer, x2));
+  EXPECT_TRUE(bit_identical(layer.infer(x), y_layer));
+}
+
+TEST(Consistency, InferPathsMatchForwardBits) {
+  Rng rng(5);
+  MatrixF x(8, 32);
+  fill_normal(x, rng);
+
+  Linear linear("fc", 32, 24, rng);
+  fill_normal(linear.bias().value, rng);
+  EXPECT_TRUE(bit_identical(linear.infer(x), linear.forward(x)));
+  linear.pack_weight("dense");
+  EXPECT_TRUE(bit_identical(linear.infer(x), linear.forward(x)));
+
+  MeanPoolRows pool(4);
+  EXPECT_TRUE(bit_identical(pool.infer(x), pool.forward(x)));
+
+  // Attention: the graph's host node (attention_core without the
+  // probability cache) against the layer-by-layer forward().
+  MultiHeadAttention attn("attn", 32, 4, 4, rng);
+  const MatrixF y_forward = attn.forward(x);
+  ExecGraph graph;
+  const ExecGraph::SlotId in = graph.add_slot("x");
+  const ExecGraph::SlotId out = graph.add_slot("y");
+  graph.mark_input(in);
+  attn.add_to_graph(graph, in, out);
+  graph.mark_output(out);
+  graph.slot(in) = x;
+  SchedulerOptions serial;
+  serial.streams = 1;
+  ExecScheduler scheduler(serial);
+  scheduler.run(graph);
+  EXPECT_TRUE(bit_identical(graph.slot(out), y_forward));
 }
 
 TEST(Consistency, SoftmaxRowsMatchesLossSoftmax) {
@@ -113,7 +161,8 @@ TEST(Consistency, SoftmaxRowsMatchesLossSoftmax) {
   MatrixF logits(5, 7);
   fill_normal(logits, rng);
   MatrixF probs = logits;
-  softmax_rows(probs);
+  for (std::size_t r = 0; r < probs.rows(); ++r)
+    softmax_row(probs.data() + r * probs.cols(), probs.cols());
 
   MatrixF dlogits;
   const std::vector<int> labels{0, 1, 2, 3, 4};

@@ -10,6 +10,8 @@
 //     co-travellers).
 //   * Batch-of-one through the batching runtime == direct solo submit,
 //     bit-identical.
+//   * An entry serves every M from one graph and runs concurrent calls
+//     on separate graphs, unlocked, with the serial reference's bits.
 //   * The linger window flushes on timer and, independently, on
 //     reaching max_batch_m rows.
 //   * One member expiring (or poisoning the batch) cannot take its
@@ -23,10 +25,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -47,6 +52,7 @@
 #include "serve/serving_runtime.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
+#include "util/threadpool.hpp"
 #include "workload/datasets.hpp"
 
 namespace tilesparse::serve {
@@ -159,34 +165,78 @@ TEST(GraphBatchEntryTest, BatchedRowsBitIdenticalToSoloAllFormats) {
   }
 }
 
-TEST(GraphBatchEntryTest, KeepsMKeyedGraphCache) {
+TEST(GraphBatchEntryTest, ServesEveryMFromOneGraph) {
   const MatrixF w = random_matrix(16, 32, 12);
   const auto packed = pack_for_batch_test("dense", w, 16);
+  std::size_t builds = 0;
   GraphBatchEntry::Config config;
-  config.name = "cached";
+  config.name = "any-m";
   config.input_cols = 16;
   config.output_cols = 32;
-  config.graph_cache_capacity = 2;
-  config.builder = [&packed](ExecGraph& g, ExecGraph::SlotId in, std::size_t) {
+  config.builder = [&packed, &builds](ExecGraph& g, ExecGraph::SlotId in) {
+    ++builds;
     const auto out = g.add_slot("out");
     g.add_gemm("gemm", packed.get(), in, out);
     return out;
   };
   GraphBatchEntry entry(std::move(config));
   ExecScheduler scheduler;
-  const MatrixF reference = entry.run(scheduler, random_matrix(6, 16, 31));
-  entry.run(scheduler, random_matrix(12, 16, 32));
-  EXPECT_EQ(entry.cached_graphs(), 2u);
-  // Re-running an already-cached M must not grow the cache...
-  entry.run(scheduler, random_matrix(6, 16, 33));
-  EXPECT_EQ(entry.cached_graphs(), 2u);
-  // ...and new Ms evict LRU instead of growing past capacity.
-  entry.run(scheduler, random_matrix(18, 16, 34));
-  entry.run(scheduler, random_matrix(24, 16, 35));
-  EXPECT_EQ(entry.cached_graphs(), 2u);
-  // An evicted-and-rebuilt M still computes the same bits.
-  EXPECT_TRUE(bit_identical(entry.run(scheduler, random_matrix(6, 16, 31)),
-                            reference));
+  const MatrixF input = random_matrix(6, 16, 31);
+  const MatrixF reference = entry.run(scheduler, input);
+  // Serial runs at changing M reuse the one graph: its slots resize to
+  // each input and an M seen before computes the same bits again.
+  for (const std::size_t rows : {12, 6, 18, 24, 6}) {
+    const MatrixF in = rows == 6 ? input : random_matrix(rows, 16, rows);
+    const MatrixF out = entry.run(scheduler, in);
+    ASSERT_EQ(out.rows(), rows);
+    if (rows == 6) {
+      EXPECT_TRUE(bit_identical(out, reference));
+    }
+  }
+  EXPECT_EQ(builds, 1u);
+}
+
+TEST(GraphBatchEntryTest, ConcurrentRunsOverlap) {
+  // Each run's host node waits for the other run to reach its own host
+  // node.  Only runs that overlap meet; an entry that serialized its
+  // runs would leave the first one waiting until the timeout.
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::size_t arrived = 0;
+  std::atomic<std::size_t> met{0};
+  std::atomic<std::size_t> builds{0};
+  GraphBatchEntry::Config config;
+  config.name = "meet";
+  config.input_cols = 4;
+  config.output_cols = 4;
+  config.builder = [&](ExecGraph& g, ExecGraph::SlotId in) {
+    ++builds;
+    const auto out = g.add_slot("out");
+    g.add_host("meet", {in}, {out}, [&, in, out](ExecGraph& gg) {
+      std::unique_lock lock(mutex);
+      ++arrived;
+      cv.notify_all();
+      if (cv.wait_for(lock, 10s, [&] { return arrived >= 2; })) ++met;
+      gg.slot(out) = gg.slot(in);
+    });
+    return out;
+  };
+  GraphBatchEntry entry(std::move(config));
+  std::vector<MatrixF> outputs(2);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      SchedulerOptions serial;
+      serial.streams = 1;
+      ExecScheduler scheduler(serial);
+      outputs[t] = entry.run(scheduler, random_matrix(2 + 2 * t, 4, 50 + t));
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(met.load(), 2u) << "runs did not overlap";
+  EXPECT_EQ(builds.load(), 2u);  // one graph per concurrent run
+  for (std::size_t t = 0; t < 2; ++t)
+    EXPECT_TRUE(bit_identical(outputs[t], random_matrix(2 + 2 * t, 4, 50 + t)));
 }
 
 TEST(GraphBatchEntryTest, RejectsMisshapenInput) {
@@ -197,7 +247,7 @@ TEST(GraphBatchEntryTest, RejectsMisshapenInput) {
   config.input_cols = 16;
   config.output_cols = 32;
   config.group_rows_in = 4;
-  config.builder = [&packed](ExecGraph& g, ExecGraph::SlotId in, std::size_t) {
+  config.builder = [&packed](ExecGraph& g, ExecGraph::SlotId in) {
     const auto out = g.add_slot("out");
     g.add_gemm("gemm", packed.get(), in, out);
     return out;
@@ -254,6 +304,55 @@ TEST(BertBatchEntryTest, BatchedSequencesMatchSoloBitIdentical) {
       RowStage::map_groups(stage.slices()[1], config.seq, 1);
   EXPECT_TRUE(bit_identical(RowStage::scatter(batched, out_a), solo_a));
   EXPECT_TRUE(bit_identical(RowStage::scatter(batched, out_b), solo_b));
+}
+
+TEST(BertBatchEntryTest, ConcurrentRunsMatchSerialBits) {
+  BertMiniConfig config;
+  config.dim = 32;
+  config.heads = 2;
+  config.layers = 2;
+  config.ffn_dim = 64;
+  config.seq = 8;
+  config.classes = 3;
+  BertMini model(config, random_matrix(50, config.dim, 42));
+  // Packed encoder GEMMs run as GEMM nodes; the unpacked classifier
+  // runs as a Linear host node, so both node kinds share the model.
+  model.pack_weights("dense");
+  const auto entry = make_bert_entry("bert", model);
+
+  std::vector<MatrixF> inputs;
+  for (std::size_t k = 1; k <= 4; ++k)
+    inputs.push_back(random_matrix(k * config.seq, config.dim, 60 + k));
+  SchedulerOptions serial;
+  serial.streams = 1;
+  ExecScheduler reference_scheduler(serial);
+  std::vector<MatrixF> reference;
+  for (const MatrixF& input : inputs)
+    reference.push_back(entry->run(reference_scheduler, input));
+
+  constexpr std::size_t kThreads = 3;
+  constexpr std::size_t kRounds = 4;
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // A serving worker's shape: a private pool, several streams.
+      ThreadPool pool(2);
+      SchedulerOptions options;
+      options.streams = 3;
+      ExecScheduler scheduler(options, &pool);
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        for (std::size_t i = 0; i < inputs.size(); ++i) {
+          const std::size_t which = (i + t + round) % inputs.size();
+          if (!bit_identical(entry->run(scheduler, inputs[which]),
+                             reference[which]))
+            ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 // ------------------------------------------------------ TenantScheduler
