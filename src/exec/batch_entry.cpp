@@ -93,7 +93,9 @@ std::unique_ptr<GraphBatchEntry> make_gemm_entry(std::string name,
   config.weight_bytes = weight->bytes();
   config.builder = [weight, bias](ExecGraph& graph, ExecGraph::SlotId input) {
     ExecGraph::SlotId out = graph.add_slot("out");
-    graph.add_gemm("gemm", weight, input, out, ExecContext{}, bias);
+    GemmEpilogue epilogue;
+    epilogue.bias = bias;
+    graph.add_gemm("gemm", weight, input, out, ExecContext{}, epilogue);
     return out;
   };
   return std::make_unique<GraphBatchEntry>(std::move(config));

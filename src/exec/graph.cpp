@@ -4,7 +4,7 @@
 #include <atomic>
 #include <stdexcept>
 
-#include "tensor/ops.hpp"
+#include "gemm/fused_ops.hpp"
 #include "util/guards.hpp"
 
 namespace tilesparse {
@@ -68,10 +68,11 @@ void ExecGraph::link(NodeId node) {
 ExecGraph::NodeId ExecGraph::add_gemm(std::string name,
                                       const PackedWeight* weight, SlotId in,
                                       SlotId out, const ExecContext& ctx,
-                                      const MatrixF* bias) {
+                                      GemmEpilogue epilogue) {
   if (!weight) throw std::invalid_argument("ExecGraph::add_gemm: null weight");
   check_slot(in, "gemm input");
   check_slot(out, "gemm output");
+  if (epilogue.residual) check_slot(*epilogue.residual, "gemm residual");
   if (in == out) {
     throw std::invalid_argument(
         "ExecGraph::add_gemm: in-place GEMM is not supported");
@@ -85,8 +86,9 @@ ExecGraph::NodeId ExecGraph::add_gemm(std::string name,
   node.ctx = ctx;
   node.ctx.alpha = 1.0f;
   node.ctx.beta = 0.0f;
-  node.bias = bias;
   node.reads = {in};
+  if (epilogue.residual) node.reads.push_back(*epilogue.residual);
+  node.epilogue = epilogue;
   node.writes = {out};
   nodes_.push_back(std::move(node));
   const NodeId id = nodes_.size() - 1;
@@ -195,7 +197,35 @@ void ExecGraph::execute_node(NodeId id) {
     c = MatrixF(a.rows(), node.weight->n());
   }
   node.weight->matmul(node.ctx, a, c);
-  if (node.bias) add_row_bias(c, *node.bias);
+  apply_epilogue(node.epilogue, c);
+}
+
+void ExecGraph::apply_epilogue(const GemmEpilogue& epilogue, MatrixF& c,
+                               std::size_t n0) const {
+  const std::size_t cols = c.cols();
+  const float* bias = nullptr;
+  if (epilogue.bias) {
+    TS_CHECK(n0 + cols <= epilogue.bias->cols(),
+             "GEMM epilogue bias is narrower than the output");
+    bias = epilogue.bias->data() + n0;
+  }
+  const MatrixF* residual = nullptr;
+  if (epilogue.residual) {
+    residual = &slot(*epilogue.residual);
+    TS_CHECK(residual->rows() == c.rows() && n0 + cols <= residual->cols(),
+             "GEMM epilogue residual does not cover the output");
+  }
+  const bool gelu = epilogue.activation == GemmActivation::kGelu;
+  for (std::size_t r = 0; r < c.rows(); ++r) {
+    float* row = c.data() + r * cols;
+    if (bias)
+      for (std::size_t j = 0; j < cols; ++j) row[j] += bias[j];
+    if (gelu) gelu_row(row, row, cols);
+    if (residual) {
+      const float* res = residual->data() + r * residual->cols() + n0;
+      for (std::size_t j = 0; j < cols; ++j) row[j] += res[j];
+    }
+  }
 }
 
 void ExecGraph::poison_slots() {

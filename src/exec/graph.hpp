@@ -8,9 +8,15 @@
 // lifts the plan one level up, following the paper's Fig. 7-4
 // stream-assignment idea: a model builds a DAG of nodes once — each
 // node either a weight GEMM (a PackedWeight ref plus input/output
-// buffer slots) or a host op (the non-GEMM glue: layernorm, softmax,
-// residual adds) — and an ExecScheduler dispatches ready nodes onto
-// worker streams (see exec/scheduler.hpp).
+// buffer slots and an epilogue) or a host op (the non-GEMM glue:
+// layernorm, attention core, pooling) — and an ExecScheduler
+// dispatches ready nodes onto worker streams (see exec/scheduler.hpp).
+//
+// A GEMM node's epilogue carries the elementwise ops that follow it in
+// a model (the paper's Sec. VI kernel fusion): bias, then an
+// activation, then a residual add, applied by apply_epilogue() to the
+// output while it is still hot — per column shard when the scheduler
+// splits the node — instead of by separate host nodes that re-read it.
 //
 // Dataflow dependencies are derived from slot access: a node that
 // reads a slot depends on the slot's last writer (RAW), a writer
@@ -37,6 +43,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,6 +52,21 @@
 #include "tensor/matrix.hpp"
 
 namespace tilesparse {
+
+/// Elementwise activation a GEMM epilogue applies after the bias.
+enum class GemmActivation { kNone, kGelu };
+
+/// What a GEMM node does to its output after the matmul, in this order
+/// (forward()'s op order, so graph ≡ forward() bit for bit):
+///   c += bias (per column);  c = act(c);  c += slot(residual).
+struct GemmEpilogue {
+  const MatrixF* bias = nullptr;  ///< optional 1 x N row bias
+  GemmActivation activation = GemmActivation::kNone;
+  /// Optional rows x N slot (an ExecGraph::SlotId) added last: a
+  /// residual connection.  It is a read of the node, so it orders
+  /// after its producer.
+  std::optional<std::size_t> residual;
+};
 
 class ExecGraph {
  public:
@@ -64,18 +86,20 @@ class ExecGraph {
   struct Node {
     std::string name;
     NodeKind kind = NodeKind::kHost;
-    // Gemm payload: out = in * weight (+ bias row per output row),
-    // under `ctx` numerics/threads (alpha/beta forced to 1/0 — graph
-    // slots are single-assignment between writers).
+    // Gemm payload: out = epilogue(in * weight), under `ctx`
+    // numerics/threads (alpha/beta forced to 1/0 — graph slots are
+    // single-assignment between writers).
     const PackedWeight* weight = nullptr;
     SlotId in = 0;
     SlotId out = 0;
     ExecContext ctx;
-    const MatrixF* bias = nullptr;  ///< optional 1 x n row bias
+    GemmEpilogue epilogue;
     // Host payload.
     std::function<void(ExecGraph&)> fn;
-    // Declared slot accesses (gemm: reads = {in}, writes = {out}).
-    // This is the dataflow record validate_graph() audits against.
+    // Declared slot accesses (gemm: reads = {in} plus the epilogue's
+    // residual slot, writes = {out}; reads.front() is always the
+    // activation).  This is the dataflow record validate_graph()
+    // audits against.
     std::vector<SlotId> reads;
     std::vector<SlotId> writes;
     // Dependency edges (indices into nodes()).
@@ -108,12 +132,15 @@ class ExecGraph {
   void set_auto_deps(bool enabled) noexcept { auto_deps_ = enabled; }
   bool auto_deps() const noexcept { return auto_deps_; }
 
-  /// Adds a GEMM node: slot(out) = slot(in) * weight (+ bias row).
-  /// `weight` and `bias` must outlive the graph.  Throws
-  /// std::invalid_argument on a null weight or out-of-range slots.
+  /// Adds a GEMM node: slot(out) = epilogue(slot(in) * weight), with
+  /// the epilogue's bias → activation → += residual order (see
+  /// GemmEpilogue).  `weight` and `epilogue.bias` must outlive the graph.
+  /// Throws std::invalid_argument on a null weight or out-of-range
+  /// slots; validate_graph() reports a residual of the wrong width or
+  /// one aliasing `out`.
   NodeId add_gemm(std::string name, const PackedWeight* weight, SlotId in,
                   SlotId out, const ExecContext& ctx = {},
-                  const MatrixF* bias = nullptr);
+                  GemmEpilogue epilogue = {});
 
   /// Adds a host node running `fn(graph)`.  `reads`/`writes` declare
   /// the slots the body touches, from which dependencies are derived;
@@ -145,6 +172,14 @@ class ExecGraph {
   /// Executes one node on the calling thread (the scheduler's unit of
   /// work; also usable directly for serial reference runs).
   void execute_node(NodeId id);
+
+  /// Applies `epilogue` to `c`, the block of a GEMM output holding
+  /// columns [n0, n0 + c.cols()) of every row: bias and residual are
+  /// read at those columns.  The one epilogue implementation — whole
+  /// GEMM nodes, scheduler column shards and host-run Linear layers
+  /// all call it, so every path produces the same bits.
+  void apply_epilogue(const GemmEpilogue& epilogue, MatrixF& c,
+                      std::size_t n0 = 0) const;
 
   /// Guards builds only: fills every non-input slot buffer with quiet
   /// NaNs so a node that runs before its producer (a missed dependency

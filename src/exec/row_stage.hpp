@@ -11,10 +11,11 @@
 // row r of C depends only on row r of A — the micro-kernel packs A
 // panels zero-padded to the full register-tile height (gemm/
 // micro_kernel.hpp), per-element accumulation runs over k in a fixed
-// order, and host ops in serving graphs are row-wise (layernorm, gelu)
-// or group-wise (attention/pooling over whole sequences).  A gathered
-// run therefore produces, row for row, exactly the bits each member's
-// solo run would have produced; serve_batch_test proves it per format.
+// order, host ops and GEMM epilogues in serving graphs are row-wise
+// (layernorm; bias, gelu, residual) or group-wise (attention/pooling
+// over whole sequences).  A gathered run therefore produces, row for
+// row, exactly the bits each member's solo run would have produced;
+// serve_batch_test proves it per format.
 //
 // The buffer is grow-only and reusable: a serving batcher gathers into
 // the same stage across flushes without reallocating on the hot path.

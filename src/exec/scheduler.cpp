@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "exec/validate.hpp"
-#include "tensor/ops.hpp"
 #include "util/fault_injection.hpp"
 #include "util/guards.hpp"
 
@@ -231,9 +230,10 @@ void ExecScheduler::execute_task(ExecGraph& graph, Plan& plan,
     if (shard.scratch.rows() != a.rows() || shard.scratch.cols() != width)
       shard.scratch = MatrixF(a.rows(), width);
     shard.weight->matmul(node.ctx, a, shard.scratch);
+    graph.apply_epilogue(node.epilogue, shard.scratch, shard.n0);
     return;
   }
-  // Join: stitch the shard columns into the output slot, then bias.
+  // Join: stitch the finished shard columns into the output slot.
   const MatrixF& a = graph.slot(node.in);
   MatrixF& c = graph.slot(node.out);
   if (c.rows() != a.rows() || c.cols() != node.weight->n())
@@ -246,7 +246,6 @@ void ExecScheduler::execute_task(ExecGraph& graph, Plan& plan,
       for (std::size_t j = 0; j < width; ++j) dst[j] = src[j];
     }
   }
-  if (node.bias) add_row_bias(c, *node.bias);
 }
 
 void ExecScheduler::run_concurrent(ExecGraph& graph) {

@@ -381,13 +381,36 @@ std::vector<GraphFinding> validate_graph(const ExecGraph& graph,
       out.width = node.weight->n();
       out.width_setter = id;
       out.width_known_from_node = true;
-      if (node.bias &&
-          (node.bias->rows() != 1 || node.bias->cols() != node.weight->n())) {
+      const GemmEpilogue& epilogue = node.epilogue;
+      if (epilogue.bias && (epilogue.bias->rows() != 1 ||
+                            epilogue.bias->cols() != node.weight->n())) {
         add_finding(findings, FindingSeverity::kError, "shape-mismatch",
                     "gemm " + node_label(graph, id) + " bias is " +
-                        std::to_string(node.bias->rows()) + " x " +
-                        std::to_string(node.bias->cols()) + ", want 1 x " +
+                        std::to_string(epilogue.bias->rows()) + " x " +
+                        std::to_string(epilogue.bias->cols()) + ", want 1 x " +
                         std::to_string(node.weight->n()));
+      }
+      if (epilogue.residual) {
+        const SlotId res = *epilogue.residual;
+        if (res == node.out) {
+          add_finding(findings, FindingSeverity::kError, "aliased-residual",
+                      "gemm " + node_label(graph, id) + " adds its output " +
+                          slot_label(graph, res) +
+                          " as its own residual; the matmul overwrites it "
+                          "before the epilogue reads it");
+        } else if (slots[res].width != kUnknownWidth &&
+                   slots[res].width != node.weight->n()) {
+          std::string msg = "gemm " + node_label(graph, id) + " residual " +
+                            slot_label(graph, res) + " carries " +
+                            std::to_string(slots[res].width) +
+                            " columns, want N = " +
+                            std::to_string(node.weight->n());
+          if (slots[res].width_known_from_node)
+            msg += " (written by " +
+                   node_label(graph, slots[res].width_setter) + ")";
+          add_finding(findings, FindingSeverity::kError, "shape-mismatch",
+                      msg);
+        }
       }
       if (!node.weight->supports(node.ctx.numerics)) {
         add_finding(findings, FindingSeverity::kError, "unsupported-numerics",

@@ -23,8 +23,11 @@
 //    node-name path.
 //  * Shape/numerics consistency: slot widths are propagated through
 //    GEMM nodes (out = weight->n()); a consumer whose weight K
-//    disagrees with the producer's N is reported, as are bias-shape
-//    mismatches and ExecContext numerics the weight cannot execute.
+//    disagrees with the producer's N is reported, as are epilogue
+//    bias and residual widths other than N, a residual slot aliasing
+//    the node's own output, and ExecContext numerics the weight cannot
+//    execute.  An epilogue's residual is a read of its node, so the
+//    def-use and hazard audits above cover it like any other input.
 //  * Shard-plan audit: for every col_shardable() GEMM weight the
 //    verifier re-derives an even column slicing, materialises the
 //    shards via shard_cols(), and verifies they tile [0, N) exactly
@@ -53,7 +56,7 @@ struct GraphFinding {
   FindingSeverity severity = FindingSeverity::kError;
   /// Stable machine-readable class: "cycle", "read-before-write",
   /// "missing-dep", "dead-write", "dead-node", "shape-mismatch",
-  /// "unsupported-numerics", "shard-plan".
+  /// "aliased-residual", "unsupported-numerics", "shard-plan".
   std::string code;
   /// Human-readable diagnostic naming the nodes/slots involved.
   std::string message;

@@ -1,16 +1,111 @@
 #include "gemm/fused_ops.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+
+#include "gemm/micro_kernel.hpp"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define TILESPARSE_X86_DISPATCH 1
+#include <immintrin.h>
+#endif
 
 namespace tilesparse {
+namespace {
+
+// GELU lane arithmetic, shared by the scalar and AVX2 bodies:
+//   z = -2u = (x * (1 + 0.044715 x^2)) * (-2 sqrt(2/pi)), clamped to ±88
+//   e^z = 2^n * p(r),  n = round(z log2 e),  r = z - n ln2 (two-part ln2)
+//   gelu(x) = x / (1 + e^z)
+// Every multiply-add is an explicit FMA and no other product feeds an
+// add, so compiler contraction cannot make the two bodies diverge.
+constexpr float kGeluCubic = 0.044715f;
+constexpr float kGeluNeg2SqrtTwoOverPi = -1.5957691216057308f;
+constexpr float kExpClamp = 88.0f;
+constexpr float kLog2e = 1.4426950408889634f;
+constexpr float kLn2Hi = 0.693359375f;
+constexpr float kLn2Lo = -2.12194440e-4f;
+// Taylor coefficients 1/k!, k = 6..0 (Horner order).
+constexpr float kExpPoly[] = {1.0f / 720.0f, 1.0f / 120.0f, 1.0f / 24.0f,
+                              1.0f / 6.0f,   0.5f,          1.0f,
+                              1.0f};
+constexpr std::size_t kGeluLanes = 8;
+
+float gelu_lane(float x) noexcept {
+  const float t = std::fma(x * x, kGeluCubic, 1.0f);
+  float z = (x * t) * kGeluNeg2SqrtTwoOverPi;
+  // _mm256_max_ps / _mm256_min_ps semantics: a NaN z takes the bound.
+  z = z > -kExpClamp ? z : -kExpClamp;
+  z = z < kExpClamp ? z : kExpClamp;
+  const float n = std::nearbyint(z * kLog2e);
+  float r = std::fma(n, -kLn2Hi, z);
+  r = std::fma(n, -kLn2Lo, r);
+  float p = kExpPoly[0];
+  for (std::size_t k = 1; k < std::size(kExpPoly); ++k)
+    p = std::fma(p, r, kExpPoly[k]);
+  const float scale =
+      std::bit_cast<float>(static_cast<std::uint32_t>(static_cast<int>(n) + 127)
+                           << 23);
+  return x / std::fma(p, scale, 1.0f);
+}
+
+void gelu_row_scalar(const float* in, float* out, std::size_t n) noexcept {
+  for (std::size_t j = 0; j < n; ++j) out[j] = gelu_lane(in[j]);
+}
+
+#ifdef TILESPARSE_X86_DISPATCH
+
+__attribute__((target("avx2,fma"))) inline __m256 gelu_lanes_avx2(__m256 x) {
+  const __m256 t = _mm256_fmadd_ps(_mm256_mul_ps(x, x),
+                                   _mm256_set1_ps(kGeluCubic),
+                                   _mm256_set1_ps(1.0f));
+  __m256 z = _mm256_mul_ps(_mm256_mul_ps(x, t),
+                           _mm256_set1_ps(kGeluNeg2SqrtTwoOverPi));
+  z = _mm256_max_ps(z, _mm256_set1_ps(-kExpClamp));
+  z = _mm256_min_ps(z, _mm256_set1_ps(kExpClamp));
+  const __m256 n =
+      _mm256_round_ps(_mm256_mul_ps(z, _mm256_set1_ps(kLog2e)),
+                      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  __m256 r = _mm256_fmadd_ps(n, _mm256_set1_ps(-kLn2Hi), z);
+  r = _mm256_fmadd_ps(n, _mm256_set1_ps(-kLn2Lo), r);
+  __m256 p = _mm256_set1_ps(kExpPoly[0]);
+  for (std::size_t k = 1; k < std::size(kExpPoly); ++k)
+    p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(kExpPoly[k]));
+  const __m256 scale = _mm256_castsi256_ps(_mm256_slli_epi32(
+      _mm256_add_epi32(_mm256_cvtps_epi32(n), _mm256_set1_epi32(127)), 23));
+  return _mm256_div_ps(x, _mm256_fmadd_ps(p, scale, _mm256_set1_ps(1.0f)));
+}
+
+__attribute__((target("avx2,fma"))) void gelu_row_avx2(const float* in,
+                                                       float* out,
+                                                       std::size_t n) noexcept {
+  std::size_t j = 0;
+  for (; j + kGeluLanes <= n; j += kGeluLanes)
+    _mm256_storeu_ps(out + j, gelu_lanes_avx2(_mm256_loadu_ps(in + j)));
+  if (j == n) return;
+  // Ragged tail: the same 8-lane body over a zero-padded buffer, so a
+  // value's bits never depend on where it sits in the row.
+  alignas(32) float lanes[kGeluLanes] = {};
+  std::copy(in + j, in + n, lanes);
+  _mm256_store_ps(lanes, gelu_lanes_avx2(_mm256_load_ps(lanes)));
+  std::copy(lanes, lanes + (n - j), out + j);
+}
+
+#endif  // TILESPARSE_X86_DISPATCH
+
+}  // namespace
 
 void gelu_row(const float* in, float* out, std::size_t n) noexcept {
-  const float c = 0.7978845608028654f;  // sqrt(2/pi)
-  for (std::size_t j = 0; j < n; ++j) {
-    const float x = in[j];
-    out[j] = 0.5f * x * (1.0f + std::tanh(c * (x + 0.044715f * x * x * x)));
+#ifdef TILESPARSE_X86_DISPATCH
+  if (active_simd_level() == SimdLevel::kAvx2) {
+    gelu_row_avx2(in, out, n);
+    return;
   }
+#endif
+  gelu_row_scalar(in, out, n);
 }
 
 float layer_norm_row(const float* in, float* out, std::size_t n,

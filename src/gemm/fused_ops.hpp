@@ -1,24 +1,37 @@
 #pragma once
 // Non-GEMM row kernels: the one implementation of GELU, LayerNorm and
-// softmax.  Bias is tensor/ops add_row_bias.
+// softmax.  Bias (and the residual add) is one add per element, in
+// tensor/ops add_row_bias for layers and in ExecGraph::apply_epilogue
+// for graph GEMM nodes.
 //
 // The paper (Sec. VI, "Kernel Fusion") shows the non-GEMM glue is 39%
 // of BERT's time before fusion and 29% after.  Training layers
-// (nn/layers, nn/attention, nn/loss) and the inference graph's host
-// nodes all call these kernels, so graph ≡ forward() holds bit for bit
-// and a faster kernel is a change to one function.
+// (nn/layers, nn/attention, nn/loss), the inference graph's host nodes
+// and its GEMM epilogues all call these kernels, so graph ≡ forward()
+// holds bit for bit and a faster kernel is a change to one function.
 //
-// The kernels are serial (no OpenMP): graph host nodes run on
-// scheduler streams, which already supply the parallelism.  Callers
-// apply them per row, never over a flat multi-row buffer, so a row's
-// bits depend only on that row (batched ≡ solo).
+// The kernels are serial (no OpenMP): graph host nodes and GEMM shard
+// epilogues run on scheduler streams, which already supply the
+// parallelism.  Callers apply them per row, never over a flat
+// multi-row buffer, so a row's bits depend only on that row
+// (batched ≡ solo).
+//
+// GELU has one formula, x / (1 + e^(-2u)) with u = sqrt(2/pi)(x +
+// 0.044715 x^3) — the tanh approximation rewritten as a sigmoid — and
+// its exp is 2^n p(r) with a degree-6 polynomial.  Dispatch follows
+// active_simd_level() (gemm/micro_kernel.hpp): an AVX2+FMA body, or a
+// scalar body running the same lane arithmetic with std::fma, so the
+// two levels agree bit for bit.  The ragged tail of a row runs the
+// 8-lane body over a zero-padded buffer: an output's bits depend only
+// on its input value, never on its column, the row length or a shard
+// boundary.
 
 #include <cstddef>
 
 namespace tilesparse {
 
-/// tanh-approximation GELU: out[j] = gelu(in[j]) for j < n.  `in` may
-/// equal `out`.
+/// GELU (tanh approximation, formula above): out[j] = gelu(in[j]) for
+/// j < n.  `in` may equal `out`.  NaN stays NaN and +inf stays +inf.
 void gelu_row(const float* in, float* out, std::size_t n) noexcept;
 
 /// LayerNorm of one row: out[j] = (in[j] - mean) * inv_std * gamma[j] +

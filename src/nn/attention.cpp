@@ -1,5 +1,6 @@
 #include "nn/attention.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -44,21 +45,30 @@ void MultiHeadAttention::attention_core(const MatrixF& q, const MatrixF& k,
   const std::size_t batch = q.rows() / seq_;
   if (probs) probs->assign(batch * heads_, MatrixF(seq_, seq_));
   MatrixF scratch(seq_, seq_);
+  std::vector<float> kt(head_dim_ * seq_);  // this head's K^T, d-major
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
 
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t h = 0; h < heads_; ++h) {
       const std::size_t col0 = h * head_dim_;
-      // scores(s, t) = scale * <q_s, k_t> over this head's columns.
+      for (std::size_t t = 0; t < seq_; ++t) {
+        const float* krow = k.data() + (b * seq_ + t) * dim_ + col0;
+        for (std::size_t d = 0; d < head_dim_; ++d) kt[d * seq_ + t] = krow[d];
+      }
+      // scores(s, t) = scale * <q_s, k_t> over this head's columns.  The
+      // sum runs over d ascending from 0, exactly as a per-(s, t) dot
+      // product would, but with t innermost so the loop vectorises.
       MatrixF& scores = probs ? (*probs)[b * heads_ + h] : scratch;
       for (std::size_t s = 0; s < seq_; ++s) {
         const float* qrow = q.data() + (b * seq_ + s) * dim_ + col0;
-        for (std::size_t t = 0; t < seq_; ++t) {
-          const float* krow = k.data() + (b * seq_ + t) * dim_ + col0;
-          float dot = 0.0f;
-          for (std::size_t d = 0; d < head_dim_; ++d) dot += qrow[d] * krow[d];
-          scores(s, t) = dot * scale;
+        float* srow = scores.data() + s * seq_;
+        std::fill(srow, srow + seq_, 0.0f);
+        for (std::size_t d = 0; d < head_dim_; ++d) {
+          const float qd = qrow[d];
+          const float* ktrow = kt.data() + d * seq_;
+          for (std::size_t t = 0; t < seq_; ++t) srow[t] += qd * ktrow[t];
         }
+        for (std::size_t t = 0; t < seq_; ++t) srow[t] *= scale;
       }
       for (std::size_t s = 0; s < seq_; ++s)
         softmax_row(scores.data() + s * seq_, seq_);
@@ -85,9 +95,9 @@ MatrixF MultiHeadAttention::forward(const MatrixF& x) {
   return out_.forward(context);
 }
 
-ExecGraph::NodeId MultiHeadAttention::add_to_graph(ExecGraph& graph,
-                                                   ExecGraph::SlotId in,
-                                                   ExecGraph::SlotId out) const {
+ExecGraph::NodeId MultiHeadAttention::add_to_graph(
+    ExecGraph& graph, ExecGraph::SlotId in, ExecGraph::SlotId out,
+    std::optional<ExecGraph::SlotId> residual) const {
   const ExecGraph::SlotId q = graph.add_slot(q_.weight().name + ".act");
   const ExecGraph::SlotId k = graph.add_slot(k_.weight().name + ".act");
   const ExecGraph::SlotId v = graph.add_slot(v_.weight().name + ".act");
@@ -106,7 +116,8 @@ ExecGraph::NodeId MultiHeadAttention::add_to_graph(ExecGraph& graph,
                      ctx.fill(0.0f);
                    attention_core(qa, g.slot(k), g.slot(v), ctx, nullptr);
                  });
-  return out_.add_to_graph(graph, context, out);
+  return out_.add_to_graph(graph, context, out,
+                           GemmActivation::kNone, residual);
 }
 
 MatrixF MultiHeadAttention::backward(const MatrixF& dy) {

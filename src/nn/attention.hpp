@@ -3,6 +3,7 @@
 // backward.  Input/output are (batch * seq) x dim row blocks.
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "nn/layers.hpp"
@@ -28,11 +29,13 @@ class MultiHeadAttention : public Layer {
   /// Adds this block to an execution graph: the Q/K/V projections as
   /// three *independent* GEMM nodes (the scheduler overlaps them on
   /// separate streams — the paper's Fig. 7-4 assignment), a host node
-  /// for the softmax(QK^T)V core, and the output projection.  Produces
-  /// exactly what forward() produces and fills no cache; the block
-  /// must outlive the graph.
-  ExecGraph::NodeId add_to_graph(ExecGraph& graph, ExecGraph::SlotId in,
-                                 ExecGraph::SlotId out) const;
+  /// for the softmax(QK^T)V core, and the output projection, whose
+  /// epilogue adds slot(residual) when given.  Produces exactly what
+  /// forward() (plus that residual add) produces and fills no cache;
+  /// the block must outlive the graph.
+  ExecGraph::NodeId add_to_graph(
+      ExecGraph& graph, ExecGraph::SlotId in, ExecGraph::SlotId out,
+      std::optional<ExecGraph::SlotId> residual = std::nullopt) const;
 
  private:
   /// softmax(scale * Q K^T) V per (batch, head), accumulating into

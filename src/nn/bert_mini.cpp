@@ -195,46 +195,26 @@ ExecGraph::SlotId BertMini::append_exec_graph(
   for (std::size_t l = 0; l < blocks_.size(); ++l) {
     const Block& blk = blocks_[l];
     const std::string p = "block" + std::to_string(l);
-    // Attention branch with residual (pre-LN, matching forward()).
+    // Attention branch; the output projection's epilogue adds the
+    // residual (pre-LN, matching forward()).
     const ExecGraph::SlotId h = g.add_slot(p + ".ln1.out");
     const LayerNorm* ln1 = blk.ln1.get();
     g.add_host(p + ".ln1", {x}, {h}, [ln1, x, h](ExecGraph& gg) {
       gg.slot(h) = ln1->infer(gg.slot(x));
     });
-    const ExecGraph::SlotId attn_out = g.add_slot(p + ".attn.out");
-    blk.attn->add_to_graph(g, h, attn_out);
-    const ExecGraph::SlotId x1 = g.add_slot(p + ".res1");
-    g.add_host(p + ".res1", {attn_out, x}, {x1},
-               [attn_out, x, x1](ExecGraph& gg) {
-                 MatrixF sum = gg.slot(attn_out);
-                 const MatrixF& res = gg.slot(x);
-                 for (std::size_t i = 0; i < sum.size(); ++i)
-                   sum.data()[i] += res.data()[i];
-                 gg.slot(x1) = std::move(sum);
-               });
-    // FFN branch with residual.
+    const ExecGraph::SlotId x1 = g.add_slot(p + ".attn.out");
+    blk.attn->add_to_graph(g, h, x1, /*residual=*/x);
+    // FFN branch: GELU in ffn_in's epilogue, the residual in ffn_out's.
     const ExecGraph::SlotId f = g.add_slot(p + ".ln2.out");
     const LayerNorm* ln2 = blk.ln2.get();
     g.add_host(p + ".ln2", {x1}, {f}, [ln2, x1, f](ExecGraph& gg) {
       gg.slot(f) = ln2->infer(gg.slot(x1));
     });
     const ExecGraph::SlotId f1 = g.add_slot(p + ".ffn_in.out");
-    blk.ffn_in->add_to_graph(g, f, f1);
-    const ExecGraph::SlotId f2 = g.add_slot(p + ".gelu.out");
-    const Gelu* gelu = blk.gelu.get();
-    g.add_host(p + ".gelu", {f1}, {f2}, [gelu, f1, f2](ExecGraph& gg) {
-      gg.slot(f2) = gelu->infer(gg.slot(f1));
-    });
-    const ExecGraph::SlotId f3 = g.add_slot(p + ".ffn_out.out");
-    blk.ffn_out->add_to_graph(g, f2, f3);
-    const ExecGraph::SlotId x2 = g.add_slot(p + ".res2");
-    g.add_host(p + ".res2", {f3, x1}, {x2}, [f3, x1, x2](ExecGraph& gg) {
-      MatrixF sum = gg.slot(f3);
-      const MatrixF& res = gg.slot(x1);
-      for (std::size_t i = 0; i < sum.size(); ++i)
-        sum.data()[i] += res.data()[i];
-      gg.slot(x2) = std::move(sum);
-    });
+    blk.ffn_in->add_to_graph(g, f, f1, GemmActivation::kGelu);
+    const ExecGraph::SlotId x2 = g.add_slot(p + ".ffn_out.out");
+    blk.ffn_out->add_to_graph(g, f1, x2, GemmActivation::kNone,
+                              /*residual=*/x1);
     x = x2;
   }
   const ExecGraph::SlotId pooled = g.add_slot("pooled");

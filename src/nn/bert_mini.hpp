@@ -61,8 +61,9 @@ class BertMini {
 
   /// Builds (or rebuilds) the model-level execution plan: one graph
   /// covering every encoder block — Q/K/V as independent GEMM nodes,
-  /// host nodes for layernorm/softmax/residual glue, FFN and classifier
-  /// GEMMs — over the *current* execution backends (packed where
+  /// host nodes for layernorm and the softmax(QK^T)V core, FFN and
+  /// classifier GEMMs, with ffn_in's GELU and both residual adds in
+  /// GEMM epilogues — over the *current* execution backends (packed where
   /// pack_weights installed one, plain forward otherwise).
   /// pack_weights/clear_packed_weights invalidate the graph; call this
   /// again after loading a new artifact into the layers directly.

@@ -69,15 +69,22 @@ MatrixF Linear::infer(const MatrixF& x) const {
   return y;
 }
 
-ExecGraph::NodeId Linear::add_to_graph(ExecGraph& graph, ExecGraph::SlotId in,
-                                       ExecGraph::SlotId out) const {
+ExecGraph::NodeId Linear::add_to_graph(
+    ExecGraph& graph, ExecGraph::SlotId in, ExecGraph::SlotId out,
+    GemmActivation activation,
+    std::optional<ExecGraph::SlotId> residual) const {
+  const GemmEpilogue epilogue{&bias_.value, activation, residual};
   if (packed_) {
     return graph.add_gemm(weight_.name, packed_.get(), in, out, ctx_,
-                          &bias_.value);
+                          epilogue);
   }
-  return graph.add_host(weight_.name, {in}, {out},
-                        [this, in, out](ExecGraph& g) {
-                          g.slot(out) = infer(g.slot(in));
+  std::vector<ExecGraph::SlotId> reads{in};
+  if (residual) reads.push_back(*residual);
+  return graph.add_host(weight_.name, std::move(reads), {out},
+                        [this, in, out, epilogue](ExecGraph& g) {
+                          MatrixF y = matmul(g.slot(in), weight_.value);
+                          g.apply_epilogue(epilogue, y);
+                          g.slot(out) = std::move(y);
                         });
 }
 

@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -80,13 +81,18 @@ class Linear : public Layer {
   void set_exec_context(const ExecContext& ctx) noexcept { ctx_ = ctx; }
   const ExecContext& exec_context() const noexcept { return ctx_; }
 
-  /// Adds this layer's y = x W + b to an execution graph: a GEMM node
-  /// over the packed weight when one is installed (independent layers
-  /// then overlap across scheduler streams), a host node running
-  /// infer() otherwise.  Both produce exactly what forward() produces.
-  /// The layer must outlive the graph.
-  ExecGraph::NodeId add_to_graph(ExecGraph& graph, ExecGraph::SlotId in,
-                                 ExecGraph::SlotId out) const;
+  /// Adds this layer's y = x W + b to an execution graph, followed by
+  /// `activation` and then `+= slot(residual)` when given — one GEMM
+  /// node whose epilogue holds the bias, activation and residual (see
+  /// GemmEpilogue).  Without a packed weight the node is a host
+  /// node running the dense matmul and the same epilogue.  Either way
+  /// it produces exactly what forward() followed by the activation
+  /// layer and the residual add produces.  The layer must outlive the
+  /// graph.
+  ExecGraph::NodeId add_to_graph(
+      ExecGraph& graph, ExecGraph::SlotId in, ExecGraph::SlotId out,
+      GemmActivation activation = GemmActivation::kNone,
+      std::optional<ExecGraph::SlotId> residual = std::nullopt) const;
 
  private:
   Param weight_;  ///< in x out

@@ -15,7 +15,9 @@
 #include "exec/backend_registry.hpp"
 #include "exec/graph.hpp"
 #include "exec/scheduler.hpp"
+#include "gemm/fused_ops.hpp"
 #include "nn/bert_mini.hpp"
+#include "nn/layers.hpp"
 #include "nn/nmt_mini.hpp"
 #include "nn/prune_experiment.hpp"
 #include "prune/importance.hpp"
@@ -96,7 +98,9 @@ TEST(ExecGraphTest, GemmNodeMatchesPackedMatmul) {
   ExecGraph g;
   const auto in = g.add_slot("in");
   const auto out = g.add_slot("out");
-  g.add_gemm("gemm", packed.get(), in, out, ExecContext{}, &bias);
+  GemmEpilogue epilogue;
+  epilogue.bias = &bias;
+  g.add_gemm("gemm", packed.get(), in, out, ExecContext{}, epilogue);
   g.slot(in) = a;
   g.execute_node(g.topo_order().back());
 
@@ -206,6 +210,118 @@ TEST_P(SchedulerDeterminism, BitIdenticalToSingleStreamAcrossStreams) {
 INSTANTIATE_TEST_SUITE_P(AllFormats, SchedulerDeterminism,
                          ::testing::Values("dense", "tw", "tew", "csr",
                                            "tw-int8"));
+
+// ------------------------------------------------------ fused epilogues
+
+/// in -> [gemm + bias + GELU] -> mid -> [gemm + bias + residual] -> out,
+/// the two epilogue shapes the BERT graph uses.
+struct EpilogueGraph {
+  ExecGraph graph;
+  ExecGraph::SlotId in = 0, residual = 0, out = 0;
+};
+
+void build_epilogue_graph(EpilogueGraph& e, const PackedWeight* w1,
+                          const MatrixF& b1, const PackedWeight* w2,
+                          const MatrixF& b2) {
+  e.in = e.graph.add_slot("in");
+  e.residual = e.graph.add_slot("residual");
+  e.graph.mark_input(e.in);
+  e.graph.mark_input(e.residual);
+  const auto mid = e.graph.add_slot("mid");
+  e.out = e.graph.add_slot("out");
+  e.graph.mark_output(e.out);
+  GemmEpilogue gelu;
+  gelu.bias = &b1;
+  gelu.activation = GemmActivation::kGelu;
+  e.graph.add_gemm("up", w1, e.in, mid, ExecContext{}, gelu);
+  GemmEpilogue residual;
+  residual.bias = &b2;
+  residual.residual = e.residual;
+  e.graph.add_gemm("down", w2, mid, e.out, ExecContext{}, residual);
+}
+
+TEST(FusedEpilogueTest, BitIdenticalToUnfusedOpsAcrossFormats) {
+  // N = 150 in 4 shards and N = 100 in 2 put shard edges at columns 38,
+  // 76, 113 and 50: none on a multiple of the 8-lane GELU body.
+  const std::size_t m = 21, k = 40, n1 = 150, n2 = 100;
+  const MatrixF a = random_matrix(m, k, 31);
+  const MatrixF res = random_matrix(m, n2, 32);
+  const MatrixF b1 = random_matrix(1, n1, 33);
+  const MatrixF b2 = random_matrix(1, n2, 34);
+  ThreadPool pool(3);
+  for (const std::string format : {"dense", "tw", "tew", "csr", "tw-int8"}) {
+    const auto w1 = pack_for_test(format, random_matrix(k, n1, 35), 8);
+    const auto w2 = pack_for_test(format, random_matrix(n1, n2, 36), 8);
+
+    // Unfused reference: matmul, bias, per-row GELU, residual add.
+    MatrixF mid = w1->matmul(ExecContext{}, a);
+    add_row_bias(mid, b1);
+    for (std::size_t r = 0; r < m; ++r)
+      gelu_row(mid.data() + r * n1, mid.data() + r * n1, n1);
+    MatrixF expected = w2->matmul(ExecContext{}, mid);
+    add_row_bias(expected, b2);
+    for (std::size_t i = 0; i < expected.size(); ++i)
+      expected.data()[i] += res.data()[i];
+
+    for (const bool sharded : {false, true}) {
+      SchedulerOptions options;
+      options.streams = sharded ? 4 : 1;
+      options.min_shard_cols = 37;
+      options.dispatch_overhead_us = 0.0;
+      ExecScheduler scheduler(options, &pool);
+      EpilogueGraph e;
+      build_epilogue_graph(e, w1.get(), b1, w2.get(), b2);
+      for (int rep = 0; rep < 2; ++rep) {
+        e.graph.slot(e.in) = a;
+        e.graph.slot(e.residual) = res;
+        scheduler.run(e.graph);
+        EXPECT_TRUE(bit_identical(e.graph.slot(e.out), expected))
+            << format << (sharded ? " sharded" : " serial") << " rep=" << rep;
+      }
+      if (sharded) {
+        EXPECT_EQ(scheduler.last_stats().sharded_nodes, 2u) << format;
+        EXPECT_EQ(scheduler.last_stats().shards, 6u) << format;
+      }
+    }
+  }
+}
+
+TEST(FusedEpilogueTest, LinearMatchesForwardPackedOrNot) {
+  // Linear::add_to_graph with GELU and a residual, as a GEMM node over
+  // a packed weight and as a host node over the dense master weight,
+  // against forward() followed by the GELU row kernel and the add.
+  Rng rng(37);
+  Linear layer("fc", 24, 40, rng);
+  fill_normal(layer.bias().value, rng);
+  const MatrixF x = random_matrix(9, 24, 38);
+  const MatrixF res = random_matrix(9, 40, 39);
+  for (const bool packed : {false, true}) {
+    if (packed) layer.pack_weight("dense");
+    MatrixF expected = layer.forward(x);
+    for (std::size_t r = 0; r < expected.rows(); ++r)
+      gelu_row(expected.data() + r * 40, expected.data() + r * 40, 40);
+    for (std::size_t i = 0; i < expected.size(); ++i)
+      expected.data()[i] += res.data()[i];
+
+    ExecGraph g;
+    const auto in = g.add_slot("in");
+    const auto skip = g.add_slot("skip");
+    const auto out = g.add_slot("out");
+    g.mark_input(in);
+    g.mark_input(skip);
+    g.mark_output(out);
+    layer.add_to_graph(g, in, out, GemmActivation::kGelu, skip);
+    EXPECT_EQ(g.nodes().back().kind, packed ? ExecGraph::NodeKind::kGemm
+                                            : ExecGraph::NodeKind::kHost);
+    EXPECT_EQ(g.nodes().back().reads,
+              (std::vector<ExecGraph::SlotId>{in, skip}));
+    g.slot(in) = x;
+    g.slot(skip) = res;
+    g.execute_node(g.topo_order().back());
+    EXPECT_TRUE(bit_identical(g.slot(out), expected))
+        << (packed ? "packed" : "host");
+  }
+}
 
 // --------------------------------------------------------- wide-N shards
 

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "gemm/fused_ops.hpp"
+#include "gemm/micro_kernel.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
@@ -48,6 +54,162 @@ TEST(FusedOps, GeluKnownValues) {
   EXPECT_NEAR(x(0, 1), 100.0f, 1e-3f);
   EXPECT_NEAR(x(0, 2), 0.0f, 1e-3f);
 }
+
+// ---------------------------------------------------------------- GELU
+
+/// Restores the previous dispatch level on scope exit.
+class ScopedSimdLevel {
+ public:
+  explicit ScopedSimdLevel(SimdLevel level) : saved_(active_simd_level()) {
+    set_simd_level(level);
+  }
+  ~ScopedSimdLevel() { set_simd_level(saved_); }
+  ScopedSimdLevel(const ScopedSimdLevel&) = delete;
+  ScopedSimdLevel& operator=(const ScopedSimdLevel&) = delete;
+
+ private:
+  SimdLevel saved_;
+};
+
+std::vector<SimdLevel> testable_simd_levels() {
+  std::vector<SimdLevel> levels{SimdLevel::kScalar};
+  if (detected_simd_level() == SimdLevel::kAvx2)
+    levels.push_back(SimdLevel::kAvx2);
+  return levels;
+}
+
+std::vector<float> gelu_at(SimdLevel level, const std::vector<float>& x) {
+  ScopedSimdLevel scoped(level);
+  std::vector<float> y(x.size());
+  gelu_row(x.data(), y.data(), x.size());
+  return y;
+}
+
+double gelu_reference(double x) {
+  return 0.5 * x *
+         (1.0 + std::tanh(0.7978845608028654 * (x + 0.044715 * x * x * x)));
+}
+
+/// The x > 0 where the kernel's exp argument -2u reaches -88 (and, by
+/// symmetry, -x where it reaches +88): its clamp boundaries.
+double gelu_clamp_edge() {
+  double lo = 0.0, hi = 20.0;
+  for (int i = 0; i < 200; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    const double two_u =
+        2.0 * 0.7978845608028654 * (mid + 0.044715 * mid * mid * mid);
+    (two_u < 88.0 ? lo : hi) = mid;
+  }
+  return lo;
+}
+
+/// [-12, 12] every 2^-12, plus signed zeros, subnormals, the clamp
+/// boundaries with their float neighbours, and saturating magnitudes.
+std::vector<float> gelu_sweep() {
+  std::vector<float> x;
+  for (int i = -12 * 4096; i <= 12 * 4096; ++i)
+    x.push_back(static_cast<float>(i) / 4096.0f);
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float tiny = std::numeric_limits<float>::min();
+  for (const float v : {0.0f, denorm, 1e-40f, tiny / 2.0f, tiny, 1e3f, 1e20f,
+                        std::numeric_limits<float>::max()}) {
+    x.push_back(v);
+    x.push_back(-v);
+  }
+  const float edge = static_cast<float>(gelu_clamp_edge());
+  for (const float e : {edge, -edge}) {
+    float v = e;
+    for (int i = 0; i < 4; ++i) v = std::nextafter(v, 0.0f);
+    for (int i = 0; i < 9; ++i) {
+      x.push_back(v);
+      v = std::nextafter(v, 2.0f * e);
+    }
+  }
+  x.push_back(std::numeric_limits<float>::infinity());
+  return x;
+}
+
+TEST(FusedOps, GeluScalarAndAvx2AreBitIdentical) {
+  if (detected_simd_level() != SimdLevel::kAvx2)
+    GTEST_SKIP() << "host has no AVX2+FMA";
+  const std::vector<float> x = gelu_sweep();
+  const std::vector<float> scalar = gelu_at(SimdLevel::kScalar, x);
+  const std::vector<float> avx2 = gelu_at(SimdLevel::kAvx2, x);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (std::bit_cast<std::uint32_t>(scalar[i]) !=
+        std::bit_cast<std::uint32_t>(avx2[i])) {
+      if (++mismatches <= 5)
+        ADD_FAILURE() << "x = " << x[i] << ": scalar " << scalar[i]
+                      << " vs avx2 " << avx2[i];
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(FusedOps, GeluBitsDependOnlyOnTheValue) {
+  // A value's output must not depend on its column, the row length
+  // (body lanes vs the ragged tail) or the buffer's alignment.
+  Rng rng(41);
+  std::vector<float> pool(64);
+  for (float& v : pool) v = rng.normal(0.0f, 3.0f);
+  for (const SimdLevel level : testable_simd_levels()) {
+    ScopedSimdLevel scoped(level);
+    std::vector<float> alone(pool.size());
+    for (std::size_t i = 0; i < pool.size(); ++i)
+      gelu_row(&pool[i], &alone[i], 1);
+    for (std::size_t n = 1; n <= 33; ++n) {
+      for (std::size_t offset = 0; offset + n <= pool.size(); ++offset) {
+        std::vector<float> out(n);
+        gelu_row(pool.data() + offset, out.data(), n);
+        for (std::size_t j = 0; j < n; ++j) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(out[j]),
+                    std::bit_cast<std::uint32_t>(alone[offset + j]))
+              << simd_level_name(level) << " n=" << n
+              << " offset=" << offset << " j=" << j;
+        }
+      }
+    }
+  }
+}
+
+TEST(FusedOps, GeluMatchesDoubleReference) {
+  const std::vector<float> x = gelu_sweep();
+  for (const SimdLevel level : testable_simd_levels()) {
+    const std::vector<float> y = gelu_at(level, x);
+    double worst = 0.0;
+    float worst_x = 0.0f;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      if (std::abs(x[i]) > 12.0f) continue;  // the sweep's saturating tail
+      const double err = std::abs(static_cast<double>(y[i]) -
+                                  gelu_reference(x[i])) /
+                         std::max(1.0, std::abs(static_cast<double>(x[i])));
+      if (err > worst) {
+        worst = err;
+        worst_x = x[i];
+      }
+    }
+    EXPECT_LE(worst, 1e-6) << simd_level_name(level) << " at x = " << worst_x;
+  }
+}
+
+TEST(FusedOps, GeluPropagatesNanAndInfinity) {
+  // 11 values: index 2 sits in the 8-lane body, index 9 in the tail.
+  std::vector<float> x(11, 0.5f);
+  x[2] = std::numeric_limits<float>::quiet_NaN();
+  x[9] = std::numeric_limits<float>::quiet_NaN();
+  x[5] = std::numeric_limits<float>::infinity();
+  for (const SimdLevel level : testable_simd_levels()) {
+    const std::vector<float> y = gelu_at(level, x);
+    EXPECT_TRUE(std::isnan(y[2])) << simd_level_name(level);
+    EXPECT_TRUE(std::isnan(y[9])) << simd_level_name(level);
+    EXPECT_EQ(y[5], std::numeric_limits<float>::infinity())
+        << simd_level_name(level);
+    EXPECT_FLOAT_EQ(y[0], static_cast<float>(gelu_reference(0.5)));
+  }
+}
+
+// ------------------------------------------------------------- softmax
 
 TEST(FusedOps, SoftmaxRowsSumToOne) {
   MatrixF x = random_matrix(7, 13, 9);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "exec/scheduler.hpp"
 #include "gemm/fused_ops.hpp"
@@ -152,6 +154,48 @@ TEST(Consistency, InferPathsMatchForwardBits) {
   ExecScheduler scheduler(serial);
   scheduler.run(graph);
   EXPECT_TRUE(bit_identical(graph.slot(out), y_forward));
+}
+
+TEST(Consistency, AttentionCoreMatchesNaiveDotProducts) {
+  // Pins attention_core's bits to the plain per-(s, t) loop: each score
+  // is a dot product summed over d ascending from 0, then scaled; each
+  // context row accumulates p * v_t over t ascending.
+  const std::size_t dim = 64, heads = 4, seq = 16, batch = 3;
+  const std::size_t head_dim = dim / heads;
+  Rng rng(17);
+  MultiHeadAttention attn("attn", dim, heads, seq, rng);
+  for (Linear* layer : attn.projection_layers())
+    fill_normal(layer->bias().value, rng, 0.0f, 0.1f);
+  MatrixF x(batch * seq, dim);
+  fill_normal(x, rng);
+
+  const std::vector<Linear*> proj = attn.projection_layers();
+  const MatrixF q = proj[0]->infer(x);
+  const MatrixF k = proj[1]->infer(x);
+  const MatrixF v = proj[2]->infer(x);
+  MatrixF context(x.rows(), dim);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+  std::vector<float> scores(seq);
+  for (std::size_t b = 0; b < batch; ++b) {
+    for (std::size_t h = 0; h < heads; ++h) {
+      const std::size_t col0 = h * head_dim;
+      for (std::size_t s = 0; s < seq; ++s) {
+        for (std::size_t t = 0; t < seq; ++t) {
+          float dot = 0.0f;
+          for (std::size_t d = 0; d < head_dim; ++d)
+            dot += q(b * seq + s, col0 + d) * k(b * seq + t, col0 + d);
+          scores[t] = dot * scale;
+        }
+        softmax_row(scores.data(), seq);
+        for (std::size_t t = 0; t < seq; ++t)
+          for (std::size_t d = 0; d < head_dim; ++d)
+            context(b * seq + s, col0 + d) +=
+                scores[t] * v(b * seq + t, col0 + d);
+      }
+    }
+  }
+  const MatrixF expected = proj[3]->infer(context);
+  EXPECT_TRUE(bit_identical(attn.forward(x), expected));
 }
 
 TEST(Consistency, SoftmaxRowsMatchesLossSoftmax) {

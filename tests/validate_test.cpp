@@ -234,10 +234,77 @@ TEST(ValidateTest, BadBiasShapeIsReported) {
   const auto out = g.add_slot("out");
   g.mark_input(in);
   g.mark_output(out);
-  g.add_gemm("fc", packed.get(), in, out, ExecContext{}, &bias);
+  GemmEpilogue epilogue;
+  epilogue.bias = &bias;
+  g.add_gemm("fc", packed.get(), in, out, ExecContext{}, epilogue);
   const auto findings = validate_graph(g);
   EXPECT_TRUE(has_finding(findings, "shape-mismatch", "bias"))
       << render(findings);
+}
+
+// --------------------------------------------- fixture: GEMM epilogues
+
+TEST(ValidateTest, ResidualWidthOtherThanNIsShapeMismatch) {
+  // "down" adds a 24-column residual to its 32-column output.
+  const auto up = make_packed("dense", random_matrix(16, 24, 9));
+  const auto down = make_packed("dense", random_matrix(16, 32, 10));
+  ExecGraph g;
+  const auto in = g.add_slot("in");
+  const auto side = g.add_slot("side");
+  const auto out = g.add_slot("out");
+  g.mark_input(in);
+  g.mark_output(out);
+  g.add_gemm("up", up.get(), in, side);
+  GemmEpilogue epilogue;
+  epilogue.residual = side;
+  g.add_gemm("down", down.get(), in, out, ExecContext{}, epilogue);
+  const auto findings = validate_graph(g);
+  EXPECT_TRUE(has_finding(findings, "shape-mismatch", "residual slot 'side'"))
+      << render(findings);
+  EXPECT_TRUE(has_finding(findings, "shape-mismatch", "24 columns"))
+      << render(findings);
+  EXPECT_THROW(validate_graph_or_throw(g), GraphValidationError);
+}
+
+TEST(ValidateTest, ResidualAliasingTheOutputIsAnError) {
+  const auto packed = make_packed("dense", random_matrix(16, 32, 11));
+  ExecGraph g;
+  const auto in = g.add_slot("in");
+  const auto out = g.add_slot("out");
+  g.mark_input(in);
+  g.mark_output(out);
+  GemmEpilogue epilogue;
+  epilogue.residual = out;
+  g.add_gemm("fc", packed.get(), in, out, ExecContext{}, epilogue);
+  const auto findings = validate_graph(g);
+  EXPECT_TRUE(has_finding(findings, "aliased-residual", "'fc'"))
+      << render(findings);
+  EXPECT_THROW(validate_graph_or_throw(g), GraphValidationError);
+}
+
+TEST(ValidateTest, ResidualWithoutEdgeToItsProducerIsMissingDep) {
+  const auto packed = make_packed("dense", random_matrix(16, 32, 12));
+  ExecGraph g;
+  g.set_auto_deps(false);
+  const auto in = g.add_slot("in");
+  const auto skip = g.add_slot("skip");
+  const auto out = g.add_slot("out");
+  g.mark_input(in);
+  g.mark_output(out);
+  const auto producer = g.add_host("producer", {in}, {skip}, [](ExecGraph&) {});
+  GemmEpilogue epilogue;
+  epilogue.residual = skip;
+  const auto fc = g.add_gemm("fc", packed.get(), in, out, ExecContext{},
+                             epilogue);
+  const auto findings = validate_graph(g);
+  EXPECT_TRUE(has_finding(findings, "missing-dep", "'producer'"))
+      << render(findings);
+  EXPECT_TRUE(has_finding(findings, "missing-dep", "RAW hazard on slot"))
+      << render(findings);
+  EXPECT_THROW(validate_graph_or_throw(g), GraphValidationError);
+
+  g.add_dep(fc, producer);
+  EXPECT_NO_THROW(validate_graph_or_throw(g));
 }
 
 // ------------------------------------------------- warnings, dead code
