@@ -4,7 +4,6 @@
 #include <atomic>
 #include <stdexcept>
 
-#include "gemm/fused_ops.hpp"
 #include "util/guards.hpp"
 
 namespace tilesparse {
@@ -202,30 +201,9 @@ void ExecGraph::execute_node(NodeId id) {
 
 void ExecGraph::apply_epilogue(const GemmEpilogue& epilogue, MatrixF& c,
                                std::size_t n0) const {
-  const std::size_t cols = c.cols();
-  const float* bias = nullptr;
-  if (epilogue.bias) {
-    TS_CHECK(n0 + cols <= epilogue.bias->cols(),
-             "GEMM epilogue bias is narrower than the output");
-    bias = epilogue.bias->data() + n0;
-  }
-  const MatrixF* residual = nullptr;
-  if (epilogue.residual) {
-    residual = &slot(*epilogue.residual);
-    TS_CHECK(residual->rows() == c.rows() && n0 + cols <= residual->cols(),
-             "GEMM epilogue residual does not cover the output");
-  }
-  const bool gelu = epilogue.activation == GemmActivation::kGelu;
-  for (std::size_t r = 0; r < c.rows(); ++r) {
-    float* row = c.data() + r * cols;
-    if (bias)
-      for (std::size_t j = 0; j < cols; ++j) row[j] += bias[j];
-    if (gelu) gelu_row(row, row, cols);
-    if (residual) {
-      const float* res = residual->data() + r * residual->cols() + n0;
-      for (std::size_t j = 0; j < cols; ++j) row[j] += res[j];
-    }
-  }
+  apply_gemm_epilogue(epilogue.bias, epilogue.activation,
+                      epilogue.residual ? &slot(*epilogue.residual) : nullptr,
+                      c, n0);
 }
 
 void ExecGraph::poison_slots() {

@@ -49,12 +49,10 @@
 
 #include "exec/exec_context.hpp"
 #include "exec/packed_weight.hpp"
+#include "gemm/fused_ops.hpp"
 #include "tensor/matrix.hpp"
 
 namespace tilesparse {
-
-/// Elementwise activation a GEMM epilogue applies after the bias.
-enum class GemmActivation { kNone, kGelu };
 
 /// What a GEMM node does to its output after the matmul, in this order
 /// (forward()'s op order, so graph ≡ forward() bit for bit):
@@ -174,10 +172,10 @@ class ExecGraph {
   void execute_node(NodeId id);
 
   /// Applies `epilogue` to `c`, the block of a GEMM output holding
-  /// columns [n0, n0 + c.cols()) of every row: bias and residual are
-  /// read at those columns.  The one epilogue implementation — whole
+  /// columns [n0, n0 + c.cols()) of every row: resolves the residual
+  /// slot and calls apply_gemm_epilogue (gemm/fused_ops.hpp).  Whole
   /// GEMM nodes, scheduler column shards and host-run Linear layers
-  /// all call it, so every path produces the same bits.
+  /// all go through it, so every path produces the same bits.
   void apply_epilogue(const GemmEpilogue& epilogue, MatrixF& c,
                       std::size_t n0 = 0) const;
 

@@ -7,6 +7,7 @@
 #include <iterator>
 
 #include "gemm/micro_kernel.hpp"
+#include "util/guards.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define TILESPARSE_X86_DISPATCH 1
@@ -18,6 +19,7 @@ namespace {
 
 // GELU lane arithmetic, shared by the scalar and AVX2 bodies:
 //   z = -2u = (x * (1 + 0.044715 x^2)) * (-2 sqrt(2/pi)), clamped to ±88
+//   (z >= 88 gives -0: gelu(x) has underflowed)
 //   e^z = 2^n * p(r),  n = round(z log2 e),  r = z - n ln2 (two-part ln2)
 //   gelu(x) = x / (1 + e^z)
 // Every multiply-add is an explicit FMA and no other product feeds an
@@ -37,6 +39,9 @@ constexpr std::size_t kGeluLanes = 8;
 float gelu_lane(float x) noexcept {
   const float t = std::fma(x * x, kGeluCubic, 1.0f);
   float z = (x * t) * kGeluNeg2SqrtTwoOverPi;
+  // Past the clamp x / (1 + e^z) would divide by e^88, not e^z: the
+  // true value has underflowed, so the lane is -0 (NaN z compares false).
+  if (z >= kExpClamp) return -0.0f;
   // _mm256_max_ps / _mm256_min_ps semantics: a NaN z takes the bound.
   z = z > -kExpClamp ? z : -kExpClamp;
   z = z < kExpClamp ? z : kExpClamp;
@@ -64,6 +69,8 @@ __attribute__((target("avx2,fma"))) inline __m256 gelu_lanes_avx2(__m256 x) {
                                    _mm256_set1_ps(1.0f));
   __m256 z = _mm256_mul_ps(_mm256_mul_ps(x, t),
                            _mm256_set1_ps(kGeluNeg2SqrtTwoOverPi));
+  const __m256 underflow =
+      _mm256_cmp_ps(z, _mm256_set1_ps(kExpClamp), _CMP_GE_OQ);
   z = _mm256_max_ps(z, _mm256_set1_ps(-kExpClamp));
   z = _mm256_min_ps(z, _mm256_set1_ps(kExpClamp));
   const __m256 n =
@@ -76,7 +83,9 @@ __attribute__((target("avx2,fma"))) inline __m256 gelu_lanes_avx2(__m256 x) {
     p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(kExpPoly[k]));
   const __m256 scale = _mm256_castsi256_ps(_mm256_slli_epi32(
       _mm256_add_epi32(_mm256_cvtps_epi32(n), _mm256_set1_epi32(127)), 23));
-  return _mm256_div_ps(x, _mm256_fmadd_ps(p, scale, _mm256_set1_ps(1.0f)));
+  const __m256 y =
+      _mm256_div_ps(x, _mm256_fmadd_ps(p, scale, _mm256_set1_ps(1.0f)));
+  return _mm256_blendv_ps(y, _mm256_set1_ps(-0.0f), underflow);
 }
 
 __attribute__((target("avx2,fma"))) void gelu_row_avx2(const float* in,
@@ -127,6 +136,29 @@ float layer_norm_row(const float* in, float* out, std::size_t n,
     out[j] = nj * gamma[j] + beta[j];
   }
   return inv;
+}
+
+void apply_gemm_epilogue(const MatrixF* bias, GemmActivation activation,
+                         const MatrixF* residual, MatrixF& c,
+                         std::size_t n0) {
+  const std::size_t cols = c.cols();
+  TS_CHECK(!bias || n0 + cols <= bias->cols(),
+           "GEMM epilogue bias is narrower than the output");
+  TS_CHECK(!residual ||
+               (residual->rows() == c.rows() && n0 + cols <= residual->cols()),
+           "GEMM epilogue residual does not cover the output");
+  const float* b = bias ? bias->data() + n0 : nullptr;
+  const bool gelu = activation == GemmActivation::kGelu;
+  for (std::size_t r = 0; r < c.rows(); ++r) {
+    float* row = c.data() + r * cols;
+    if (b)
+      for (std::size_t j = 0; j < cols; ++j) row[j] += b[j];
+    if (gelu) gelu_row(row, row, cols);
+    if (residual) {
+      const float* res = residual->data() + r * residual->cols() + n0;
+      for (std::size_t j = 0; j < cols; ++j) row[j] += res[j];
+    }
+  }
 }
 
 void softmax_row(float* row, std::size_t n) noexcept {

@@ -1,8 +1,6 @@
 #pragma once
-// Non-GEMM row kernels: the one implementation of GELU, LayerNorm and
-// softmax.  Bias (and the residual add) is one add per element, in
-// tensor/ops add_row_bias for layers and in ExecGraph::apply_epilogue
-// for graph GEMM nodes.
+// Non-GEMM row kernels: the one implementation of GELU, LayerNorm,
+// softmax and the GEMM epilogue (bias, activation, residual add).
 //
 // The paper (Sec. VI, "Kernel Fusion") shows the non-GEMM glue is 39%
 // of BERT's time before fusion and 29% after.  Training layers
@@ -24,15 +22,35 @@
 // two levels agree bit for bit.  The ragged tail of a row runs the
 // 8-lane body over a zero-padded buffer: an output's bits depend only
 // on its input value, never on its column, the row length or a shard
-// boundary.
+// boundary.  Where -2u exceeds the clamp (x below about -10, true GELU
+// under 1e-37) the result is -0, so the negative tail stays 0 out to
+// -inf; for x above about 10 the result is x itself, +inf included.
 
 #include <cstddef>
+
+#include "tensor/matrix.hpp"
 
 namespace tilesparse {
 
 /// GELU (tanh approximation, formula above): out[j] = gelu(in[j]) for
-/// j < n.  `in` may equal `out`.  NaN stays NaN and +inf stays +inf.
+/// j < n.  `in` may equal `out`.  NaN stays NaN, +inf stays +inf and
+/// -inf gives -0.
 void gelu_row(const float* in, float* out, std::size_t n) noexcept;
+
+/// Elementwise activation a GEMM epilogue applies after the bias.
+enum class GemmActivation { kNone, kGelu };
+
+/// The GEMM epilogue, in forward()'s op order: for every row of `c`,
+/// c += bias;  c = activation(c);  c += residual.  `c` is the block of
+/// a GEMM output holding columns [n0, n0 + c.cols()), so `bias` (1 x N)
+/// and `residual` (rows x N) are read at those columns; either may be
+/// null.  The one bias and residual add: Linear::infer, graph GEMM
+/// nodes and the scheduler's column shards all call it, so every path
+/// produces the same bits.  Throws CheckError when `bias` or
+/// `residual` does not cover the block.
+void apply_gemm_epilogue(const MatrixF* bias, GemmActivation activation,
+                         const MatrixF* residual, MatrixF& c,
+                         std::size_t n0 = 0);
 
 /// LayerNorm of one row: out[j] = (in[j] - mean) * inv_std * gamma[j] +
 /// beta[j] with inv_std = 1 / sqrt(var + eps).  When `normalized` is

@@ -65,7 +65,7 @@ MatrixF Linear::infer(const MatrixF& x) const {
   } else {
     y = matmul(x, weight_.value);
   }
-  add_row_bias(y, bias_.value);
+  apply_gemm_epilogue(&bias_.value, GemmActivation::kNone, nullptr, y);
   return y;
 }
 
@@ -73,17 +73,18 @@ ExecGraph::NodeId Linear::add_to_graph(
     ExecGraph& graph, ExecGraph::SlotId in, ExecGraph::SlotId out,
     GemmActivation activation,
     std::optional<ExecGraph::SlotId> residual) const {
-  const GemmEpilogue epilogue{&bias_.value, activation, residual};
   if (packed_) {
     return graph.add_gemm(weight_.name, packed_.get(), in, out, ctx_,
-                          epilogue);
+                          GemmEpilogue{&bias_.value, activation, residual});
   }
+  // infer() applies the bias; the rest of the epilogue follows it.
   std::vector<ExecGraph::SlotId> reads{in};
   if (residual) reads.push_back(*residual);
+  const GemmEpilogue rest{nullptr, activation, residual};
   return graph.add_host(weight_.name, std::move(reads), {out},
-                        [this, in, out, epilogue](ExecGraph& g) {
-                          MatrixF y = matmul(g.slot(in), weight_.value);
-                          g.apply_epilogue(epilogue, y);
+                        [this, in, out, rest](ExecGraph& g) {
+                          MatrixF y = infer(g.slot(in));
+                          g.apply_epilogue(rest, y);
                           g.slot(out) = std::move(y);
                         });
 }

@@ -85,7 +85,7 @@ class Linear : public Layer {
   /// `activation` and then `+= slot(residual)` when given — one GEMM
   /// node whose epilogue holds the bias, activation and residual (see
   /// GemmEpilogue).  Without a packed weight the node is a host
-  /// node running the dense matmul and the same epilogue.  Either way
+  /// node running infer() and the rest of the epilogue.  Either way
   /// it produces exactly what forward() followed by the activation
   /// layer and the residual add produces.  The layer must outlive the
   /// graph.

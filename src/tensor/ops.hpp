@@ -42,17 +42,6 @@ std::size_t count_nonzero(const MatrixF& m, float tol = 0.0f);
 /// Element-wise multiply by a {0,1} mask of identical shape.
 void apply_mask(MatrixF& m, const MatrixU8& mask);
 
-/// Adds a 1 x N bias row to every row of `m` (the y = x W + b epilogue
-/// of Linear::infer).  ExecGraph::apply_epilogue applies the bias with
-/// the same one add per element, which graph ≡ forward() relies on.
-inline void add_row_bias(MatrixF& m, const MatrixF& bias) {
-  const float* b = bias.data();
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    float* row = m.data() + r * m.cols();
-    for (std::size_t j = 0; j < m.cols(); ++j) row[j] += b[j];
-  }
-}
-
 /// Quantise every element through IEEE binary16 (tensor-core input path).
 void round_matrix_to_half(MatrixF& m);
 

@@ -220,6 +220,12 @@ struct EpilogueGraph {
   ExecGraph::SlotId in = 0, residual = 0, out = 0;
 };
 
+/// The unfused reference bias add: m[r][j] += bias[j].
+void add_bias_rows(MatrixF& m, const MatrixF& bias) {
+  for (std::size_t r = 0; r < m.rows(); ++r)
+    for (std::size_t j = 0; j < m.cols(); ++j) m(r, j) += bias(0, j);
+}
+
 void build_epilogue_graph(EpilogueGraph& e, const PackedWeight* w1,
                           const MatrixF& b1, const PackedWeight* w2,
                           const MatrixF& b2) {
@@ -255,11 +261,11 @@ TEST(FusedEpilogueTest, BitIdenticalToUnfusedOpsAcrossFormats) {
 
     // Unfused reference: matmul, bias, per-row GELU, residual add.
     MatrixF mid = w1->matmul(ExecContext{}, a);
-    add_row_bias(mid, b1);
+    add_bias_rows(mid, b1);
     for (std::size_t r = 0; r < m; ++r)
       gelu_row(mid.data() + r * n1, mid.data() + r * n1, n1);
     MatrixF expected = w2->matmul(ExecContext{}, mid);
-    add_row_bias(expected, b2);
+    add_bias_rows(expected, b2);
     for (std::size_t i = 0; i < expected.size(); ++i)
       expected.data()[i] += res.data()[i];
 

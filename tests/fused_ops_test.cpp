@@ -126,6 +126,7 @@ std::vector<float> gelu_sweep() {
     }
   }
   x.push_back(std::numeric_limits<float>::infinity());
+  x.push_back(-std::numeric_limits<float>::infinity());
   return x;
 }
 
@@ -180,7 +181,19 @@ TEST(FusedOps, GeluMatchesDoubleReference) {
     double worst = 0.0;
     float worst_x = 0.0f;
     for (std::size_t i = 0; i < x.size(); ++i) {
-      if (std::abs(x[i]) > 12.0f) continue;  // the sweep's saturating tail
+      // The saturating tail, out to ±inf: x above, and below a value no
+      // larger than 1e-30 and never positive (-0 once the kernel's exp
+      // argument passes 88).
+      if (x[i] >= 12.0f) {
+        EXPECT_EQ(y[i], x[i]) << simd_level_name(level) << " x = " << x[i];
+        continue;
+      }
+      if (x[i] <= -12.0f) {
+        EXPECT_LE(y[i], 0.0f) << simd_level_name(level) << " x = " << x[i];
+        EXPECT_LE(std::abs(y[i]), 1e-30f)
+            << simd_level_name(level) << " x = " << x[i];
+        continue;
+      }
       const double err = std::abs(static_cast<double>(y[i]) -
                                   gelu_reference(x[i])) /
                          std::max(1.0, std::abs(static_cast<double>(x[i])));
