@@ -3,6 +3,8 @@
 //  * numerical error of int8 TW execution vs fp32 and fp16 TW,
 //  * measured kernel time (int8 arithmetic is narrower; on real tensor
 //    cores it doubles peak throughput on top of the sparsity win),
+//  * measured time of per-row activation quantisation (quantize_rows,
+//    which every int8 GEMM runs on its A) at each SIMD level,
 // and reports the projected energy per inference from the device model.
 
 #include <cstdio>
@@ -10,6 +12,8 @@
 #include "bench_util.hpp"
 #include "exec/backend_registry.hpp"
 #include "gemm/dense_gemm.hpp"
+#include "gemm/micro_kernel.hpp"
+#include "quant/quantize.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
 
@@ -77,6 +81,35 @@ int main(int argc, char** argv) {
                    format_double(t_int8 * 1e3, 3)});
   }
   table.print();
+
+  Table qtable("Per-row activation quantisation (quantize_rows), measured");
+  qtable.set_header({"M x K", "level", "time (ms)", "GB/s read"});
+  const SimdLevel saved = active_simd_level();
+  std::vector<SimdLevel> levels{SimdLevel::kScalar};
+  if (detected_simd_level() != SimdLevel::kScalar)
+    levels.push_back(detected_simd_level());
+  for (const std::size_t qk : {std::size_t{256}, std::size_t{1024}}) {
+    MatrixF x(m, qk);
+    fill_normal(x, rng, 0.0f, 0.5f);
+    for (const SimdLevel level : levels) {
+      set_simd_level(level);
+      const double t = time_best_of([&] { (void)quantize_rows(x); });
+      BenchRecord record;
+      record.name = std::string("quant_tw/quantize_rows/") +
+                    simd_level_name(level);
+      record.format = "quantize_rows";
+      record.m = m;
+      record.k = qk;
+      record.ns_per_iter = t * 1e9;
+      sink.add(std::move(record));
+      qtable.add_row({std::to_string(m) + " x " + std::to_string(qk),
+                      simd_level_name(level), format_double(t * 1e3, 3),
+                      format_double(x.size() * sizeof(float) / t * 1e-9, 2)});
+    }
+  }
+  set_simd_level(saved);
+  std::puts("");
+  qtable.print();
 
   std::puts("\nProjected V100 energy per BERT inference (device model):");
   const DeviceModel dev = DeviceModel::v100();

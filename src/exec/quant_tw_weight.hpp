@@ -1,10 +1,11 @@
 #pragma once
 // QuantTwWeight — int8 execution of TW-pruned weights: per-tile weight
-// scales, dynamic per-tensor activation scale, int32 accumulation,
-// float output.  Weight precision is inherent to the format (chosen at
-// pack time), so this backend executes the int8 kernel under every
-// requested activation numerics; to_dense() returns the *dequantised*
-// weights, making the reconstruction the arithmetic ground truth.
+// scales, dynamic per-row activation scales (quant/quant_gemm.hpp),
+// int32 accumulation, float output.  Weight precision is inherent to
+// the format (chosen at pack time), so this backend executes the int8
+// kernel under every requested activation numerics; to_dense() returns
+// the *dequantised* weights, making the reconstruction the arithmetic
+// ground truth.
 
 #include <iosfwd>
 #include <memory>
@@ -49,9 +50,11 @@ class QuantTwWeight final : public PackedWeight {
   std::string_view format() const noexcept override { return "tw-int8"; }
   bool supports(Numerics numerics) const noexcept override;
 
-  /// Slices carry each tile's quantisation scale, the activation scale
-  /// is per-tensor from the (unsliced) A, and the int32 accumulation
-  /// is exact, so shard-joins are bit-identical to the serial path.
+  /// Slices carry each tile's quantisation scale, and the int32
+  /// accumulation is exact.  Each activation row's scale comes from
+  /// that full row of A, which every column shard reads whole, so every
+  /// shard quantises A to the same bits and shard-joins are
+  /// bit-identical to the serial path.
   bool col_shardable() const noexcept override { return true; }
   std::unique_ptr<PackedWeight> shard_cols(std::size_t n0,
                                            std::size_t n1) const override;

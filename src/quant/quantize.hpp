@@ -15,7 +15,11 @@ namespace tilesparse {
 
 using MatrixI8 = Matrix<std::int8_t>;
 
-/// A quantised matrix: q = clamp(round(x / scale), -127, 127).
+/// A quantised matrix: q = clamp(lround(x * (1 / scale)), -127, 127),
+/// ties rounding away from zero.  quantize() and quantize_rows() share
+/// one round/clamp body, dispatched on active_simd_level()
+/// (gemm/micro_kernel.hpp): an AVX2 body and a scalar std::lround body
+/// that give the same bits for every input, ragged row tails included.
 struct QuantMatrix {
   MatrixI8 values;
   float scale = 1.0f;

@@ -25,6 +25,8 @@
 #include "util/rng.hpp"
 #include "workload/datasets.hpp"
 
+#include "simd_levels.hpp"
+
 namespace tilesparse {
 namespace {
 
@@ -472,27 +474,6 @@ TEST(PackedInference, ServesFromDeploymentArtifact) {
 // int8) against a naive triple-loop reference at ragged shapes, and the
 // masked path's alpha/beta plumbing at shapes that are not multiples of
 // the register tile.
-
-/// Restores the previous dispatch level on scope exit.
-class ScopedSimdLevel {
- public:
-  explicit ScopedSimdLevel(SimdLevel level) : saved_(active_simd_level()) {
-    set_simd_level(level);
-  }
-  ~ScopedSimdLevel() { set_simd_level(saved_); }
-  ScopedSimdLevel(const ScopedSimdLevel&) = delete;
-  ScopedSimdLevel& operator=(const ScopedSimdLevel&) = delete;
-
- private:
-  SimdLevel saved_;
-};
-
-std::vector<SimdLevel> testable_simd_levels() {
-  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
-  if (detected_simd_level() != SimdLevel::kScalar)
-    levels.push_back(detected_simd_level());
-  return levels;
-}
 
 class MicroKernel : public ::testing::TestWithParam<SimdLevel> {};
 

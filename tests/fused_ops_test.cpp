@@ -13,6 +13,8 @@
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
+#include "simd_levels.hpp"
+
 namespace tilesparse {
 namespace {
 
@@ -56,27 +58,6 @@ TEST(FusedOps, GeluKnownValues) {
 }
 
 // ---------------------------------------------------------------- GELU
-
-/// Restores the previous dispatch level on scope exit.
-class ScopedSimdLevel {
- public:
-  explicit ScopedSimdLevel(SimdLevel level) : saved_(active_simd_level()) {
-    set_simd_level(level);
-  }
-  ~ScopedSimdLevel() { set_simd_level(saved_); }
-  ScopedSimdLevel(const ScopedSimdLevel&) = delete;
-  ScopedSimdLevel& operator=(const ScopedSimdLevel&) = delete;
-
- private:
-  SimdLevel saved_;
-};
-
-std::vector<SimdLevel> testable_simd_levels() {
-  std::vector<SimdLevel> levels{SimdLevel::kScalar};
-  if (detected_simd_level() == SimdLevel::kAvx2)
-    levels.push_back(SimdLevel::kAvx2);
-  return levels;
-}
 
 std::vector<float> gelu_at(SimdLevel level, const std::vector<float>& x) {
   ScopedSimdLevel scoped(level);

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "core/tile_exec.hpp"
 #include "prune/importance.hpp"
@@ -9,6 +14,8 @@
 #include "quant/quantize.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
+
+#include "simd_levels.hpp"
 
 namespace tilesparse {
 namespace {
@@ -43,6 +50,163 @@ TEST(Quantize, AllZeroMatrixIsStable) {
   const QuantMatrix q = quantize(MatrixF(4, 4));
   EXPECT_FLOAT_EQ(q.scale, 1.0f);
   for (auto v : q.values.flat()) EXPECT_EQ(v, 0);
+}
+
+// ------------------------------------------------------ quantize_rows
+
+QuantRowMatrix quantize_rows_at(SimdLevel level, const MatrixF& m) {
+  ScopedSimdLevel scoped(level);
+  return quantize_rows(m);
+}
+
+/// The definition, written out: per-row abs-max scale, then
+/// clamp(lround(x * (1 / scale)), -127, 127).
+QuantRowMatrix quantize_rows_reference(const MatrixF& m) {
+  QuantRowMatrix q;
+  q.values = MatrixI8(m.rows(), m.cols());
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    float abs_max = 0.0f;
+    for (std::size_t j = 0; j < m.cols(); ++j)
+      abs_max = std::max(abs_max, std::fabs(m(r, j)));
+    const float scale = abs_max > 0.0f ? abs_max / 127.0f : 1.0f;
+    const float inv = 1.0f / scale;
+    q.scales.push_back(scale);
+    for (std::size_t j = 0; j < m.cols(); ++j)
+      q.values(r, j) = static_cast<std::int8_t>(
+          std::clamp(std::lround(m(r, j) * inv), -127l, 127l));
+  }
+  return q;
+}
+
+/// Bitwise equality of values and scales, reporting the first mismatch.
+::testing::AssertionResult SameBits(const QuantRowMatrix& a,
+                                    const QuantRowMatrix& b) {
+  if (a.values.rows() != b.values.rows() ||
+      a.values.cols() != b.values.cols())
+    return ::testing::AssertionFailure() << "shape differs";
+  for (std::size_t r = 0; r < a.values.rows(); ++r) {
+    if (std::bit_cast<std::uint32_t>(a.scales[r]) !=
+        std::bit_cast<std::uint32_t>(b.scales[r]))
+      return ::testing::AssertionFailure()
+             << "scale of row " << r << ": " << a.scales[r] << " vs "
+             << b.scales[r];
+    for (std::size_t j = 0; j < a.values.cols(); ++j)
+      if (a.values(r, j) != b.values(r, j))
+        return ::testing::AssertionFailure()
+               << "(" << r << ", " << j << "): " << int{a.values(r, j)}
+               << " vs " << int{b.values(r, j)};
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(QuantizeRows, GoldenRowRoundsTiesAwayFromZero) {
+  const std::vector<float> row = {127.0f, 2.5f, -2.5f, 0.5f,
+                                  -0.5f,  1.5f, -126.5f};
+  const std::vector<int> expected = {127, 3, -3, 1, -1, 2, -127};
+  MatrixF m(1, row.size());
+  std::copy(row.begin(), row.end(), m.data());
+  for (const SimdLevel level : testable_simd_levels()) {
+    SCOPED_TRACE(simd_level_name(level));
+    const QuantRowMatrix q = quantize_rows_at(level, m);
+    EXPECT_EQ(q.scales[0], 1.0f);
+    for (std::size_t j = 0; j < row.size(); ++j)
+      EXPECT_EQ(int{q.values(0, j)}, expected[j]) << "x = " << row[j];
+  }
+}
+
+TEST(QuantizeRows, EveryLevelMatchesLroundAtEveryWidth) {
+  // Widths 1..1100 cover every ragged tail of the 8- and 32-lane bodies.
+  // Odd rows plant exact .5 ties: the row's max is 127 * 2^e, so its
+  // scale is 2^e and (k + 0.5) * 2^e scales to k + 0.5 exactly.  Every
+  // fifth row is all zero (scale 1).
+  Rng rng(11);
+  for (std::size_t width = 1; width <= 1100; ++width) {
+    MatrixF m(3, width);
+    fill_normal(m, rng, 0.0f, 2.0f);
+    const float pow2 = std::ldexp(1.0f, static_cast<int>(width % 9) - 4);
+    for (std::size_t j = 0; j < width; ++j) {
+      const float k = std::floor(m(1, j) * 20.0f);
+      m(1, j) = std::clamp(k + 0.5f, -126.5f, 126.5f) * pow2;
+    }
+    m(1, width / 2) = (width % 2 ? -127.0f : 127.0f) * pow2;
+    if (width % 5 == 0)
+      for (std::size_t j = 0; j < width; ++j) m(2, j) = 0.0f;
+    const QuantRowMatrix expected = quantize_rows_reference(m);
+    for (const SimdLevel level : testable_simd_levels()) {
+      const QuantRowMatrix q = quantize_rows_at(level, m);
+      ASSERT_TRUE(SameBits(q, expected))
+          << simd_level_name(level) << ", width " << width;
+    }
+    if (width % 5 == 0) {
+      EXPECT_EQ(expected.scales[2], 1.0f);
+      for (std::size_t j = 0; j < width; ++j)
+        EXPECT_EQ(expected.values(2, j), 0);
+    }
+  }
+}
+
+TEST(QuantizeRows, DegenerateRowsMatchAcrossLevels) {
+  // NaN elements, infinities, and a row whose scale is so small that
+  // 1 / scale overflows: the levels still agree bit for bit.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  MatrixF m(3, 37);
+  Rng rng(12);
+  fill_normal(m, rng, 0.0f, 1.0f);
+  m(0, 3) = nan;
+  m(0, 36) = -nan;
+  m(1, 5) = inf;
+  m(1, 30) = -inf;
+  for (std::size_t j = 0; j < m.cols(); ++j) m(2, j) *= 1e-38f;
+  const QuantRowMatrix scalar = quantize_rows_at(SimdLevel::kScalar, m);
+  for (const SimdLevel level : testable_simd_levels())
+    EXPECT_TRUE(SameBits(quantize_rows_at(level, m), scalar))
+        << simd_level_name(level);
+}
+
+TEST(QuantizeRows, RowQuantizesAloneAsInBatch) {
+  // Row r of a batch depends only on row r: the basis of batched ≡ solo
+  // for dynamic activation quantisation.
+  Rng rng(13);
+  MatrixF batch(9, 203);
+  fill_normal(batch, rng, 0.0f, 1.0f);
+  for (std::size_t j = 0; j < batch.cols(); ++j) {
+    batch(2, j) *= 1e3f;
+    batch(5, j) *= 1e-3f;
+    batch(7, j) = 0.0f;
+  }
+  for (const SimdLevel level : testable_simd_levels()) {
+    SCOPED_TRACE(simd_level_name(level));
+    const QuantRowMatrix all = quantize_rows_at(level, batch);
+    for (std::size_t r = 0; r < batch.rows(); ++r) {
+      MatrixF row(1, batch.cols());
+      std::copy_n(batch.data() + r * batch.cols(), batch.cols(), row.data());
+      const QuantRowMatrix solo = quantize_rows_at(level, row);
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(solo.scales[0]),
+                std::bit_cast<std::uint32_t>(all.scales[r]));
+      EXPECT_TRUE(std::equal(solo.values.data(),
+                             solo.values.data() + batch.cols(),
+                             all.values.data() + r * batch.cols()))
+          << "row " << r;
+    }
+  }
+}
+
+TEST(Quantize, PerTensorMatchesAcrossLevels) {
+  // quantize() runs the same row body over the whole tensor.
+  const MatrixF m = random_matrix(37, 29, 14);
+  const QuantMatrix scalar = [&] {
+    ScopedSimdLevel scoped(SimdLevel::kScalar);
+    return quantize(m);
+  }();
+  for (const SimdLevel level : testable_simd_levels()) {
+    ScopedSimdLevel scoped(level);
+    const QuantMatrix q = quantize(m);
+    EXPECT_EQ(q.scale, scalar.scale);
+    EXPECT_TRUE(std::equal(q.values.flat().begin(), q.values.flat().end(),
+                           scalar.values.flat().begin()))
+        << simd_level_name(level);
+  }
 }
 
 TEST(QuantGemm, DenseInt8CloseToFloat) {
