@@ -135,25 +135,22 @@ int main(int argc, char** argv) {
   calib.dense_gflops = 2.0 * dense_rate * 1e-9;
 
   // Tile-shard overhead: time the wide dense matmul whole vs split
-  // into 4 column shards run back-to-back (slice dispatch + join cost
+  // into 4 column ranges run back-to-back (range dispatch + join cost
   // with zero overlap); the per-shard surcharge prices shard dispatch
   // for the scheduler.
   {
     constexpr std::size_t kShards = 4;
-    std::vector<std::unique_ptr<PackedWeight>> shards;
     std::vector<MatrixF> parts;
-    for (std::size_t s = 0; s < kShards; ++s) {
-      const std::size_t n0 = s * kn / kShards, n1 = (s + 1) * kn / kShards;
-      shards.push_back(dense->shard_cols(n0, n1));
-      parts.emplace_back(m, n1 - n0);
-    }
+    for (std::size_t s = 0; s < kShards; ++s)
+      parts.emplace_back(m, (s + 1) * kn / kShards - s * kn / kShards);
     const ExecContext shard_ctx;
     const double t_whole =
         time_best_of([&] { dense->matmul(shard_ctx, a, c); }, 7);
     const double t_shards = time_best_of(
         [&] {
           for (std::size_t s = 0; s < kShards; ++s) {
-            shards[s]->matmul(shard_ctx, a, parts[s]);
+            dense->matmul(shard_ctx, a, parts[s], s * kn / kShards,
+                          (s + 1) * kn / kShards);
             for (std::size_t r = 0; r < m; ++r)
               std::memcpy(c.data() + r * kn + s * kn / kShards,
                           parts[s].data() + r * parts[s].cols(),

@@ -39,19 +39,15 @@ class CsrWeight final : public PackedWeight {
   double macs(std::size_t m) const noexcept override;
   std::string_view format() const noexcept override { return "csr"; }
 
-  /// The SpMM kernel scatters each output column's terms in ascending
-  /// K order independent of the other columns, so a CSR column slice
-  /// executes bit-identically.
-  bool col_shardable() const noexcept override { return true; }
-  std::unique_ptr<PackedWeight> shard_cols(std::size_t n0,
-                                           std::size_t n1) const override;
-
   const CsrStore& csr() const noexcept { return csr_; }
   const CsrPanels& panels() const noexcept { return panels_; }
 
  protected:
-  void accumulate(const ExecContext& ctx, const MatrixF& a,
-                  MatrixF& c) const override;
+  /// The SpMM kernel accumulates each output column's terms in
+  /// ascending K order independent of the other columns, so a column
+  /// range (the panel strips it touches) executes bit-identically.
+  void accumulate(const ExecContext& ctx, const MatrixF& a, MatrixF& c,
+                  std::size_t n0, std::size_t n1) const override;
 
  private:
   explicit CsrWeight(CsrStore csr);
@@ -59,7 +55,6 @@ class CsrWeight final : public PackedWeight {
   CsrStore csr_;
   /// Strip-partitioned execution layout, built once at pack time (the
   /// CSR itself stays authoritative for serialization / to_dense).
-  /// Shards rebuild their own panels from the sliced CSR in the ctor.
   CsrPanels panels_;
 };
 

@@ -45,33 +45,22 @@ double DenseWeight::macs(std::size_t m) const noexcept {
 
 bool DenseWeight::supports(Numerics) const noexcept { return true; }
 
-std::unique_ptr<PackedWeight> DenseWeight::shard_cols(std::size_t n0,
-                                                      std::size_t n1) const {
-  if (n0 >= n1 || n1 > n())
-    throw std::invalid_argument("DenseWeight::shard_cols: bad column range");
-  MatrixF slice(k(), n1 - n0);
-  for (std::size_t r = 0; r < k(); ++r) {
-    const float* src = weights_.data() + r * n() + n0;
-    float* dst = slice.data() + r * slice.cols();
-    for (std::size_t j = 0; j < slice.cols(); ++j) dst[j] = src[j];
-  }
-  return std::make_unique<DenseWeight>(std::move(slice), config_);
-}
-
 void DenseWeight::accumulate(const ExecContext& ctx, const MatrixF& a,
-                             MatrixF& c) const {
+                             MatrixF& c, std::size_t n0,
+                             std::size_t n1) const {
   if (ctx.int8()) {
     // Dynamic activation quantisation; the weight copy quantises once.
     std::call_once(quantized_once_, [this] { quantized_ = quantize(weights_); });
     const MatrixF q = quant_matmul(quantize(a), quantized_);
-    for (std::size_t i = 0; i < c.size(); ++i) c.data()[i] += q.data()[i];
+    for (std::size_t r = 0; r < c.rows(); ++r)
+      for (std::size_t j = n0; j < n1; ++j) c(r, j - n0) += q(r, j);
     return;
   }
   std::call_once(packed_b_once_,
                  [this] { packed_b_ = pack_dense_b(weights_, config_); });
   GemmConfig config = config_;
   config.fp16_inputs = ctx.fp16();
-  dense_gemm(a, packed_b_, c, /*alpha=*/1.0f, /*beta=*/1.0f, config);
+  dense_gemm(a, packed_b_, c, /*alpha=*/1.0f, /*beta=*/1.0f, config, n0);
 }
 
 }  // namespace tilesparse

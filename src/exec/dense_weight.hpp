@@ -35,16 +35,14 @@ class DenseWeight final : public PackedWeight {
   std::string_view format() const noexcept override { return "dense"; }
   bool supports(Numerics numerics) const noexcept override;
 
-  /// Dense columns are independent (the micro-kernel accumulates each
-  /// output column over K in a fixed order regardless of which columns
-  /// share the panel), so a column slice executes bit-identically.
-  bool col_shardable() const noexcept override { return true; }
-  std::unique_ptr<PackedWeight> shard_cols(std::size_t n0,
-                                           std::size_t n1) const override;
-
  protected:
-  void accumulate(const ExecContext& ctx, const MatrixF& a,
-                  MatrixF& c) const override;
+  /// Column ranges run only the packed-B strips they touch; the
+  /// micro-kernel accumulates each output column over K in a fixed
+  /// order regardless of which columns share the strip, so a range is
+  /// bit-identical.  int8 activations (per-tensor scales) compute the
+  /// whole product and add the range's columns.
+  void accumulate(const ExecContext& ctx, const MatrixF& a, MatrixF& c,
+                  std::size_t n0, std::size_t n1) const override;
   bool native_fp16() const noexcept override { return true; }
 
  private:

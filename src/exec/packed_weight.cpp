@@ -45,13 +45,6 @@ bool PackedWeight::supports(Numerics numerics) const noexcept {
   return numerics != Numerics::kInt8;
 }
 
-std::unique_ptr<PackedWeight> PackedWeight::shard_cols(std::size_t,
-                                                       std::size_t) const {
-  throw std::logic_error(std::string("PackedWeight::shard_cols: format '") +
-                         std::string(format()) +
-                         "' does not support exact column slicing");
-}
-
 void PackedWeight::save(std::ostream&) const {
   throw std::logic_error(std::string("PackedWeight::save: format '") +
                          std::string(format()) +
@@ -61,6 +54,21 @@ void PackedWeight::save(std::ostream&) const {
 
 void PackedWeight::matmul(const ExecContext& ctx, const MatrixF& a,
                           MatrixF& c) const {
+  run(ctx, a, c, 0, n_);
+}
+
+void PackedWeight::matmul(const ExecContext& ctx, const MatrixF& a, MatrixF& c,
+                          std::size_t n0, std::size_t n1) const {
+  if (n0 >= n1 || n1 > n_) {
+    throw std::invalid_argument(
+        "PackedWeight::matmul: bad column range [" + std::to_string(n0) +
+        ", " + std::to_string(n1) + ") of N = " + std::to_string(n_));
+  }
+  run(ctx, a, c, n0, n1);
+}
+
+void PackedWeight::run(const ExecContext& ctx, const MatrixF& a, MatrixF& c,
+                       std::size_t n0, std::size_t n1) const {
   // Kernel-entry fault site: the one gate every GEMM kernel family runs
   // behind, and still outside the OpenMP regions so an injected
   // exception unwinds safely (see util/fault_injection.hpp).
@@ -70,10 +78,11 @@ void PackedWeight::matmul(const ExecContext& ctx, const MatrixF& a,
                                 std::to_string(a.cols()) +
                                 " cols, weight K = " + std::to_string(k_));
   }
-  if (c.rows() != a.rows() || c.cols() != n_) {
+  const std::size_t width = n1 - n0;
+  if (c.rows() != a.rows() || c.cols() != width) {
     throw std::invalid_argument("PackedWeight::matmul: C must be " +
                                 std::to_string(a.rows()) + " x " +
-                                std::to_string(n_));
+                                std::to_string(width));
   }
   if (!supports(ctx.numerics)) {
     throw std::invalid_argument(std::string("PackedWeight::matmul: format '") +
@@ -87,7 +96,7 @@ void PackedWeight::matmul(const ExecContext& ctx, const MatrixF& a,
   } else if (ctx.beta != 1.0f) {
     for (float& v : c.flat()) v *= ctx.beta;
   }
-  if (ctx.alpha == 0.0f || a.rows() == 0 || k_ == 0 || n_ == 0) return;
+  if (ctx.alpha == 0.0f || a.rows() == 0 || k_ == 0 || width == 0) return;
 
   // Non-native fp16: round a copy of A through binary16 so every format
   // sees identical tensor-core activation numerics.
@@ -101,18 +110,18 @@ void PackedWeight::matmul(const ExecContext& ctx, const MatrixF& a,
 
   ThreadScope scope(ctx.threads);
   if (ctx.alpha == 1.0f) {
-    accumulate(ctx, *input, c);
+    accumulate(ctx, *input, c, n0, n1);
     return;
   }
   if (ctx.beta == 0.0f) {
     // C was just zeroed: accumulate then scale in place.
-    accumulate(ctx, *input, c);
+    accumulate(ctx, *input, c, n0, n1);
     for (float& v : c.flat()) v *= ctx.alpha;
     return;
   }
   // General case: accumulate into scratch, then C += alpha * scratch.
-  MatrixF scratch(a.rows(), n_);
-  accumulate(ctx, *input, scratch);
+  MatrixF scratch(a.rows(), width);
+  accumulate(ctx, *input, scratch, n0, n1);
   for (std::size_t i = 0; i < c.size(); ++i)
     c.data()[i] += ctx.alpha * scratch.data()[i];
 }

@@ -16,6 +16,14 @@
 // int8 weights dequantised), so for every format
 //   matmul(ctx, A, C)  ==  dense_gemm(A, to_dense(), C)
 // up to the format's arithmetic (exact for fp32 formats).
+//
+// Column ranges: matmul(ctx, A, C, n0, n1) computes only output
+// columns [n0, n1), reading the same packed storage (panels, tiles,
+// an mmap'd image) the whole-matrix call reads.  Every format keeps
+// each output column's accumulation order whatever range it falls in,
+// so a range is bit-identical to those columns of the whole product —
+// the property the ExecScheduler's wide-N shards rely on.  The
+// whole-matrix matmul is the [0, N) range.
 
 #include <cstddef>
 #include <iosfwd>
@@ -37,6 +45,12 @@ class PackedWeight {
   /// Throws std::invalid_argument on shape mismatch or when the context
   /// requests numerics the format cannot execute (see supports()).
   void matmul(const ExecContext& ctx, const MatrixF& a, MatrixF& c) const;
+
+  /// Columns [n0, n1) of the above: C is M x (n1 - n0) and receives
+  /// alpha * A * W[:, n0:n1] + beta * C.  Also throws
+  /// std::invalid_argument on an empty or out-of-range column range.
+  void matmul(const ExecContext& ctx, const MatrixF& a, MatrixF& c,
+              std::size_t n0, std::size_t n1) const;
 
   /// Allocating convenience: returns alpha * A * W (beta ignored).
   MatrixF matmul(const ExecContext& ctx, const MatrixF& a) const;
@@ -76,34 +90,19 @@ class PackedWeight {
   /// or a format that quantises dynamically.
   virtual bool supports(Numerics numerics) const noexcept;
 
-  /// True when shard_cols() can slice this format exactly.  A format
-  /// may claim shardability only when, for every output element, the
-  /// slice accumulates the same terms in the same order as the whole
-  /// weight — so a shard-and-join matmul is bit-identical to the
-  /// unsharded one.  All five built-in formats qualify: dense and csr
-  /// are column-independent, the tile formats slice tiles at column
-  /// boundaries with kept_rows (and per-tile int8 scales) carried
-  /// unchanged.  Custom backends stay unshardable until they opt in.
-  virtual bool col_shardable() const noexcept { return false; }
-
-  /// Returns a packed weight executing only columns [n0, n1) of this
-  /// one (K x (n1 - n0)); used by the ExecScheduler to split very
-  /// wide-N GEMM nodes across streams.  Throws std::logic_error when
-  /// the format is not col_shardable(), std::invalid_argument on an
-  /// empty or out-of-range column range.
-  virtual std::unique_ptr<PackedWeight> shard_cols(std::size_t n0,
-                                                   std::size_t n1) const;
-
   std::size_t k() const noexcept { return k_; }
   std::size_t n() const noexcept { return n_; }
 
  protected:
   PackedWeight(std::size_t k, std::size_t n) : k_(k), n_(n) {}
 
-  /// C += A * W under `ctx` numerics (alpha/beta already handled by the
-  /// public wrapper; implementations must only accumulate).
+  /// C += A * W[:, n0:n1] under `ctx` numerics, C being M x (n1 - n0)
+  /// (alpha/beta and range checks already handled by the public
+  /// wrapper; implementations must only accumulate, in the per-column
+  /// order of the whole product).
   virtual void accumulate(const ExecContext& ctx, const MatrixF& a,
-                          MatrixF& c) const = 0;
+                          MatrixF& c, std::size_t n0,
+                          std::size_t n1) const = 0;
 
   /// True when the backend's kernels apply fp16 rounding themselves, so
   /// the wrapper must not pre-round A.
@@ -111,12 +110,15 @@ class PackedWeight {
 
   /// Installed by the load factories: keeps the artifact image alive
   /// for as long as this weight borrows storage from it.  Owning
-  /// weights (packed or sharded) leave it null.
+  /// (packed) weights leave it null.
   void set_storage_keepalive(StorageKeepalive keepalive) noexcept {
     keepalive_ = std::move(keepalive);
   }
 
  private:
+  void run(const ExecContext& ctx, const MatrixF& a, MatrixF& c,
+           std::size_t n0, std::size_t n1) const;
+
   std::size_t k_ = 0;
   std::size_t n_ = 0;
   StorageKeepalive keepalive_;

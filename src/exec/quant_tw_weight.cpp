@@ -41,7 +41,7 @@ std::unique_ptr<QuantTwWeight> QuantTwWeight::load(MappedArtifact& in,
     const ConstSpan<std::int32_t> kept_rows = in.array<std::int32_t>();
     const ConstSpan<std::int32_t> out_cols = in.array<std::int32_t>();
     // Index vectors are a few percent of the payload; copy them so
-    // grouping/slicing code keeps plain vectors.
+    // the kernels' column-range lookups keep plain vectors.
     tile.kept_rows.assign(kept_rows.begin(), kept_rows.end());
     tile.out_cols.assign(out_cols.begin(), out_cols.end());
     const auto rows = in.pod<std::uint64_t>();
@@ -89,41 +89,9 @@ double QuantTwWeight::macs(std::size_t m) const noexcept {
 
 bool QuantTwWeight::supports(Numerics) const noexcept { return true; }
 
-std::unique_ptr<PackedWeight> QuantTwWeight::shard_cols(std::size_t n0,
-                                                        std::size_t n1) const {
-  if (n0 >= n1 || n1 > n())
-    throw std::invalid_argument("QuantTwWeight::shard_cols: bad column range");
-  // Mirrors slice_masked_tiles, but keeps each surviving tile's scale:
-  // re-quantising the slice would shift results vs the serial path.
-  std::vector<QuantMaskedTile> sliced;
-  for (const QuantMaskedTile& tile : tiles_) {
-    std::size_t j0 = tile.out_cols.size(), j1 = 0;
-    for (std::size_t j = 0; j < tile.out_cols.size(); ++j) {
-      const auto col = static_cast<std::size_t>(tile.out_cols[j]);
-      if (col < n0 || col >= n1) continue;
-      j0 = std::min(j0, j);
-      j1 = j + 1;  // out_cols ascend, so the overlap is contiguous
-    }
-    if (j0 >= j1) continue;
-    QuantMaskedTile out;
-    out.scale = tile.scale;
-    out.kept_rows = tile.kept_rows;
-    const std::size_t width = j1 - j0;
-    out.out_cols.reserve(width);
-    for (std::size_t j = j0; j < j1; ++j)
-      out.out_cols.push_back(tile.out_cols[j] - static_cast<std::int32_t>(n0));
-    out.weights = MatrixI8(tile.kept_rows.size(), width);
-    for (std::size_t t = 0; t < tile.kept_rows.size(); ++t)
-      for (std::size_t j = 0; j < width; ++j)
-        out.weights(t, j) = tile.weights(t, j0 + j);
-    sliced.push_back(std::move(out));
-  }
-  return std::make_unique<QuantTwWeight>(std::move(sliced), k(), n1 - n0);
-}
-
 void QuantTwWeight::accumulate(const ExecContext&, const MatrixF& a,
-                               MatrixF& c) const {
-  quant_tw_gemm(a, tiles_, c);
+                               MatrixF& c, std::size_t n0, std::size_t) const {
+  quant_tw_gemm(a, tiles_, c, n0);
 }
 
 }  // namespace tilesparse

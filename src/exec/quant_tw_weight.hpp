@@ -50,20 +50,16 @@ class QuantTwWeight final : public PackedWeight {
   std::string_view format() const noexcept override { return "tw-int8"; }
   bool supports(Numerics numerics) const noexcept override;
 
-  /// Slices carry each tile's quantisation scale, and the int32
-  /// accumulation is exact.  Each activation row's scale comes from
-  /// that full row of A, which every column shard reads whole, so every
-  /// shard quantises A to the same bits and shard-joins are
-  /// bit-identical to the serial path.
-  bool col_shardable() const noexcept override { return true; }
-  std::unique_ptr<PackedWeight> shard_cols(std::size_t n0,
-                                           std::size_t n1) const override;
-
   const std::vector<QuantMaskedTile>& tiles() const noexcept { return tiles_; }
 
  protected:
-  void accumulate(const ExecContext& ctx, const MatrixF& a,
-                  MatrixF& c) const override;
+  /// A column range runs the in-range columns of the same int8 tiles,
+  /// with their scales, and the int32 accumulation is exact.  Each
+  /// activation row's scale comes from that full row of A, which every
+  /// range reads whole, so every range quantises A to the same bits
+  /// and is bit-identical to the whole product.
+  void accumulate(const ExecContext& ctx, const MatrixF& a, MatrixF& c,
+                  std::size_t n0, std::size_t n1) const override;
   bool native_fp16() const noexcept override { return true; }
 
  private:

@@ -22,7 +22,7 @@ constexpr double kFallbackDenseGflops = 8.0;
 
 ExecScheduler::ExecScheduler(SchedulerOptions options, ThreadPool* pool)
     : options_(options), pool_(pool ? pool : &ThreadPool::global()) {
-  if (options_.min_shard_cols == 0) options_.min_shard_cols = 1;
+  if (options_.min_shard_width == 0) options_.min_shard_width = 1;
 }
 
 std::size_t ExecScheduler::streams() const noexcept {
@@ -31,12 +31,11 @@ std::size_t ExecScheduler::streams() const noexcept {
 
 std::size_t ExecScheduler::shard_count(const ExecGraph::Node& node) const {
   if (node.kind != ExecGraph::NodeKind::kGemm) return 1;
-  if (!options_.shard_wide_n) return 1;
   const std::size_t streams = this->streams();
   if (streams < 2) return 1;
   // Per-tensor dynamic int8 scales are a property of the *whole*
-  // weight; slicing would re-quantise and change results.
-  if (!node.weight->col_shardable() || node.ctx.int8()) return 1;
+  // product: every shard would quantise and multiply all of it.
+  if (node.ctx.int8()) return 1;
 
   const PlannerCalibration& calibration =
       options_.calibration ? *options_.calibration : planner_calibration();
@@ -56,7 +55,7 @@ std::size_t ExecScheduler::shard_count(const ExecGraph::Node& node) const {
       std::max(1.0, gflops * overhead_us * 1e3 / 2.0);
   const double macs = node.weight->macs(options_.reference_m);
   const auto by_cost = static_cast<std::size_t>(macs / min_macs_per_shard);
-  const std::size_t by_cols = node.weight->n() / options_.min_shard_cols;
+  const std::size_t by_cols = node.weight->n() / options_.min_shard_width;
   return std::max<std::size_t>(1, std::min({streams, by_cost, by_cols}));
 }
 
@@ -85,16 +84,15 @@ ExecScheduler::Plan& ExecScheduler::prepare(ExecGraph& graph) {
     for (std::size_t s = 0; s < count; ++s) {
       const std::size_t n1 = n0 + base + (s < rem ? 1 : 0);
       Shard shard;
-      shard.weight = nodes[i].weight->shard_cols(n0, n1);
       shard.n0 = n0;
       shard.n1 = n1;
       plan.node_plans[i].shards.push_back(std::move(shard));
       n0 = n1;
     }
-    if (options_.validate && !plan.node_plans[i].shards.empty()) {
-      // Audit the *actual* plan, not a re-derivation: the slices above
-      // are what will execute, so a shard_cols implementation that
-      // mis-shapes a slice is caught before it computes a single MAC.
+    if (options_.validate) {
+      // Audit the *actual* plan: the ranges above are what will
+      // execute, so a gap or an overlap is caught before it computes a
+      // single MAC.
       std::vector<std::pair<std::size_t, std::size_t>> slices;
       slices.reserve(plan.node_plans[i].shards.size());
       for (const Shard& shard : plan.node_plans[i].shards)
@@ -190,7 +188,7 @@ void ExecScheduler::run(ExecGraph& graph) {
       std::find(validated_build_ids_.begin(), validated_build_ids_.end(),
                 graph.build_id()) == validated_build_ids_.end()) {
     // One static pass per graph: def-use, hazard coverage, acyclicity,
-    // shapes, shard plans.  Throws GraphValidationError (all findings
+    // shapes.  Throws GraphValidationError (all findings
     // listed) instead of dispatching a malformed plan.  The validated
     // set is a bounded ring for the same reason the plan cache is an
     // LRU: one worker's scheduler runs graphs of several entries.
@@ -229,7 +227,7 @@ void ExecScheduler::execute_task(ExecGraph& graph, Plan& plan,
     const std::size_t width = shard.n1 - shard.n0;
     if (shard.scratch.rows() != a.rows() || shard.scratch.cols() != width)
       shard.scratch = MatrixF(a.rows(), width);
-    shard.weight->matmul(node.ctx, a, shard.scratch);
+    node.weight->matmul(node.ctx, a, shard.scratch, shard.n0, shard.n1);
     graph.apply_epilogue(node.epilogue, shard.scratch, shard.n0);
     return;
   }

@@ -13,15 +13,17 @@
 //
 // Wide-N sharding: a GEMM whose output is very wide can be split into
 // column shards with a final join (the second axis of the paper's
-// scheme).  Shards are exact column slices of the packed weight —
-// PackedWeight::shard_cols(), implemented by the formats whose column
-// arithmetic is independent (dense, csr) — each computing its columns
-// into private scratch; the join copies them into the output slot and
-// applies the bias.  Per output element the accumulation sequence is
-// the one the whole weight would have used, so sharded results stay
-// bit-identical too.  Shard granularity comes from the
-// PlannerCalibration cost model: a shard must carry enough MACs to
-// amortise one dispatch, measured against the host's dense rate.
+// scheme).  A shard is a column range [n0, n1) of the node's one
+// packed weight, not a copy of it: it runs
+// PackedWeight::matmul(ctx, A, C, n0, n1), which every format executes
+// on its own storage, into private scratch, then applies the node's
+// epilogue (bias, GELU, residual) to its own columns; the join copies
+// the shards into the output slot.  Per output element the
+// accumulation sequence is the one the whole weight would have used,
+// so sharded results stay bit-identical too.  Shard granularity comes
+// from the PlannerCalibration cost model: a shard must carry enough
+// MACs to amortise one dispatch, measured against the host's dense
+// rate.
 //
 // Thread budget: a node's ExecContext.threads still bounds the OpenMP
 // parallelism *inside* its kernel, so "S streams x T threads each"
@@ -46,17 +48,14 @@ struct SchedulerOptions {
   std::size_t streams = 0;
   /// Statically verify the graph (exec/validate.hpp) once per graph
   /// build id before the first dispatch — def-use, hazard-edge
-  /// completeness, acyclicity, shapes, shard plans.  run() throws
+  /// completeness, acyclicity, shapes — and audit every shard plan the
+  /// scheduler builds (gap, overlap, coverage of [0, N)).  run() throws
   /// GraphValidationError listing every finding on a malformed graph.
   bool validate = true;
-  /// Split very wide GEMM outputs into column shards.  All five
-  /// built-in formats slice exactly (tile formats carry kept_rows and
-  /// per-tile scales through the slice); int8 *activation* nodes are
-  /// still never sharded — the dense backend's dynamic per-tensor
-  /// weight scale is a whole-matrix property.
-  bool shard_wide_n = true;
-  /// Never split below this many output columns per shard.
-  std::size_t min_shard_cols = 32;
+  /// Never split a GEMM below this many output columns per shard.
+  /// int8 *activation* nodes are never sharded: the dense backend's
+  /// dynamic per-tensor scales are a whole-matrix property.
+  std::size_t min_shard_width = 32;
   /// Activation rows assumed when sizing shards (the plan is built
   /// before inputs exist; serving batches near this keep shards
   /// balanced).
@@ -109,8 +108,8 @@ class ExecScheduler {
   const RunStats& last_stats() const noexcept { return stats_; }
 
  private:
+  /// Columns [n0, n1) of the node's weight; holds no weight data.
   struct Shard {
-    std::unique_ptr<PackedWeight> weight;  ///< columns [n0, n1) of the node's weight
     std::size_t n0 = 0, n1 = 0;
     MatrixF scratch;  ///< m x (n1 - n0), reused across runs
   };
@@ -149,10 +148,10 @@ class ExecScheduler {
   SchedulerOptions options_;
   ThreadPool* pool_;
   const CancelToken* cancel_ = nullptr;
-  // Plan cache: shard slices repack weight columns and the task DAG
-  // expansion allocates, so both are built once per (graph build id,
-  // node count, stream count) — the serving hot path re-runs the same
-  // graph per request, whatever its M.  A small LRU (not a single
+  // Plan cache: the task DAG expansion allocates and each shard keeps
+  // its run scratch, so plans are built once per (graph build id, node
+  // count, stream count) — the serving hot path re-runs the same graph
+  // per request, whatever its M.  A small LRU (not a single
   // entry) because one worker's scheduler runs the graphs of several
   // batch entries; one slot would replan on every alternation.
   // Models allocate a fresh ExecGraph (fresh build id) whenever weights

@@ -26,36 +26,6 @@ TewWeight::TewWeight(std::size_t k, std::size_t n, TilePattern pattern,
       remainder_(std::move(remainder)),
       panels_(prepack_all_tile_panels(tiles_)) {}
 
-namespace {
-
-/// Column-slices a TilePattern to [n0, n1), mirroring
-/// slice_masked_tiles so the shard's pattern metadata stays consistent
-/// with its tiles (every kept column in exactly one tile).
-TilePattern slice_pattern_cols(const TilePattern& pattern, std::size_t n0,
-                               std::size_t n1) {
-  TilePattern out;
-  out.k = pattern.k;
-  out.n = n1 - n0;
-  out.g = pattern.g;
-  if (pattern.col_keep.size() >= n1)
-    out.col_keep.assign(pattern.col_keep.begin() + static_cast<std::ptrdiff_t>(n0),
-                        pattern.col_keep.begin() + static_cast<std::ptrdiff_t>(n1));
-  for (const TwTile& tile : pattern.tiles) {
-    TwTile sliced;
-    for (std::int32_t col : tile.out_cols) {
-      const auto c = static_cast<std::size_t>(col);
-      if (c >= n0 && c < n1)
-        sliced.out_cols.push_back(col - static_cast<std::int32_t>(n0));
-    }
-    if (sliced.out_cols.empty()) continue;
-    sliced.row_keep = tile.row_keep;
-    out.tiles.push_back(std::move(sliced));
-  }
-  return out;
-}
-
-}  // namespace
-
 void TewWeight::save(std::ostream& out) const {
   write_pattern(out, pattern_);
   write_tiles(out, tiles_);
@@ -115,25 +85,12 @@ double TewWeight::macs(std::size_t m) const noexcept {
   return total;
 }
 
-std::unique_ptr<PackedWeight> TewWeight::shard_cols(std::size_t n0,
-                                                    std::size_t n1) const {
-  if (n0 >= n1 || n1 > n())
-    throw std::invalid_argument("TewWeight::shard_cols: bad column range");
-  TewMatrix slice;
-  slice.k = k();
-  slice.n = n1 - n0;
-  slice.pattern = slice_pattern_cols(pattern_, n0, n1);
-  slice.tiles = slice_masked_tiles(tiles_, n0, n1);
-  slice.remainder = slice_csc_cols(remainder_.ref(), n0, n1);
-  return std::make_unique<TewWeight>(std::move(slice));
-}
-
 void TewWeight::accumulate(const ExecContext& ctx, const MatrixF& a,
-                           MatrixF& c) const {
+                           MatrixF& c, std::size_t n0, std::size_t) const {
   // fp16 applies to the TW part only (same semantics as tew_matmul): on
   // the GPU the EW remainder runs on CUDA cores in fp32.
-  masked_gemm_all(a, tiles_, c, ctx.fp16(), &panels_);
-  csc_gemm_accumulate(a, remainder_.ref(), c);
+  masked_gemm_all(a, tiles_, c, ctx.fp16(), &panels_, n0);
+  csc_gemm_accumulate(a, remainder_.ref(), c, n0);
 }
 
 }  // namespace tilesparse

@@ -45,21 +45,16 @@ class TewWeight final : public PackedWeight {
   double macs(std::size_t m) const noexcept override;
   std::string_view format() const noexcept override { return "tew"; }
 
-  /// Both halves slice exactly: the TW tiles keep their kept_rows (so
-  /// the masked kernel's accumulation order is unchanged) and the CSC
-  /// remainder's columns are independent, so shard-joins stay
-  /// bit-identical to the serial path.
-  bool col_shardable() const noexcept override { return true; }
-  std::unique_ptr<PackedWeight> shard_cols(std::size_t n0,
-                                           std::size_t n1) const override;
-
   const TilePattern& pattern() const noexcept { return pattern_; }
   const std::vector<MaskedTile>& tiles() const noexcept { return tiles_; }
   const CscStore& remainder() const noexcept { return remainder_; }
 
  protected:
-  void accumulate(const ExecContext& ctx, const MatrixF& a,
-                  MatrixF& c) const override;
+  /// Both halves run column ranges exactly: the TW tiles keep their
+  /// kept_rows (so the masked kernel's accumulation order is unchanged)
+  /// and the CSC remainder's columns are independent.
+  void accumulate(const ExecContext& ctx, const MatrixF& a, MatrixF& c,
+                  std::size_t n0, std::size_t n1) const override;
   bool native_fp16() const noexcept override { return true; }
 
  private:

@@ -1,7 +1,5 @@
 #include "exec/tw_weight.hpp"
 
-#include <stdexcept>
-
 #include "io/mmap_file.hpp"
 #include "io/serialize.hpp"
 #include "io/wire.hpp"
@@ -79,17 +77,9 @@ double TwWeight::macs(std::size_t m) const noexcept {
   return total;
 }
 
-std::unique_ptr<PackedWeight> TwWeight::shard_cols(std::size_t n0,
-                                                   std::size_t n1) const {
-  if (n0 >= n1 || n1 > n())
-    throw std::invalid_argument("TwWeight::shard_cols: bad column range");
-  return std::make_unique<TwWeight>(slice_masked_tiles(tiles_, n0, n1), k(),
-                                    n1 - n0);
-}
-
 void TwWeight::accumulate(const ExecContext& ctx, const MatrixF& a,
-                          MatrixF& c) const {
-  masked_gemm_all(a, tiles_, c, ctx.fp16(), &panels_);
+                          MatrixF& c, std::size_t n0, std::size_t) const {
+  masked_gemm_all(a, tiles_, c, ctx.fp16(), &panels_, n0);
 }
 
 }  // namespace tilesparse

@@ -39,14 +39,6 @@ class TwWeight final : public PackedWeight {
   double macs(std::size_t m) const noexcept override;
   std::string_view format() const noexcept override { return "tw"; }
 
-  /// Slicing out_cols at tile boundaries leaves every tile's kept_rows
-  /// (and hence the kernel's K-blocking and per-lane accumulation
-  /// order) untouched, so shard-joins are bit-identical to the serial
-  /// path.
-  bool col_shardable() const noexcept override { return true; }
-  std::unique_ptr<PackedWeight> shard_cols(std::size_t n0,
-                                           std::size_t n1) const override;
-
   const std::vector<MaskedTile>& tiles() const noexcept { return tiles_; }
   /// Equal-width batch groups (paper Fig. 7-3), for schedulers/models.
   const std::vector<BatchGroup>& batch_groups() const noexcept {
@@ -54,15 +46,18 @@ class TwWeight final : public PackedWeight {
   }
 
  protected:
-  void accumulate(const ExecContext& ctx, const MatrixF& a,
-                  MatrixF& c) const override;
+  /// A column range runs each tile's in-range compacted columns on the
+  /// same prepacked panels; kept_rows alone fix the kernel's K-blocking
+  /// and per-lane order, so ranges are bit-identical to the whole.
+  void accumulate(const ExecContext& ctx, const MatrixF& a, MatrixF& c,
+                  std::size_t n0, std::size_t n1) const override;
   bool native_fp16() const noexcept override { return true; }
 
  private:
   std::vector<MaskedTile> tiles_;
   std::vector<BatchGroup> groups_;
-  /// B panels pre-packed at construction (shards rebuild their own in
-  /// the ctor); replaces the per-call packing of the gather fallback.
+  /// B panels pre-packed at construction (column ranges read them in
+  /// place); replaces the per-call packing of the gather fallback.
   std::vector<TilePanels> panels_;
 };
 

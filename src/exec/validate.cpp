@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_set>
 
 #include "util/guards.hpp"
 
@@ -134,8 +133,7 @@ GraphValidationError::GraphValidationError(std::vector<GraphFinding> findings)
 
 std::vector<GraphFinding> audit_shard_slices(
     const PackedWeight& weight,
-    const std::vector<std::pair<std::size_t, std::size_t>>& slices,
-    bool deep_check) {
+    const std::vector<std::pair<std::size_t, std::size_t>>& slices) {
   std::vector<GraphFinding> findings;
   const std::string who = "format '" + std::string(weight.format()) + "' (" +
                           std::to_string(weight.k()) + " x " +
@@ -179,59 +177,10 @@ std::vector<GraphFinding> audit_shard_slices(
                     std::to_string(expected) + ") but the weight has N = " +
                     std::to_string(weight.n()));
   }
-
-  // Materialise each slice and verify the shard's declared shape.
-  MatrixF whole;
-  if (deep_check) whole = weight.to_dense();
-  for (const auto& [n0, n1] : slices) {
-    if (n1 <= n0 || n1 > weight.n()) continue;  // reported above
-    std::unique_ptr<PackedWeight> shard;
-    try {
-      shard = weight.shard_cols(n0, n1);
-    } catch (const std::exception& e) {
-      add_finding(findings, FindingSeverity::kError, "shard-plan",
-                  "shard_cols(" + std::to_string(n0) + ", " +
-                      std::to_string(n1) + ") of " + who +
-                      " threw: " + e.what());
-      continue;
-    }
-    if (!shard) {
-      add_finding(findings, FindingSeverity::kError, "shard-plan",
-                  "shard_cols returned null for " + who);
-      continue;
-    }
-    if (shard->k() != weight.k() || shard->n() != n1 - n0) {
-      add_finding(
-          findings, FindingSeverity::kError, "shard-plan",
-          "shard_cols(" + std::to_string(n0) + ", " + std::to_string(n1) +
-              ") of " + who + " returned a " + std::to_string(shard->k()) +
-              " x " + std::to_string(shard->n()) + " shard (want " +
-              std::to_string(weight.k()) + " x " + std::to_string(n1 - n0) +
-              ")");
-      continue;
-    }
-    if (deep_check) {
-      const MatrixF part = shard->to_dense();
-      bool diverged = false;
-      for (std::size_t r = 0; r < whole.rows() && !diverged; ++r)
-        for (std::size_t j = n0; j < n1; ++j)
-          if (part(r, j - n0) != whole(r, j)) {
-            add_finding(findings, FindingSeverity::kError, "shard-plan",
-                        "shard columns [" + std::to_string(n0) + ", " +
-                            std::to_string(n1) + ") of " + who +
-                            " diverge from the whole weight (first at row " +
-                            std::to_string(r) + ", col " + std::to_string(j) +
-                            ")");
-            diverged = true;
-            break;
-          }
-    }
-  }
   return findings;
 }
 
-std::vector<GraphFinding> validate_graph(const ExecGraph& graph,
-                                         const ValidateOptions& options) {
+std::vector<GraphFinding> validate_graph(const ExecGraph& graph) {
   std::vector<GraphFinding> findings;
   const auto& nodes = graph.nodes();
   if (nodes.empty()) return findings;
@@ -455,39 +404,11 @@ std::vector<GraphFinding> validate_graph(const ExecGraph& graph,
     }
   }
 
-  // -------------------------------------------------- shard-plan audit
-  if (options.check_shard_plan && options.probe_shards >= 2) {
-    std::unordered_set<const PackedWeight*> audited;
-    for (const auto& node : nodes) {
-      if (node.kind != ExecGraph::NodeKind::kGemm) continue;
-      const PackedWeight* weight = node.weight;
-      if (!weight->col_shardable() || weight->n() < 2) continue;
-      if (!audited.insert(weight).second) continue;
-      const std::size_t count = std::min(options.probe_shards, weight->n());
-      const std::size_t base = weight->n() / count;
-      const std::size_t rem = weight->n() % count;
-      std::vector<std::pair<std::size_t, std::size_t>> slices;
-      std::size_t n0 = 0;
-      for (std::size_t i = 0; i < count; ++i) {
-        const std::size_t n1 = n0 + base + (i < rem ? 1 : 0);
-        slices.emplace_back(n0, n1);
-        n0 = n1;
-      }
-      const bool deep =
-          weight->k() * weight->n() <= options.deep_shard_check_max_elems;
-      auto shard_findings = audit_shard_slices(*weight, slices, deep);
-      findings.insert(findings.end(),
-                      std::make_move_iterator(shard_findings.begin()),
-                      std::make_move_iterator(shard_findings.end()));
-    }
-  }
-
   return findings;
 }
 
-void validate_graph_or_throw(const ExecGraph& graph,
-                             const ValidateOptions& options) {
-  std::vector<GraphFinding> findings = validate_graph(graph, options);
+void validate_graph_or_throw(const ExecGraph& graph) {
+  std::vector<GraphFinding> findings = validate_graph(graph);
   const bool any_error =
       std::any_of(findings.begin(), findings.end(), [](const GraphFinding& f) {
         return f.severity == FindingSeverity::kError;

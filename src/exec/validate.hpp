@@ -28,12 +28,11 @@
 //    the node's own output, and ExecContext numerics the weight cannot
 //    execute.  An epilogue's residual is a read of its node, so the
 //    def-use and hazard audits above cover it like any other input.
-//  * Shard-plan audit: for every col_shardable() GEMM weight the
-//    verifier re-derives an even column slicing, materialises the
-//    shards via shard_cols(), and verifies they tile [0, N) exactly
-//    with no overlap (plus a value-level to_dense comparison for small
-//    weights).  audit_shard_slices() is the same check exposed for the
-//    scheduler's *actual* cached plans.
+//  * Shard-plan audit: audit_shard_slices() proves the column ranges
+//    the scheduler actually plans for a GEMM tile [0, N) exactly, with
+//    no gap and no overlap.  Shards are ranges of the node's own weight
+//    (PackedWeight::matmul(ctx, A, C, n0, n1)), so the ranges are the
+//    whole plan.
 //
 // Findings carry a severity: errors make validate_graph_or_throw (and
 // the scheduler, which validates once per graph build id) throw
@@ -75,35 +74,20 @@ class GraphValidationError : public std::runtime_error {
   std::vector<GraphFinding> findings_;
 };
 
-struct ValidateOptions {
-  /// Audit shard slicings of every col_shardable() GEMM weight.
-  bool check_shard_plan = true;
-  /// Shard count probed per weight (clamped to its N); 0 disables the
-  /// re-derivation (audit_shard_slices can still be called directly).
-  std::size_t probe_shards = 4;
-  /// Weights up to this many elements also get the value-level check
-  /// (concatenated shard to_dense() == whole to_dense()).
-  std::size_t deep_shard_check_max_elems = 1u << 16;
-};
-
-/// Runs every check; returns all findings (empty = clean).
-std::vector<GraphFinding> validate_graph(const ExecGraph& graph,
-                                         const ValidateOptions& options = {});
+/// Runs every graph check; returns all findings (empty = clean).
+std::vector<GraphFinding> validate_graph(const ExecGraph& graph);
 
 /// validate_graph, throwing GraphValidationError if any finding is an
 /// error.
-void validate_graph_or_throw(const ExecGraph& graph,
-                             const ValidateOptions& options = {});
+void validate_graph_or_throw(const ExecGraph& graph);
 
-/// Audits an explicit shard plan for `weight`: `slices` must be
-/// ascending, non-empty, non-overlapping [n0, n1) ranges tiling
-/// [0, weight.n()) exactly, and shard_cols() must return a shard of
-/// the requested shape for each.  Used by validate_graph on derived
-/// plans and by the ExecScheduler on its cached ones.
+/// Audits a shard plan for `weight`: `slices` must be ascending,
+/// non-empty, non-overlapping [n0, n1) column ranges tiling
+/// [0, weight.n()) exactly.  The ExecScheduler runs it on every plan
+/// it builds.
 std::vector<GraphFinding> audit_shard_slices(
     const PackedWeight& weight,
-    const std::vector<std::pair<std::size_t, std::size_t>>& slices,
-    bool deep_check = false);
+    const std::vector<std::pair<std::size_t, std::size_t>>& slices);
 
 /// One-line rendering ("error[missing-dep]: ...") used by what() and
 /// the CLI surfaces.

@@ -21,7 +21,6 @@
 // alpha/beta + numerics handling shared by all weight formats.
 
 #include <cstddef>
-#include <vector>
 
 #include "tensor/matrix.hpp"
 
@@ -38,9 +37,11 @@ struct GemmConfig {
 /// weight-pack time (DenseWeight does) and the repack pass — which at
 /// small batch costs as much as the compute — drops out of every
 /// matmul call.  Panels are independent of alpha/beta/fp16 (only A is
-/// rounded), so one PackedDenseB serves every ExecContext.
+/// rounded), so one PackedDenseB serves every ExecContext.  MatrixF
+/// storage is 64-byte aligned, so every kNr-float panel row is one
+/// cache line; column ranges read these panels in place.
 struct PackedDenseB {
-  std::vector<float> panels;
+  MatrixF panels;  ///< k x round_up(n, kNr) floats, in panel order
   std::size_t k = 0;   ///< B rows
   std::size_t n = 0;   ///< B cols
   std::size_t kc = 0;  ///< K-extent each block was packed with
@@ -55,10 +56,12 @@ void dense_gemm(const MatrixF& a, const MatrixF& b, MatrixF& c,
                 const GemmConfig& config = {});
 
 /// Same, with B already packed (config.kc is ignored; the panels' own
-/// blocking is used).
+/// blocking is used).  C may hold a column range of the product: it is
+/// M x c.cols() and receives columns [n0, n0 + c.cols()) of A * B, each
+/// accumulated exactly as the whole product accumulates it.
 void dense_gemm(const MatrixF& a, const PackedDenseB& b, MatrixF& c,
                 float alpha = 1.0f, float beta = 0.0f,
-                const GemmConfig& config = {});
+                const GemmConfig& config = {}, std::size_t n0 = 0);
 
 /// Convenience allocating wrapper: returns A*B.
 MatrixF matmul(const MatrixF& a, const MatrixF& b, const GemmConfig& config = {});

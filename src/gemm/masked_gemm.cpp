@@ -67,7 +67,7 @@ TilePanels prepack_tile_panels(const MaskedTile& tile) {
   const std::size_t wt = tile.out_cols.size();
   if (kt == 0 || wt == 0) return panels;
   const std::size_t wt_round = ((wt + kNr - 1) / kNr) * kNr;
-  panels.b.resize(kt * wt_round);
+  panels.b = MatrixF(kt, wt_round);
   pack_tile_b_panels(tile, panels.b.data());
   return panels;
 }
@@ -80,16 +80,32 @@ std::vector<TilePanels> prepack_all_tile_panels(
   return panels;
 }
 
+std::pair<std::size_t, std::size_t> tile_col_range(
+    const std::vector<std::int32_t>& out_cols, std::size_t n0,
+    std::size_t n1) {
+  const auto lo = std::lower_bound(out_cols.begin(), out_cols.end(),
+                                   static_cast<std::int32_t>(n0));
+  const auto hi = std::lower_bound(lo, out_cols.end(),
+                                   static_cast<std::int32_t>(n1));
+  return {static_cast<std::size_t>(lo - out_cols.begin()),
+          static_cast<std::size_t>(hi - out_cols.begin())};
+}
+
 void masked_gemm_packed(const MatrixF& a, const MaskedTile& tile, MatrixF& c,
-                        bool fp16_inputs, const TilePanels* prepacked) {
+                        bool fp16_inputs, const TilePanels* prepacked,
+                        std::size_t n0) {
   const std::size_t m = a.rows();
   const std::size_t kt = tile.kept_rows.size();
   const std::size_t wt = tile.out_cols.size();
   assert(tile.weights.rows() == kt && tile.weights.cols() == wt);
   if (m == 0 || kt == 0 || wt == 0) return;
+  // The compacted columns in range, and the kNr strips covering them.
+  const auto [j0, j1] = tile_col_range(tile.out_cols, n0, n0 + c.cols());
+  if (j0 == j1) return;
+  const std::size_t s0 = j0 / kNr, s1 = (j1 + kNr - 1) / kNr;
 
-  const std::size_t strips = (wt + kNr - 1) / kNr;
-  const std::size_t wt_round = strips * kNr;
+  const std::size_t wt_round = ((wt + kNr - 1) / kNr) * kNr;
+  const std::size_t acc_cols = (s1 - s0) * kNr;
   const std::size_t kcap = std::min(kKc, kt);
   const std::size_t mcap = std::min(kMc, m);
 
@@ -97,12 +113,12 @@ void masked_gemm_packed(const MatrixF& a, const MaskedTile& tile, MatrixF& c,
   // the seed version allocated panels per row block inside that loop.
   GemmScratch& scratch = thread_gemm_scratch();
   scratch.a_f32.resize(kcap * kMr);
-  scratch.acc_f32.resize(mcap * wt_round);
+  scratch.acc_f32.resize(mcap * acc_cols);
   float* a_panel = scratch.a_f32.data();
   float* acc = scratch.acc_f32.data();
 
   const float* b_panels;
-  if (prepacked && !prepacked->b.empty()) {
+  if (prepacked && prepacked->b.size() != 0) {
     assert(prepacked->b.size() == kt * wt_round);
     b_panels = prepacked->b.data();
   } else {
@@ -114,7 +130,7 @@ void masked_gemm_packed(const MatrixF& a, const MaskedTile& tile, MatrixF& c,
 
   for (std::size_t i0 = 0; i0 < m; i0 += mcap) {
     const std::size_t mlen = std::min(mcap, m - i0);
-    std::fill_n(acc, mlen * wt_round, 0.0f);
+    std::fill_n(acc, mlen * acc_cols, 0.0f);
     for (std::size_t kb = 0; kb < k_blocks; ++kb) {
       const std::size_t k0 = kb * kcap;
       const std::size_t klen = std::min(kcap, kt - k0);
@@ -125,60 +141,36 @@ void masked_gemm_packed(const MatrixF& a, const MaskedTile& tile, MatrixF& c,
         pack_a_panel_gather_f32(a.data() + (i0 + i) * a.cols(), a.cols(),
                                 rows, tile.kept_rows.data() + k0, klen,
                                 /*alpha=*/1.0f, fp16_inputs, a_panel);
-        for (std::size_t s = 0; s < strips; ++s) {
+        for (std::size_t s = s0; s < s1; ++s) {
           micro_kernel_f32(klen, a_panel, block_base + s * klen * kNr,
-                           acc + i * wt_round + s * kNr, wt_round, rows, kNr);
+                           acc + i * acc_cols + (s - s0) * kNr, acc_cols,
+                           rows, kNr);
         }
       }
     }
-    // Scatter the chunk's accumulator into the tile's surviving C columns.
+    // Scatter the chunk's in-range columns into their C columns.
     for (std::size_t i = 0; i < mlen; ++i) {
-      const float* arow = acc + i * wt_round;
+      const float* arow = acc + i * acc_cols;
       float* crow = c.data() + (i0 + i) * c.cols();
-      for (std::size_t j = 0; j < wt; ++j)
-        crow[static_cast<std::size_t>(tile.out_cols[j])] += arow[j];
+      for (std::size_t j = j0; j < j1; ++j)
+        crow[static_cast<std::size_t>(tile.out_cols[j]) - n0] +=
+            arow[j - s0 * kNr];
     }
   }
 }
 
 void masked_gemm_all(const MatrixF& a, const std::vector<MaskedTile>& tiles,
                      MatrixF& c, bool fp16_inputs,
-                     const std::vector<TilePanels>* prepacked) {
+                     const std::vector<TilePanels>* prepacked,
+                     std::size_t n0) {
   assert(!prepacked || prepacked->size() == tiles.size());
   // Tiles write disjoint C columns (out_cols never overlap across tiles
   // of one weight matrix), so the loop is safely parallel.
 #pragma omp parallel for schedule(dynamic)
   for (std::size_t t = 0; t < tiles.size(); ++t) {
     masked_gemm_packed(a, tiles[t], c, fp16_inputs,
-                       prepacked ? &(*prepacked)[t] : nullptr);
+                       prepacked ? &(*prepacked)[t] : nullptr, n0);
   }
-}
-
-std::vector<MaskedTile> slice_masked_tiles(const std::vector<MaskedTile>& tiles,
-                                           std::size_t n0, std::size_t n1) {
-  std::vector<MaskedTile> sliced;
-  for (const MaskedTile& tile : tiles) {
-    // out_cols ascend, so the intersection with [n0, n1) is contiguous.
-    const auto lo = std::lower_bound(tile.out_cols.begin(),
-                                     tile.out_cols.end(),
-                                     static_cast<std::int32_t>(n0));
-    const auto hi = std::lower_bound(lo, tile.out_cols.end(),
-                                     static_cast<std::int32_t>(n1));
-    if (lo == hi) continue;
-    const std::size_t j0 = static_cast<std::size_t>(lo - tile.out_cols.begin());
-    const std::size_t width = static_cast<std::size_t>(hi - lo);
-    MaskedTile out;
-    out.kept_rows = tile.kept_rows;
-    out.out_cols.reserve(width);
-    for (auto it = lo; it != hi; ++it)
-      out.out_cols.push_back(*it - static_cast<std::int32_t>(n0));
-    out.weights = MatrixF(tile.kept_rows.size(), width);
-    for (std::size_t t = 0; t < tile.kept_rows.size(); ++t)
-      for (std::size_t j = 0; j < width; ++j)
-        out.weights(t, j) = tile.weights(t, j0 + j);
-    sliced.push_back(std::move(out));
-  }
-  return sliced;
 }
 
 MatrixF tiles_to_dense(const std::vector<MaskedTile>& tiles, std::size_t k,

@@ -15,6 +15,7 @@
 //    coalesced" path of Fig. 7-2.
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "tensor/matrix.hpp"
@@ -38,8 +39,10 @@ void masked_gemm_gather(const MatrixF& a, const MaskedTile& tile, MatrixF& c);
 /// every matmul; the layout depends only on the tile shape, so one
 /// prepack serves every batch size and numerics mode (fp16 rounds the
 /// A panels inside the kernel, weights are pre-rounded by the caller).
+/// MatrixF storage is 64-byte aligned, so every kNr-float panel row is
+/// one cache line; column ranges read these panels in place.
 struct TilePanels {
-  std::vector<float> b;  ///< kt x round_up(wt, kNr) floats
+  MatrixF b;  ///< kt x round_up(wt, kNr) floats, in panel order
 };
 
 /// Packs `tile.weights` into the panel layout above.
@@ -50,30 +53,35 @@ TilePanels prepack_tile_panels(const MaskedTile& tile);
 /// pre-round the tile weights with round_matrix_to_half for full
 /// tensor-core numerics.  `prepacked`, when non-null and non-empty,
 /// supplies the tile's B panels and skips the per-call weight packing.
+///
+/// C may hold a column range of the output: it receives original
+/// columns [n0, n0 + c.cols()).  Only the tile's compacted columns in
+/// that range are computed (the kNr strips covering them) and
+/// scattered; the K-blocking comes from kept_rows alone and a lane's
+/// arithmetic never depends on its strip, so a range is bit-identical
+/// to the same columns of the whole product.
 void masked_gemm_packed(const MatrixF& a, const MaskedTile& tile, MatrixF& c,
                         bool fp16_inputs = false,
-                        const TilePanels* prepacked = nullptr);
+                        const TilePanels* prepacked = nullptr,
+                        std::size_t n0 = 0);
 
 /// Executes a whole set of tiles (one TW-pruned weight matrix) against a
-/// shared A, packed variant, parallel across tiles.  C must be M x
-/// N_original.  `prepacked`, when non-null, must parallel `tiles` 1:1.
+/// shared A, packed variant, parallel across tiles.  C holds original
+/// columns [n0, n0 + c.cols()) (M x N_original for the whole product).
+/// `prepacked`, when non-null, must parallel `tiles` 1:1.
 void masked_gemm_all(const MatrixF& a, const std::vector<MaskedTile>& tiles,
                      MatrixF& c, bool fp16_inputs = false,
-                     const std::vector<TilePanels>* prepacked = nullptr);
+                     const std::vector<TilePanels>* prepacked = nullptr,
+                     std::size_t n0 = 0);
+
+/// The compacted columns [j0, j1) of `out_cols` (ascending) that fall in
+/// original columns [n0, n1): the part of a tile a column range runs.
+std::pair<std::size_t, std::size_t> tile_col_range(
+    const std::vector<std::int32_t>& out_cols, std::size_t n0, std::size_t n1);
 
 /// Prepacks panels for every tile of a weight matrix.
 std::vector<TilePanels> prepack_all_tile_panels(
     const std::vector<MaskedTile>& tiles);
-
-/// Column-slices a tile set to [n0, n1): tiles intersecting the range
-/// survive with out_cols rebased to the slice and the matching weight
-/// columns copied; kept_rows are untouched.  Because the masked kernel
-/// derives its K-blocking from kept_rows alone and every output column
-/// accumulates independently (lane position never changes a lane's
-/// arithmetic), executing a slice is bit-identical to the same columns
-/// of the unsliced tile set — the property wide-N sharding relies on.
-std::vector<MaskedTile> slice_masked_tiles(const std::vector<MaskedTile>& tiles,
-                                           std::size_t n0, std::size_t n1);
 
 /// Builds the dense K x N matrix a set of tiles represents (zeros where
 /// pruned).  For testing: masked GEMM on tiles == dense GEMM on this.

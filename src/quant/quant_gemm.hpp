@@ -36,10 +36,12 @@ MatrixF quant_tw_matmul(const MatrixF& a,
                         const std::vector<QuantMaskedTile>& tiles,
                         std::size_t n);
 
-/// Accumulating variant: C += A * W.  C must be M x N.  Entry point for
-/// the QuantTwWeight execution backend.
+/// Accumulating variant: C += A * W.  Entry point for the QuantTwWeight
+/// execution backend.  C holds original columns [n0, n0 + c.cols()) (M x
+/// N for the whole product); as in masked_gemm_packed, only the tiles'
+/// in-range compacted columns run, bit-identical to the whole product.
 void quant_tw_gemm(const MatrixF& a, const std::vector<QuantMaskedTile>& tiles,
-                   MatrixF& c);
+                   MatrixF& c, std::size_t n0 = 0);
 
 /// Dense K x N reconstruction of quantised tiles (dequantised values,
 /// zeros where pruned) — what the int8 kernel arithmetically executes.

@@ -23,7 +23,6 @@ AttemptExecutor::AttemptExecutor(const ServingOptions& options,
   primary_ = std::make_unique<ExecScheduler>(primary, pool_.get());
   SchedulerOptions fallback;
   fallback.streams = 1;
-  fallback.shard_wide_n = false;
   fallback.validate = false;
   fallback_ = std::make_unique<ExecScheduler>(fallback);
   primary_->set_cancel_token(&cancel_);

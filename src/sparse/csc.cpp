@@ -35,37 +35,22 @@ MatrixF csc_to_dense(const CscRef& m) {
   return dense;
 }
 
-void csc_gemm_accumulate(const MatrixF& a, const CscRef& b, MatrixF& c) {
+void csc_gemm_accumulate(const MatrixF& a, const CscRef& b, MatrixF& c,
+                         std::size_t n0) {
   assert(a.cols() == b.rows);
-  assert(c.rows() == a.rows() && c.cols() == b.cols);
+  assert(c.rows() == a.rows() && n0 + c.cols() <= b.cols);
   const std::size_t m = a.rows();
   // Parallel over output columns: every (i, col) is written by exactly
   // one iteration, so no atomics are needed.
 #pragma omp parallel for schedule(dynamic, 8)
-  for (std::size_t col = 0; col < b.cols; ++col) {
+  for (std::size_t j = 0; j < c.cols(); ++j) {
+    const std::size_t col = n0 + j;
     for (auto i = b.col_ptr[col]; i < b.col_ptr[col + 1]; ++i) {
       const auto k = static_cast<std::size_t>(b.row_idx[static_cast<std::size_t>(i)]);
       const float v = b.values[static_cast<std::size_t>(i)];
-      for (std::size_t r = 0; r < m; ++r) c(r, col) += a(r, k) * v;
+      for (std::size_t r = 0; r < m; ++r) c(r, j) += a(r, k) * v;
     }
   }
-}
-
-Csc slice_csc_cols(const CscRef& m, std::size_t n0, std::size_t n1) {
-  assert(n0 < n1 && n1 <= m.cols);
-  Csc out;
-  out.rows = m.rows;
-  out.cols = n1 - n0;
-  const auto p0 = static_cast<std::size_t>(m.col_ptr[n0]);
-  const auto p1 = static_cast<std::size_t>(m.col_ptr[n1]);
-  out.col_ptr.reserve(out.cols + 1);
-  for (std::size_t c = n0; c <= n1; ++c)
-    out.col_ptr.push_back(m.col_ptr[c] - m.col_ptr[n0]);
-  out.row_idx.assign(m.row_idx.begin() + static_cast<std::ptrdiff_t>(p0),
-                     m.row_idx.begin() + static_cast<std::ptrdiff_t>(p1));
-  out.values.assign(m.values.begin() + static_cast<std::ptrdiff_t>(p0),
-                    m.values.begin() + static_cast<std::ptrdiff_t>(p1));
-  return out;
 }
 
 }  // namespace tilesparse

@@ -43,19 +43,14 @@ Csc csc_from_dense(const MatrixF& dense, float tol = 0.0f);
 MatrixF csc_to_dense(const CscRef& m);
 inline MatrixF csc_to_dense(const Csc& m) { return csc_to_dense(m.ref()); }
 
-/// C += A(MxK dense) * B(KxN, this CSC).  Column-parallel.
-void csc_gemm_accumulate(const MatrixF& a, const CscRef& b, MatrixF& c);
+/// C += A(MxK dense) * B(KxN, this CSC).  Column-parallel.  C holds
+/// columns [n0, n0 + c.cols()) of the product (M x N for the whole of
+/// it); columns are independent, so a range is bit-identical to the
+/// same columns of the whole product.
+void csc_gemm_accumulate(const MatrixF& a, const CscRef& b, MatrixF& c,
+                         std::size_t n0 = 0);
 inline void csc_gemm_accumulate(const MatrixF& a, const Csc& b, MatrixF& c) {
   csc_gemm_accumulate(a, b.ref(), c);
-}
-
-/// Column slice [n0, n1) as its own (owning) CSC.  Columns are
-/// independent in the kernel above, so executing the slice is
-/// bit-identical to the same columns of the whole matrix (wide-N
-/// sharding support).
-Csc slice_csc_cols(const CscRef& m, std::size_t n0, std::size_t n1);
-inline Csc slice_csc_cols(const Csc& m, std::size_t n0, std::size_t n1) {
-  return slice_csc_cols(m.ref(), n0, n1);
 }
 
 }  // namespace tilesparse

@@ -68,11 +68,12 @@ inline CsrPanels build_csr_panels(const Csr& csr, std::size_t strip_cols = 0) {
   return build_csr_panels(csr.ref(), strip_cols);
 }
 
-/// C += A * B over the panel layout.  Bit-identical across column
-/// shards: every output column accumulates its terms in ascending K
-/// order into a zeroed fragment added to C exactly once, independent
-/// of which strip (or shard) the column lands in.
+/// C += A * B over the panel layout.  C holds columns [n0, n0 +
+/// c.cols()) of the product (M x N for the whole of it); only the
+/// strips that range touches run.  Bit-identical across column ranges:
+/// every output column accumulates its terms in ascending K order into
+/// a zeroed fragment added to C exactly once, whatever range it is in.
 void csr_panels_spmm_accumulate(const MatrixF& a, const CsrPanels& b,
-                                MatrixF& c);
+                                MatrixF& c, std::size_t n0 = 0);
 
 }  // namespace tilesparse

@@ -189,7 +189,7 @@ TEST_P(SchedulerDeterminism, BitIdenticalToSingleStreamAcrossStreams) {
     DiamondGraph d = make_diamond(format, 40, 56, 192);
     SchedulerOptions options;
     options.streams = streams;
-    options.min_shard_cols = 16;  // force wide-N sharding where supported
+    options.min_shard_width = 16;  // force wide-N sharding where supported
     options.dispatch_overhead_us = 0.0;
     ExecScheduler scheduler(options, &pool);
     // Repeated runs through the same scheduler reuse the shard plan.
@@ -199,9 +199,9 @@ TEST_P(SchedulerDeterminism, BitIdenticalToSingleStreamAcrossStreams) {
       EXPECT_TRUE(bit_identical(d.graph.slot(d.out), expected))
           << format << " diverged at streams=" << streams << " rep=" << rep;
     }
-    // Every built-in format slices exactly now — dense/csr by column
-    // independence, the tile formats by carrying kept_rows (and
-    // per-tile int8 scales) through the slice.
+    // Every built-in format runs column ranges exactly — dense/csr by
+    // column independence, the tile formats because kept_rows (and
+    // per-tile int8 scales) alone fix each lane's arithmetic.
     EXPECT_GT(scheduler.last_stats().sharded_nodes, 0u)
         << format << " should shard the wide-N node";
   }
@@ -272,7 +272,7 @@ TEST(FusedEpilogueTest, BitIdenticalToUnfusedOpsAcrossFormats) {
     for (const bool sharded : {false, true}) {
       SchedulerOptions options;
       options.streams = sharded ? 4 : 1;
-      options.min_shard_cols = 37;
+      options.min_shard_width = 37;
       options.dispatch_overhead_us = 0.0;
       ExecScheduler scheduler(options, &pool);
       EpilogueGraph e;
@@ -333,50 +333,85 @@ TEST(FusedEpilogueTest, LinearMatchesForwardPackedOrNot) {
 
 TEST(ShardColsTest, AllFormatsSliceExactOnRaggedShapes) {
   // Deliberately awkward shapes: prime-ish N (so tile widths and shard
-  // boundaries disagree), shard counts that do not divide it, slices
-  // crossing the 16-column panel boundary and splitting tiles.
-  for (const std::string format : {"dense", "csr", "tw", "tew", "tw-int8"}) {
-    const MatrixF w = random_matrix(37, 117, 21);
-    const MatrixF a = random_matrix(13, 37, 22);
-    const auto packed = pack_for_test(format, w, 8);
-    const MatrixF whole = packed->matmul(ExecContext{}, a);
+  // boundaries disagree), shard counts that do not divide it, ranges
+  // crossing the 16-column panel boundary and splitting tiles.  Column
+  // ranges run on the whole weight's own storage, under fp32 and fp16
+  // activations alike.
+  for (const Numerics numerics : {Numerics::kFp32, Numerics::kFp16}) {
+    ExecContext ctx;
+    ctx.numerics = numerics;
+    for (const std::string format : {"dense", "csr", "tw", "tew", "tw-int8"}) {
+      const MatrixF w = random_matrix(37, 117, 21);
+      const MatrixF a = random_matrix(13, 37, 22);
+      const auto packed = pack_for_test(format, w, 8);
+      const MatrixF whole = packed->matmul(ctx, a);
 
-    ASSERT_TRUE(packed->col_shardable());
-    for (const std::size_t shards : {2u, 3u, 5u, 117u}) {
-      MatrixF joined(a.rows(), w.cols());
-      const std::size_t base = w.cols() / shards, rem = w.cols() % shards;
-      std::size_t n0 = 0;
-      for (std::size_t s = 0; s < shards; ++s) {
-        const std::size_t n1 = n0 + base + (s < rem ? 1 : 0);
-        const auto slice = packed->shard_cols(n0, n1);
-        ASSERT_EQ(slice->k(), packed->k());
-        ASSERT_EQ(slice->n(), n1 - n0);
-        const MatrixF part = slice->matmul(ExecContext{}, a);
-        for (std::size_t r = 0; r < part.rows(); ++r)
-          for (std::size_t c = 0; c < part.cols(); ++c)
-            joined(r, n0 + c) = part(r, c);
-        n0 = n1;
+      for (const std::size_t shards : {2u, 3u, 5u, 117u}) {
+        MatrixF joined(a.rows(), w.cols());
+        const std::size_t base = w.cols() / shards, rem = w.cols() % shards;
+        std::size_t n0 = 0;
+        for (std::size_t s = 0; s < shards; ++s) {
+          const std::size_t n1 = n0 + base + (s < rem ? 1 : 0);
+          MatrixF part(a.rows(), n1 - n0);
+          packed->matmul(ctx, a, part, n0, n1);
+          for (std::size_t r = 0; r < part.rows(); ++r)
+            for (std::size_t c = 0; c < part.cols(); ++c)
+              joined(r, n0 + c) = part(r, c);
+          n0 = n1;
+        }
+        EXPECT_TRUE(bit_identical(joined, whole))
+            << format << " " << numerics_name(numerics)
+            << " range join diverged at shards=" << shards;
       }
-      EXPECT_TRUE(bit_identical(joined, whole))
-          << format << " shard join diverged at shards=" << shards;
     }
   }
 }
 
-TEST(ShardColsTest, AllBuiltinFormatsAreShardable) {
-  const MatrixF w = random_matrix(16, 32, 2);
+TEST(ShardColsTest, RangesAccumulateOntoC) {
+  // With alpha = 1 the backends accumulate straight onto the (scaled) C
+  // they are given: A * W[:, n0:n1] + beta * C must match the same
+  // columns of the whole-matrix call, including ranges that start
+  // inside a 16-column strip.
+  const MatrixF w = random_matrix(37, 117, 23);
+  const MatrixF a = random_matrix(13, 37, 24);
+  const MatrixF c0 = random_matrix(13, 117, 25);
+  ExecContext ctx;
+  ctx.beta = 0.5f;
   for (const std::string format : {"dense", "csr", "tw", "tew", "tw-int8"}) {
     const auto packed = pack_for_test(format, w, 8);
-    EXPECT_TRUE(packed->col_shardable()) << format;
+    MatrixF whole = c0;
+    packed->matmul(ctx, a, whole);
+    for (const auto& [n0, n1] : {std::pair<std::size_t, std::size_t>{0, 117},
+                                 {5, 40},
+                                 {23, 24},
+                                 {70, 117}}) {
+      MatrixF part(a.rows(), n1 - n0);
+      for (std::size_t r = 0; r < part.rows(); ++r)
+        for (std::size_t c = 0; c < part.cols(); ++c)
+          part(r, c) = c0(r, n0 + c);
+      packed->matmul(ctx, a, part, n0, n1);
+      bool same = true;
+      for (std::size_t r = 0; r < part.rows(); ++r)
+        for (std::size_t c = 0; c < part.cols(); ++c)
+          same = same && std::memcmp(&part(r, c), &whole(r, n0 + c),
+                                     sizeof(float)) == 0;
+      EXPECT_TRUE(same) << format << " range [" << n0 << ", " << n1 << ")";
+    }
   }
 }
 
 TEST(ShardColsTest, RejectsBadRanges) {
   const MatrixF w = random_matrix(16, 32, 2);
+  const MatrixF a = random_matrix(4, 16, 3);
   for (const std::string format : {"dense", "csr", "tw", "tew", "tw-int8"}) {
     const auto packed = pack_for_test(format, w, 8);
-    EXPECT_THROW(packed->shard_cols(4, 4), std::invalid_argument) << format;
-    EXPECT_THROW(packed->shard_cols(8, 40), std::invalid_argument) << format;
+    MatrixF empty(a.rows(), 0), wide(a.rows(), 32);
+    EXPECT_THROW(packed->matmul(ExecContext{}, a, empty, 4, 4),
+                 std::invalid_argument)
+        << format;
+    EXPECT_THROW(packed->matmul(ExecContext{}, a, wide, 8, 40),
+                 std::invalid_argument)
+        << format;
   }
 }
 
@@ -397,7 +432,7 @@ TEST(ModelGraphTest, BertGraphForwardBitIdenticalToSyncAcrossFormats) {
     for (const std::size_t streams : {1u, 4u}) {
       SchedulerOptions options;
       options.streams = streams;
-      options.min_shard_cols = 16;
+      options.min_shard_width = 16;
       options.dispatch_overhead_us = 0.0;
       ExecScheduler scheduler(options, &pool);
       model.set_exec_scheduler(&scheduler);

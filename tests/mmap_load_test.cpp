@@ -4,7 +4,7 @@
 //
 //  1. Equivalence — for every registered format, a weight loaded
 //     zero-copy from a mapped artifact is bit-identical to the
-//     stream-loaded one: to_dense, matmul, shard_cols, bytes.
+//     stream-loaded one: to_dense, matmul, column-range matmul, bytes.
 //  2. Hostile input — truncated, corrupt, misaligned, or missing
 //     artifacts throw std::runtime_error with offset diagnostics; they
 //     never fault or feed the kernels a misaligned pointer.
@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -21,6 +22,8 @@
 #include <vector>
 
 #include "exec/backend_registry.hpp"
+#include "exec/graph.hpp"
+#include "exec/scheduler.hpp"
 #include "io/mmap_file.hpp"
 #include "io/serialize.hpp"
 #include "nn/prune_experiment.hpp"
@@ -29,6 +32,7 @@
 #include "serve/serving_runtime.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
+#include "util/threadpool.hpp"
 
 namespace tilesparse {
 namespace {
@@ -107,15 +111,12 @@ TEST_P(MappedEqualsStream, BitIdenticalEverywhere) {
   EXPECT_FLOAT_EQ(
       max_abs_diff(mapped->matmul(ctx, a), streamed->matmul(ctx, a)), 0.0f);
 
-  // Shards materialise owning copies (they must outlive the mapping
-  // independently) and still execute identically.
-  ASSERT_TRUE(mapped->col_shardable());
-  const auto shard_mapped = mapped->shard_cols(8, 40);
-  const auto shard_streamed = streamed->shard_cols(8, 40);
-  EXPECT_FALSE(shard_mapped->borrows_storage());
-  EXPECT_FLOAT_EQ(max_abs_diff(shard_mapped->matmul(ctx, a),
-                               shard_streamed->matmul(ctx, a)),
-                  0.0f);
+  // A column range runs on the mapped image itself and still executes
+  // identically.
+  MatrixF range_mapped(a.rows(), 32), range_streamed(a.rows(), 32);
+  mapped->matmul(ctx, a, range_mapped, 8, 40);
+  streamed->matmul(ctx, a, range_streamed, 8, 40);
+  EXPECT_FLOAT_EQ(max_abs_diff(range_mapped, range_streamed), 0.0f);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFormats, MappedEqualsStream,
@@ -145,6 +146,60 @@ TEST(MappedModel, ModelArtifactLoadsZeroCopy) {
     EXPECT_FLOAT_EQ(max_abs_diff(mapped[i].weight->to_dense(),
                                  streamed[i].weight->to_dense()),
                     0.0f);
+  }
+}
+
+TEST(MappedModel, ShardedScheduleOverMappedWeightsMatchesSerial) {
+  // Column shards are ranges of one weight, so the shards of a mapped
+  // weight share its borrowed image, and the dense shards race to build
+  // its lazily packed B panels.  A multi-stream sharded schedule over
+  // freshly mapped weights must match the serial schedule over
+  // stream-loaded ones bit for bit (run under TSan in CI).
+  const MatrixF w1 = random_matrix(48, 96, 353);
+  const MatrixF w2 = random_matrix(96, 80, 359);
+  const auto dense = pack_for_mmap_test("dense", w1);
+  const auto int8 = pack_for_mmap_test("tw-int8", w2);
+  TempArtifact artifact("sharded");
+  save_model_weights(artifact.path(),
+                     {{"fc1.w", dense.get()}, {"fc2.w", int8.get()}});
+  const MatrixF a = random_matrix(19, 48, 361);
+
+  const auto run = [&a](const std::vector<NamedWeight>& weights,
+                        ExecScheduler& scheduler) {
+    ExecGraph graph;
+    const auto in = graph.add_slot("in");
+    const auto mid = graph.add_slot("mid");
+    const auto out = graph.add_slot("out");
+    graph.mark_input(in);
+    graph.mark_output(out);
+    graph.add_gemm("fc1", weights[0].weight.get(), in, mid);
+    graph.add_gemm("fc2", weights[1].weight.get(), mid, out);
+    graph.slot(in) = a;
+    scheduler.run(graph);
+    return graph.slot(out);
+  };
+
+  SchedulerOptions serial;
+  serial.streams = 1;
+  ExecScheduler reference(serial);
+  const MatrixF expected = run(load_model_weights(artifact.path()), reference);
+
+  ThreadPool pool(3);
+  for (int rep = 0; rep < 3; ++rep) {
+    SchedulerOptions options;
+    options.streams = 4;
+    options.min_shard_width = 16;
+    options.dispatch_overhead_us = 0.0;
+    ExecScheduler scheduler(options, &pool);
+    const MatrixF got =
+        run(load_model_weights_mapped(artifact.path()), scheduler);
+    EXPECT_EQ(scheduler.last_stats().sharded_nodes, 2u);
+    ASSERT_EQ(got.rows(), expected.rows());
+    ASSERT_EQ(got.cols(), expected.cols());
+    EXPECT_EQ(std::memcmp(got.data(), expected.data(),
+                          got.size() * sizeof(float)),
+              0)
+        << "rep " << rep;
   }
 }
 
