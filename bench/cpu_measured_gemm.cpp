@@ -113,7 +113,7 @@ void BM_TwPrepackedPanels(benchmark::State& state) {
             static_cast<double>(tile.out_cols.size());
   for (auto _ : state) {
     c.fill(0.0f);
-    masked_gemm_all(a, tiles, c, /*fp16_inputs=*/false, &panels);
+    masked_gemm_all(a, tiles, panels, c);
     benchmark::DoNotOptimize(c.data());
   }
   state.counters["sparsity"] = 0.75;

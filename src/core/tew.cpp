@@ -61,12 +61,6 @@ TewMatrix build_tew(const MatrixF& weights, const TilePattern& pattern,
   return out;
 }
 
-MatrixF tew_matmul(const MatrixF& a, const TewMatrix& w, bool fp16_inputs) {
-  MatrixF c = tw_matmul(a, w.tiles, w.n, fp16_inputs);
-  csc_gemm_accumulate(a, w.remainder, c);
-  return c;
-}
-
 MatrixF tew_to_dense(const TewMatrix& w) {
   MatrixF dense = tiles_to_dense(w.tiles, w.k, w.n);
   const MatrixF ew = csc_to_dense(w.remainder);

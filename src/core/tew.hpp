@@ -37,10 +37,6 @@ struct TewMatrix {
 TewMatrix build_tew(const MatrixF& weights, const TilePattern& pattern,
                     const MatrixF& scores, double delta);
 
-/// C = A * (W_tw + W_ew): batched masked GEMM plus CSC accumulate.
-MatrixF tew_matmul(const MatrixF& a, const TewMatrix& w,
-                   bool fp16_inputs = false);
-
 /// Reconstructs the dense K x N weight matrix the TEW pair represents.
 MatrixF tew_to_dense(const TewMatrix& w);
 

@@ -48,11 +48,4 @@ std::vector<BatchGroup> build_batch_groups(const TilePattern& pattern) {
   return groups;
 }
 
-MatrixF tw_matmul(const MatrixF& a, const std::vector<MaskedTile>& tiles,
-                  std::size_t n, bool fp16_inputs) {
-  MatrixF c(a.rows(), n);
-  masked_gemm_all(a, tiles, c, fp16_inputs);
-  return c;
-}
-
 }  // namespace tilesparse

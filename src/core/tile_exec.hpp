@@ -31,10 +31,4 @@ struct BatchGroup {
 /// stream scheduler may overlap.
 std::vector<BatchGroup> build_batch_groups(const TilePattern& pattern);
 
-/// Runs the full TW-sparse product C = A * W_pruned on the CPU substrate
-/// (packed masked GEMM over all tiles).  C is returned M x N with zero
-/// columns where column-pruned.
-MatrixF tw_matmul(const MatrixF& a, const std::vector<MaskedTile>& tiles,
-                  std::size_t n, bool fp16_inputs = false);
-
 }  // namespace tilesparse

@@ -4,7 +4,6 @@
 
 #include "io/mmap_file.hpp"
 #include "io/wire.hpp"
-#include "quant/quant_gemm.hpp"
 
 namespace tilesparse {
 
@@ -43,19 +42,9 @@ double DenseWeight::macs(std::size_t m) const noexcept {
          static_cast<double>(n());
 }
 
-bool DenseWeight::supports(Numerics) const noexcept { return true; }
-
 void DenseWeight::accumulate(const ExecContext& ctx, const MatrixF& a,
                              MatrixF& c, std::size_t n0,
-                             std::size_t n1) const {
-  if (ctx.int8()) {
-    // Dynamic activation quantisation; the weight copy quantises once.
-    std::call_once(quantized_once_, [this] { quantized_ = quantize(weights_); });
-    const MatrixF q = quant_matmul(quantize(a), quantized_);
-    for (std::size_t r = 0; r < c.rows(); ++r)
-      for (std::size_t j = n0; j < n1; ++j) c(r, j - n0) += q(r, j);
-    return;
-  }
+                             std::size_t) const {
   std::call_once(packed_b_once_,
                  [this] { packed_b_ = pack_dense_b(weights_, config_); });
   GemmConfig config = config_;

@@ -1,9 +1,8 @@
 #pragma once
 // DenseWeight — the unpruned baseline backend: a plain K x N matrix
 // executed with the blocked dense GEMM (the CPU stand-in for
-// cuBLAS/CUTLASS on tensor cores).  Supports every numerics mode: fp16
-// rounds A inside the kernel; int8 quantises both operands dynamically
-// (per-tensor scales) and accumulates in int32.
+// cuBLAS/CUTLASS on tensor cores).  fp16 activations are rounded
+// through binary16 inside the kernel's A packing.
 
 #include <iosfwd>
 #include <memory>
@@ -11,7 +10,6 @@
 
 #include "exec/packed_weight.hpp"
 #include "gemm/dense_gemm.hpp"
-#include "quant/quantize.hpp"
 
 namespace tilesparse {
 
@@ -33,14 +31,12 @@ class DenseWeight final : public PackedWeight {
   std::size_t bytes() const noexcept override;
   double macs(std::size_t m) const noexcept override;
   std::string_view format() const noexcept override { return "dense"; }
-  bool supports(Numerics numerics) const noexcept override;
 
  protected:
   /// Column ranges run only the packed-B strips they touch; the
   /// micro-kernel accumulates each output column over K in a fixed
   /// order regardless of which columns share the strip, so a range is
-  /// bit-identical.  int8 activations (per-tensor scales) compute the
-  /// whole product and add the range's columns.
+  /// bit-identical.
   void accumulate(const ExecContext& ctx, const MatrixF& a, MatrixF& c,
                   std::size_t n0, std::size_t n1) const override;
   bool native_fp16() const noexcept override { return true; }
@@ -48,17 +44,12 @@ class DenseWeight final : public PackedWeight {
  private:
   MatrixF weights_;  ///< K x N
   GemmConfig config_;
-  // Micro-kernel B panels, built once on first fp32/fp16 execution
+  // Micro-kernel B panels, built once on first execution
   // (weights are immutable after packing; cached so serving does not
   // repack K x N every call — at small batch the repack pass costs as
   // much as the compute).
   mutable PackedDenseB packed_b_;
   mutable std::once_flag packed_b_once_;
-  // int8 weight copy, built once on first int8 execution (weights are
-  // immutable after packing; cached so serving does not re-quantise
-  // K x N every call).
-  mutable QuantMatrix quantized_;
-  mutable std::once_flag quantized_once_;
 };
 
 }  // namespace tilesparse

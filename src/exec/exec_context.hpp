@@ -1,21 +1,20 @@
 #pragma once
 // ExecContext — the one knob bundle every weight-execution backend
-// understands.  Before this existed, numerics were threaded through the
-// kernel layer as loose `fp16_inputs` bools and alpha/beta were honored
-// only by dense_gemm; ExecContext unifies both so `C = alpha * A * W +
-// beta * C` means the same thing under every PackedWeight format.
+// understands: kernel threads, activation numerics and alpha/beta, so
+// `C = alpha * A * W + beta * C` means the same thing under every
+// PackedWeight format.
 
 #include <cstddef>
 
 namespace tilesparse {
 
 /// Requested activation numerics.  Weight numerics are a property of the
-/// *format* (e.g. "tw-int8" stores int8 weights), chosen at pack time;
-/// the context only controls how activations are treated on the way in.
+/// *format* (e.g. "tw-int8" stores int8 weights and quantises
+/// activations per row itself), chosen at pack time; the context only
+/// controls how activations are treated on the way in.
 enum class Numerics {
   kFp32,  ///< full-precision activations
   kFp16,  ///< activations rounded through binary16 (tensor-core numerics)
-  kInt8,  ///< activations dynamically quantised (int8-native formats only)
 };
 
 struct ExecContext {
@@ -27,16 +26,6 @@ struct ExecContext {
   float beta = 0.0f;   ///< scale on the existing C (0 overwrites)
 
   bool fp16() const noexcept { return numerics == Numerics::kFp16; }
-  bool int8() const noexcept { return numerics == Numerics::kInt8; }
 };
-
-inline const char* numerics_name(Numerics n) noexcept {
-  switch (n) {
-    case Numerics::kFp32: return "fp32";
-    case Numerics::kFp16: return "fp16";
-    case Numerics::kInt8: return "int8";
-  }
-  return "?";
-}
 
 }  // namespace tilesparse

@@ -41,10 +41,6 @@ class ThreadScope {
 
 }  // namespace
 
-bool PackedWeight::supports(Numerics numerics) const noexcept {
-  return numerics != Numerics::kInt8;
-}
-
 void PackedWeight::save(std::ostream&) const {
   throw std::logic_error(std::string("PackedWeight::save: format '") +
                          std::string(format()) +
@@ -83,11 +79,6 @@ void PackedWeight::run(const ExecContext& ctx, const MatrixF& a, MatrixF& c,
     throw std::invalid_argument("PackedWeight::matmul: C must be " +
                                 std::to_string(a.rows()) + " x " +
                                 std::to_string(width));
-  }
-  if (!supports(ctx.numerics)) {
-    throw std::invalid_argument(std::string("PackedWeight::matmul: format '") +
-                                std::string(format()) + "' cannot execute " +
-                                numerics_name(ctx.numerics) + " activations");
   }
 
   // Unified beta handling: the backends only accumulate.

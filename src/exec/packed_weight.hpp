@@ -42,8 +42,9 @@ class PackedWeight {
   virtual ~PackedWeight() = default;
 
   /// C = alpha * A(M x K) * W(K x N) + beta * C.  C must be M x N.
-  /// Throws std::invalid_argument on shape mismatch or when the context
-  /// requests numerics the format cannot execute (see supports()).
+  /// Throws std::invalid_argument on shape mismatch.  Every format runs
+  /// fp32 and fp16 activations (formats without native fp16 round a
+  /// copy of A through binary16).
   void matmul(const ExecContext& ctx, const MatrixF& a, MatrixF& c) const;
 
   /// Columns [n0, n1) of the above: C is M x (n1 - n0) and receives
@@ -83,12 +84,6 @@ class PackedWeight {
   /// mapping or the owned buffer a file or stream was read into — which
   /// it keeps alive, instead of owning private storage.
   bool borrows_storage() const noexcept { return keepalive_ != nullptr; }
-
-  /// Whether matmul can honor the requested activation numerics.
-  /// Every format handles fp32 and fp16 (non-native formats round a
-  /// copy of A through binary16); int8 requires an int8-native format
-  /// or a format that quantises dynamically.
-  virtual bool supports(Numerics numerics) const noexcept;
 
   std::size_t k() const noexcept { return k_; }
   std::size_t n() const noexcept { return n_; }

@@ -55,9 +55,8 @@ std::unique_ptr<QuantTwWeight> QuantTwWeight::load(MappedArtifact& in,
     tile.weights = MatrixI8::borrowed(panel.data(),
                                       static_cast<std::size_t>(rows),
                                       static_cast<std::size_t>(cols));
-    wire::check_index_vector(tile.kept_rows, k, "tile row");
-    wire::check_index_vector(tile.out_cols, n, "tile column");
   }
+  wire::check_tile_indices(tiles, k, n);
   auto weight = std::make_unique<QuantTwWeight>(std::move(tiles), k, n);
   weight->set_storage_keepalive(in.keepalive());
   return weight;
@@ -86,8 +85,6 @@ double QuantTwWeight::macs(std::size_t m) const noexcept {
   }
   return total;
 }
-
-bool QuantTwWeight::supports(Numerics) const noexcept { return true; }
 
 void QuantTwWeight::accumulate(const ExecContext&, const MatrixF& a,
                                MatrixF& c, std::size_t n0, std::size_t) const {

@@ -26,11 +26,11 @@ class QuantTwWeight final : public PackedWeight {
   /// `pattern`: compaction then per-tile symmetric int8.
   QuantTwWeight(const MatrixF& weights, const TilePattern& pattern);
 
-  /// Quantises pre-compacted float tiles (deployment load path).
+  /// Quantises pre-compacted float tiles.
   QuantTwWeight(const std::vector<MaskedTile>& tiles, std::size_t k,
                 std::size_t n);
 
-  /// Wraps already-quantised tiles.
+  /// Wraps already-quantised tiles (the deployment load path).
   QuantTwWeight(std::vector<QuantMaskedTile> tiles, std::size_t k,
                 std::size_t n);
 
@@ -48,9 +48,6 @@ class QuantTwWeight final : public PackedWeight {
   std::size_t bytes() const noexcept override;
   double macs(std::size_t m) const noexcept override;
   std::string_view format() const noexcept override { return "tw-int8"; }
-  bool supports(Numerics numerics) const noexcept override;
-
-  const std::vector<QuantMaskedTile>& tiles() const noexcept { return tiles_; }
 
  protected:
   /// A column range runs the in-range columns of the same int8 tiles,

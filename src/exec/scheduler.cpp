@@ -33,9 +33,6 @@ std::size_t ExecScheduler::shard_count(const ExecGraph::Node& node) const {
   if (node.kind != ExecGraph::NodeKind::kGemm) return 1;
   const std::size_t streams = this->streams();
   if (streams < 2) return 1;
-  // Per-tensor dynamic int8 scales are a property of the *whole*
-  // product: every shard would quantise and multiply all of it.
-  if (node.ctx.int8()) return 1;
 
   const PlannerCalibration& calibration =
       options_.calibration ? *options_.calibration : planner_calibration();

@@ -53,8 +53,6 @@ struct SchedulerOptions {
   /// GraphValidationError listing every finding on a malformed graph.
   bool validate = true;
   /// Never split a GEMM below this many output columns per shard.
-  /// int8 *activation* nodes are never sharded: the dense backend's
-  /// dynamic per-tensor scales are a whole-matrix property.
   std::size_t min_shard_width = 32;
   /// Activation rows assumed when sizing shards (the plan is built
   /// before inputs exist; serving batches near this keep shards

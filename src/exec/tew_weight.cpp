@@ -41,10 +41,7 @@ std::unique_ptr<TewWeight> TewWeight::load(MappedArtifact& in, std::size_t k,
       remainder.cols != n || tiles.size() != pattern.tiles.size())
     throw std::runtime_error(
         "TewWeight::load: payload shape disagrees with artifact header");
-  for (const MaskedTile& tile : tiles) {
-    wire::check_index_vector(tile.kept_rows, k, "tile row");
-    wire::check_index_vector(tile.out_cols, n, "tile column");
-  }
+  wire::check_tile_indices(tiles, k, n);
   auto weight = std::unique_ptr<TewWeight>(
       new TewWeight(k, n, std::move(pattern), std::move(tiles),
                     std::move(remainder)));
@@ -87,9 +84,9 @@ double TewWeight::macs(std::size_t m) const noexcept {
 
 void TewWeight::accumulate(const ExecContext& ctx, const MatrixF& a,
                            MatrixF& c, std::size_t n0, std::size_t) const {
-  // fp16 applies to the TW part only (same semantics as tew_matmul): on
-  // the GPU the EW remainder runs on CUDA cores in fp32.
-  masked_gemm_all(a, tiles_, c, ctx.fp16(), &panels_, n0);
+  // fp16 applies to the TW part only: on the GPU the EW remainder runs
+  // on CUDA cores in fp32.
+  masked_gemm_all(a, tiles_, panels_, c, ctx.fp16(), n0);
   csc_gemm_accumulate(a, remainder_.ref(), c, n0);
 }
 

@@ -1,6 +1,6 @@
 #pragma once
 // TewWeight — the hybrid tile-element-wise format: a TW part executed
-// as batched masked GEMM plus an element-wise CSC remainder accumulated
+// by the masked GEMM plus an element-wise CSC remainder accumulated
 // separately; linearity of GEMM makes A*W = A*W_tw + A*W_ew exact.
 // Matches the existing TewMatrix decomposition, behind the unified
 // PackedWeight interface.
@@ -44,10 +44,6 @@ class TewWeight final : public PackedWeight {
   std::size_t bytes() const noexcept override;
   double macs(std::size_t m) const noexcept override;
   std::string_view format() const noexcept override { return "tew"; }
-
-  const TilePattern& pattern() const noexcept { return pattern_; }
-  const std::vector<MaskedTile>& tiles() const noexcept { return tiles_; }
-  const CscStore& remainder() const noexcept { return remainder_; }
 
  protected:
   /// Both halves run column ranges exactly: the TW tiles keep their

@@ -1,32 +1,11 @@
 #include "exec/tw_weight.hpp"
 
+#include "core/tile_exec.hpp"
 #include "io/mmap_file.hpp"
 #include "io/serialize.hpp"
 #include "io/wire.hpp"
 
 namespace tilesparse {
-
-namespace {
-
-std::vector<BatchGroup> groups_from_tiles(const std::vector<MaskedTile>& tiles) {
-  // build_batch_groups works off a TilePattern; reconstruct the width /
-  // kept-row statistics directly so tile-only construction (deployment
-  // load path) gets the same grouping.
-  TilePattern pattern;
-  for (const auto& tile : tiles) {
-    TwTile spec;
-    spec.out_cols = tile.out_cols;
-    pattern.tiles.push_back(std::move(spec));
-  }
-  std::vector<BatchGroup> groups = build_batch_groups(pattern);
-  for (auto& group : groups) {
-    for (std::size_t i = 0; i < group.tile_ids.size(); ++i)
-      group.kept_rows[i] = tiles[group.tile_ids[i]].kept_rows.size();
-  }
-  return groups;
-}
-
-}  // namespace
 
 std::size_t masked_tile_bytes(const MaskedTile& tile,
                               std::size_t weight_bytes_per_element) noexcept {
@@ -42,7 +21,6 @@ TwWeight::TwWeight(const MatrixF& weights, const TilePattern& pattern)
 TwWeight::TwWeight(std::vector<MaskedTile> tiles, std::size_t k, std::size_t n)
     : PackedWeight(k, n),
       tiles_(std::move(tiles)),
-      groups_(groups_from_tiles(tiles_)),
       panels_(prepack_all_tile_panels(tiles_)) {}
 
 void TwWeight::save(std::ostream& out) const { write_tiles(out, tiles_); }
@@ -50,10 +28,7 @@ void TwWeight::save(std::ostream& out) const { write_tiles(out, tiles_); }
 std::unique_ptr<TwWeight> TwWeight::load(MappedArtifact& in, std::size_t k,
                                          std::size_t n) {
   std::vector<MaskedTile> tiles = read_tiles(in);
-  for (const MaskedTile& tile : tiles) {
-    wire::check_index_vector(tile.kept_rows, k, "tile row");
-    wire::check_index_vector(tile.out_cols, n, "tile column");
-  }
+  wire::check_tile_indices(tiles, k, n);
   auto weight = std::make_unique<TwWeight>(std::move(tiles), k, n);
   weight->set_storage_keepalive(in.keepalive());
   return weight;
@@ -79,7 +54,7 @@ double TwWeight::macs(std::size_t m) const noexcept {
 
 void TwWeight::accumulate(const ExecContext& ctx, const MatrixF& a,
                           MatrixF& c, std::size_t n0, std::size_t) const {
-  masked_gemm_all(a, tiles_, c, ctx.fp16(), &panels_, n0);
+  masked_gemm_all(a, tiles_, panels_, c, ctx.fp16(), n0);
 }
 
 }  // namespace tilesparse

@@ -1,14 +1,14 @@
 #pragma once
 // TwWeight — tile-wise sparse execution (the paper's primary format):
-// compacted MaskedTiles run through the packed masked GEMM, batched by
-// equal tile width.  fp16 rounds the packed A panels natively inside
-// the kernel; int8 weight storage is a separate format ("tw-int8").
+// compacted MaskedTiles run through the packed masked GEMM, one tile
+// per task on B panels prepacked at construction.  fp16 rounds the
+// packed A panels natively inside the kernel; int8 weight storage is a
+// separate format ("tw-int8").
 
 #include <iosfwd>
 #include <memory>
 #include <vector>
 
-#include "core/tile_exec.hpp"
 #include "core/tile_pattern.hpp"
 #include "exec/packed_weight.hpp"
 #include "gemm/masked_gemm.hpp"
@@ -39,12 +39,6 @@ class TwWeight final : public PackedWeight {
   double macs(std::size_t m) const noexcept override;
   std::string_view format() const noexcept override { return "tw"; }
 
-  const std::vector<MaskedTile>& tiles() const noexcept { return tiles_; }
-  /// Equal-width batch groups (paper Fig. 7-3), for schedulers/models.
-  const std::vector<BatchGroup>& batch_groups() const noexcept {
-    return groups_;
-  }
-
  protected:
   /// A column range runs each tile's in-range compacted columns on the
   /// same prepacked panels; kept_rows alone fix the kernel's K-blocking
@@ -55,9 +49,8 @@ class TwWeight final : public PackedWeight {
 
  private:
   std::vector<MaskedTile> tiles_;
-  std::vector<BatchGroup> groups_;
   /// B panels pre-packed at construction (column ranges read them in
-  /// place); replaces the per-call packing of the gather fallback.
+  /// place).
   std::vector<TilePanels> panels_;
 };
 

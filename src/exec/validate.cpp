@@ -314,7 +314,7 @@ std::vector<GraphFinding> validate_graph(const ExecGraph& graph) {
       slot.readers_since_write.clear();
     }
 
-    // ------------------------------------------- shapes and numerics
+    // ------------------------------------------------------------ shapes
     if (node.kind == ExecGraph::NodeKind::kGemm) {
       SlotState& in = slots[node.in];
       if (in.width != kUnknownWidth && in.width != node.weight->k()) {
@@ -360,14 +360,6 @@ std::vector<GraphFinding> validate_graph(const ExecGraph& graph) {
           add_finding(findings, FindingSeverity::kError, "shape-mismatch",
                       msg);
         }
-      }
-      if (!node.weight->supports(node.ctx.numerics)) {
-        add_finding(findings, FindingSeverity::kError, "unsupported-numerics",
-                    "gemm " + node_label(graph, id) + " requests " +
-                        numerics_name(node.ctx.numerics) +
-                        " activations, which format '" +
-                        std::string(node.weight->format()) +
-                        "' cannot execute");
       }
     } else {
       // A host body sizes its outputs itself; downstream width checks

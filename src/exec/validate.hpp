@@ -21,12 +21,11 @@
 //  * Acyclicity: explicit add_dep edges may point either way, so the
 //    verifier runs real cycle detection and prints the cycle as a
 //    node-name path.
-//  * Shape/numerics consistency: slot widths are propagated through
-//    GEMM nodes (out = weight->n()); a consumer whose weight K
-//    disagrees with the producer's N is reported, as are epilogue
-//    bias and residual widths other than N, a residual slot aliasing
-//    the node's own output, and ExecContext numerics the weight cannot
-//    execute.  An epilogue's residual is a read of its node, so the
+//  * Shape consistency: slot widths are propagated through GEMM nodes
+//    (out = weight->n()); a consumer whose weight K disagrees with the
+//    producer's N is reported, as are epilogue bias and residual
+//    widths other than N and a residual slot aliasing the node's own
+//    output.  An epilogue's residual is a read of its node, so the
 //    def-use and hazard audits above cover it like any other input.
 //  * Shard-plan audit: audit_shard_slices() proves the column ranges
 //    the scheduler actually plans for a GEMM tile [0, N) exactly, with
@@ -55,7 +54,7 @@ struct GraphFinding {
   FindingSeverity severity = FindingSeverity::kError;
   /// Stable machine-readable class: "cycle", "read-before-write",
   /// "missing-dep", "dead-write", "dead-node", "shape-mismatch",
-  /// "aliased-residual", "unsupported-numerics", "shard-plan".
+  /// "aliased-residual", "shard-plan".
   std::string code;
   /// Human-readable diagnostic naming the nodes/slots involved.
   std::string message;

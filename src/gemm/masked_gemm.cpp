@@ -36,39 +36,32 @@ constexpr std::size_t kKc = 256;  // K panel resident in L1/L2
 constexpr std::size_t kMc = 96;   // M chunk: accumulator stays cache
                                   // resident and scratch stays bounded
 
+}  // namespace
+
 /// Packs the compacted tile weights: per (K-block, strip) panels,
 /// kNr-wide, zero-padded — after packing, the inner loops are the same
 /// register-tiled kernel dense GEMM runs (the CPU equivalent of the
 /// transpose trick restoring coalesced loads).
-void pack_tile_b_panels(const MaskedTile& tile, float* b_panels) {
+TilePanels prepack_tile_panels(const MaskedTile& tile) {
+  TilePanels panels;
   const std::size_t kt = tile.kept_rows.size();
   const std::size_t wt = tile.out_cols.size();
+  if (kt == 0 || wt == 0) return panels;
   const std::size_t strips = (wt + kNr - 1) / kNr;
   const std::size_t wt_round = strips * kNr;
+  panels.b = MatrixF(kt, wt_round);
   const std::size_t kcap = std::min(kKc, kt);
   const std::size_t k_blocks = (kt + kcap - 1) / kcap;
   for (std::size_t kb = 0; kb < k_blocks; ++kb) {
     const std::size_t k0 = kb * kcap;
     const std::size_t klen = std::min(kcap, kt - k0);
-    float* block_base = b_panels + k0 * wt_round;
+    float* block_base = panels.b.data() + k0 * wt_round;
     for (std::size_t s = 0; s < strips; ++s) {
       const std::size_t j0 = s * kNr;
       pack_b_panel_f32(tile.weights.data() + k0 * wt + j0, wt, klen,
                        std::min(kNr, wt - j0), block_base + s * klen * kNr);
     }
   }
-}
-
-}  // namespace
-
-TilePanels prepack_tile_panels(const MaskedTile& tile) {
-  TilePanels panels;
-  const std::size_t kt = tile.kept_rows.size();
-  const std::size_t wt = tile.out_cols.size();
-  if (kt == 0 || wt == 0) return panels;
-  const std::size_t wt_round = ((wt + kNr - 1) / kNr) * kNr;
-  panels.b = MatrixF(kt, wt_round);
-  pack_tile_b_panels(tile, panels.b.data());
   return panels;
 }
 
@@ -91,8 +84,8 @@ std::pair<std::size_t, std::size_t> tile_col_range(
           static_cast<std::size_t>(hi - out_cols.begin())};
 }
 
-void masked_gemm_packed(const MatrixF& a, const MaskedTile& tile, MatrixF& c,
-                        bool fp16_inputs, const TilePanels* prepacked,
+void masked_gemm_packed(const MatrixF& a, const MaskedTile& tile,
+                        const TilePanels& panels, MatrixF& c, bool fp16_inputs,
                         std::size_t n0) {
   const std::size_t m = a.rows();
   const std::size_t kt = tile.kept_rows.size();
@@ -109,23 +102,15 @@ void masked_gemm_packed(const MatrixF& a, const MaskedTile& tile, MatrixF& c,
   const std::size_t kcap = std::min(kKc, kt);
   const std::size_t mcap = std::min(kMc, m);
 
-  // Per-thread scratch: masked_gemm_all runs one tile per worker, and
-  // the seed version allocated panels per row block inside that loop.
+  // Per-thread scratch: masked_gemm_all runs one tile per worker.
   GemmScratch& scratch = thread_gemm_scratch();
   scratch.a_f32.resize(kcap * kMr);
   scratch.acc_f32.resize(mcap * acc_cols);
   float* a_panel = scratch.a_f32.data();
   float* acc = scratch.acc_f32.data();
 
-  const float* b_panels;
-  if (prepacked && prepacked->b.size() != 0) {
-    assert(prepacked->b.size() == kt * wt_round);
-    b_panels = prepacked->b.data();
-  } else {
-    scratch.b_f32.resize(kt * wt_round);
-    pack_tile_b_panels(tile, scratch.b_f32.data());
-    b_panels = scratch.b_f32.data();
-  }
+  assert(panels.b.size() == kt * wt_round);
+  const float* b_panels = panels.b.data();
   const std::size_t k_blocks = (kt + kcap - 1) / kcap;
 
   for (std::size_t i0 = 0; i0 < m; i0 += mcap) {
@@ -160,16 +145,14 @@ void masked_gemm_packed(const MatrixF& a, const MaskedTile& tile, MatrixF& c,
 }
 
 void masked_gemm_all(const MatrixF& a, const std::vector<MaskedTile>& tiles,
-                     MatrixF& c, bool fp16_inputs,
-                     const std::vector<TilePanels>* prepacked,
-                     std::size_t n0) {
-  assert(!prepacked || prepacked->size() == tiles.size());
+                     const std::vector<TilePanels>& panels, MatrixF& c,
+                     bool fp16_inputs, std::size_t n0) {
+  assert(panels.size() == tiles.size());
   // Tiles write disjoint C columns (out_cols never overlap across tiles
   // of one weight matrix), so the loop is safely parallel.
 #pragma omp parallel for schedule(dynamic)
   for (std::size_t t = 0; t < tiles.size(); ++t) {
-    masked_gemm_packed(a, tiles[t], c, fp16_inputs,
-                       prepacked ? &(*prepacked)[t] : nullptr, n0);
+    masked_gemm_packed(a, tiles[t], panels[t], c, fp16_inputs, n0);
   }
 }
 

@@ -34,9 +34,8 @@ struct MaskedTile {
 void masked_gemm_gather(const MatrixF& a, const MaskedTile& tile, MatrixF& c);
 
 /// Pre-packed B panels for one MaskedTile, in exactly the per-(K-block,
-/// strip) layout masked_gemm_packed consumes.  Building this at pack
-/// time removes the per-call repacking the old gather fallback paid on
-/// every matmul; the layout depends only on the tile shape, so one
+/// strip) layout masked_gemm_packed consumes.  Built once at pack (or
+/// load) time; the layout depends only on the tile shape, so one
 /// prepack serves every batch size and numerics mode (fp16 rounds the
 /// A panels inside the kernel, weights are pre-rounded by the caller).
 /// MatrixF storage is 64-byte aligned, so every kNr-float panel row is
@@ -49,10 +48,10 @@ struct TilePanels {
 TilePanels prepack_tile_panels(const MaskedTile& tile);
 
 /// Same computation, but packs the masked A panel first (coalesced
-/// analogue).  `fp16_inputs` rounds the packed A panel through binary16;
-/// pre-round the tile weights with round_matrix_to_half for full
-/// tensor-core numerics.  `prepacked`, when non-null and non-empty,
-/// supplies the tile's B panels and skips the per-call weight packing.
+/// analogue) and runs the micro-kernel on `panels`, the tile's
+/// prepack_tile_panels.  `fp16_inputs` rounds the packed A panel
+/// through binary16; pre-round the tile weights with
+/// round_matrix_to_half for full tensor-core numerics.
 ///
 /// C may hold a column range of the output: it receives original
 /// columns [n0, n0 + c.cols()).  Only the tile's compacted columns in
@@ -60,19 +59,18 @@ TilePanels prepack_tile_panels(const MaskedTile& tile);
 /// scattered; the K-blocking comes from kept_rows alone and a lane's
 /// arithmetic never depends on its strip, so a range is bit-identical
 /// to the same columns of the whole product.
-void masked_gemm_packed(const MatrixF& a, const MaskedTile& tile, MatrixF& c,
-                        bool fp16_inputs = false,
-                        const TilePanels* prepacked = nullptr,
-                        std::size_t n0 = 0);
+void masked_gemm_packed(const MatrixF& a, const MaskedTile& tile,
+                        const TilePanels& panels, MatrixF& c,
+                        bool fp16_inputs = false, std::size_t n0 = 0);
 
 /// Executes a whole set of tiles (one TW-pruned weight matrix) against a
 /// shared A, packed variant, parallel across tiles.  C holds original
 /// columns [n0, n0 + c.cols()) (M x N_original for the whole product).
-/// `prepacked`, when non-null, must parallel `tiles` 1:1.
+/// `panels` parallels `tiles` 1:1 (prepack_all_tile_panels).  Tiles
+/// must write disjoint output columns, as every pruned weight's do.
 void masked_gemm_all(const MatrixF& a, const std::vector<MaskedTile>& tiles,
-                     MatrixF& c, bool fp16_inputs = false,
-                     const std::vector<TilePanels>* prepacked = nullptr,
-                     std::size_t n0 = 0);
+                     const std::vector<TilePanels>& panels, MatrixF& c,
+                     bool fp16_inputs = false, std::size_t n0 = 0);
 
 /// The compacted columns [j0, j1) of `out_cols` (ascending) that fall in
 /// original columns [n0, n1): the part of a tile a column range runs.

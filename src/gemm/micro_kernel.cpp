@@ -339,16 +339,6 @@ void pack_at_panel_f32(const float* a, std::size_t lda, std::size_t rows,
   }
 }
 
-void pack_a_panel_i8(const std::int8_t* a, std::size_t lda, std::size_t rows,
-                     std::size_t kc, std::int8_t* out) {
-  const std::size_t kc_even = round_up_pair(kc);
-  for (std::size_t kk = 0; kk < kc_even; ++kk) {
-    std::int8_t* ocol = out + kk * kMr;
-    for (std::size_t r = 0; r < kMr; ++r)
-      ocol[r] = (kk < kc && r < rows) ? a[r * lda + kk] : std::int8_t{0};
-  }
-}
-
 void pack_a_panel_gather_i8(const std::int8_t* a, std::size_t lda,
                             std::size_t rows, const std::int32_t* col_idx,
                             std::size_t kc, std::int8_t* out) {

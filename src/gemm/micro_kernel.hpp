@@ -137,9 +137,8 @@ void spmm_strip_f32(const float* a_panel, const std::int32_t* row_idx,
                     const std::int64_t* row_ptr, std::size_t nrows,
                     const std::int32_t* col, const float* val, float* frag);
 
-/// int8 A micro-panel (dense and gathered), kc padded to even.
-void pack_a_panel_i8(const std::int8_t* a, std::size_t lda, std::size_t rows,
-                     std::size_t kc, std::int8_t* out);
+/// Gathered int8 A micro-panel (column kk reads A column col_idx[kk]),
+/// kc padded to even.
 void pack_a_panel_gather_i8(const std::int8_t* a, std::size_t lda,
                             std::size_t rows, const std::int32_t* col_idx,
                             std::size_t kc, std::int8_t* out);

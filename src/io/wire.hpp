@@ -9,6 +9,7 @@
 // rather than silently producing artifacts no little-endian reader can
 // open; porting to such a host means adding byte-swap shims here.
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <ostream>
@@ -103,9 +104,8 @@ void write_matrix_payload(std::ostream& out, const Matrix<T>& m) {
               static_cast<std::streamsize>(m.size() * sizeof(T)));
 }
 
-/// Index-vector sanity shared by the tile loaders: strictly ascending
-/// and within [0, limit).  Throws std::runtime_error — a file is never
-/// trusted.
+/// Index-vector sanity: strictly ascending and within [0, limit).
+/// Throws std::runtime_error — a file is never trusted.
 inline void check_index_vector(std::span<const std::int32_t> indices,
                                std::size_t limit, const char* what) {
   std::int64_t prev = -1;
@@ -115,6 +115,30 @@ inline void check_index_vector(std::span<const std::int32_t> indices,
                                " index vector");
     prev = idx;
   }
+}
+
+/// The one index check of the tile loaders (tw, tew, tw-int8): every
+/// tile's kept_rows and out_cols pass check_index_vector against `k`
+/// and `n`, and no output column belongs to two tiles.  The tile
+/// kernels run tiles in parallel on the premise that they write
+/// disjoint columns, and to_dense() keeps one tile's value where
+/// matmul would sum both.  Throws std::runtime_error.
+template <typename Tile>
+void check_tile_indices(const std::vector<Tile>& tiles, std::size_t k,
+                        std::size_t n) {
+  // Sorting the columns read from the image keeps the check's memory
+  // bounded by the payload, not by a hostile header's n.
+  std::vector<std::int32_t> cols;
+  for (const Tile& tile : tiles) {
+    check_index_vector(tile.kept_rows, k, "tile row");
+    check_index_vector(tile.out_cols, n, "tile column");
+    cols.insert(cols.end(), tile.out_cols.begin(), tile.out_cols.end());
+  }
+  std::sort(cols.begin(), cols.end());
+  if (std::adjacent_find(cols.begin(), cols.end()) != cols.end())
+    throw std::runtime_error(
+        "tilesparse::io: corrupt tile columns: an output column belongs to "
+        "two tiles");
 }
 
 }  // namespace tilesparse::wire

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 #include "gemm/micro_kernel.hpp"
 
@@ -22,53 +21,6 @@ std::vector<QuantMaskedTile> quantize_tiles(
     out.push_back(std::move(q));
   }
   return out;
-}
-
-MatrixF quant_matmul(const QuantMatrix& a, const QuantMatrix& b) {
-  assert(a.values.cols() == b.values.rows());
-  const std::size_t m = a.values.rows();
-  const std::size_t k = a.values.cols();
-  const std::size_t n = b.values.cols();
-  MatrixF c(m, n);
-  if (m == 0 || k == 0 || n == 0) return c;
-  const float out_scale = a.scale * b.scale;
-
-  // int8 panels are 4x smaller than fp32, so the whole K extent stays
-  // cache resident per strip: one kernel call covers all of K with the
-  // int32 accumulators entirely in registers (fused dequant on store).
-  const std::size_t k_even = round_up_pair(k);
-  const std::size_t strips = (n + kNr - 1) / kNr;
-  std::vector<std::int8_t> b_packed(k_even * strips * kNr);
-  for (std::size_t s = 0; s < strips; ++s) {
-    const std::size_t j0 = s * kNr;
-    pack_b_panel_i8(b.values.data() + j0, n, k, std::min(kNr, n - j0),
-                    b_packed.data() + s * k_even * kNr);
-  }
-
-  const std::size_t row_blocks = (m + kMr - 1) / kMr;
-#pragma omp parallel for schedule(static)
-  for (std::size_t rb = 0; rb < row_blocks; ++rb) {
-    const std::size_t i = rb * kMr;
-    const std::size_t rows = std::min(kMr, m - i);
-    GemmScratch& scratch = thread_gemm_scratch();
-    scratch.a_i8.resize(k_even * kMr);
-    std::int8_t* a_panel = scratch.a_i8.data();
-    pack_a_panel_i8(a.values.data() + i * k, k, rows, k, a_panel);
-    for (std::size_t s = 0; s < strips; ++s) {
-      const std::size_t j0 = s * kNr;
-      micro_kernel_i8(k, a_panel, b_packed.data() + s * k_even * kNr,
-                      out_scale, &c(i, j0), n, rows, std::min(kNr, n - j0));
-    }
-  }
-  return c;
-}
-
-MatrixF quant_tw_matmul(const MatrixF& a,
-                        const std::vector<QuantMaskedTile>& tiles,
-                        std::size_t n) {
-  MatrixF c(a.rows(), n);
-  quant_tw_gemm(a, tiles, c);
-  return c;
 }
 
 MatrixF quant_tiles_to_dense(const std::vector<QuantMaskedTile>& tiles,

@@ -26,20 +26,13 @@ struct QuantMaskedTile {
 /// regular tile structure is what makes this granularity natural).
 std::vector<QuantMaskedTile> quantize_tiles(const std::vector<MaskedTile>& tiles);
 
-/// Dense int8 GEMM reference: C = (Aq * Bq) * (a.scale * b.scale).
-MatrixF quant_matmul(const QuantMatrix& a, const QuantMatrix& b);
-
-/// C = A * W for TW-pruned int8 weights.  A is quantised internally
-/// (dynamic per-row scales); accumulation is int32 per tile, scaled to
-/// float on store.  Parallel across tiles (disjoint output columns).
-MatrixF quant_tw_matmul(const MatrixF& a,
-                        const std::vector<QuantMaskedTile>& tiles,
-                        std::size_t n);
-
-/// Accumulating variant: C += A * W.  Entry point for the QuantTwWeight
-/// execution backend.  C holds original columns [n0, n0 + c.cols()) (M x
-/// N for the whole product); as in masked_gemm_packed, only the tiles'
-/// in-range compacted columns run, bit-identical to the whole product.
+/// C += A * W for TW-pruned int8 weights, the QuantTwWeight backend's
+/// kernel.  A is quantised internally (dynamic per-row scales);
+/// accumulation is int32 per tile, scaled to float on store.  Parallel
+/// across tiles, which must write disjoint output columns.  C holds
+/// original columns [n0, n0 + c.cols()) (M x N for the whole product);
+/// as in masked_gemm_packed, only the tiles' in-range compacted columns
+/// run, bit-identical to the whole product.
 void quant_tw_gemm(const MatrixF& a, const std::vector<QuantMaskedTile>& tiles,
                    MatrixF& c, std::size_t n0 = 0);
 

@@ -49,8 +49,5 @@ inline MatrixF csc_to_dense(const Csc& m) { return csc_to_dense(m.ref()); }
 /// same columns of the whole product.
 void csc_gemm_accumulate(const MatrixF& a, const CscRef& b, MatrixF& c,
                          std::size_t n0 = 0);
-inline void csc_gemm_accumulate(const MatrixF& a, const Csc& b, MatrixF& c) {
-  csc_gemm_accumulate(a, b.ref(), c);
-}
 
 }  // namespace tilesparse

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <tuple>
 
@@ -35,6 +37,12 @@ MatrixF random_matrix(std::size_t rows, std::size_t cols, std::uint64_t seed) {
   MatrixF m(rows, cols);
   fill_normal(m, rng);
   return m;
+}
+
+bool bit_identical(const MatrixF& a, const MatrixF& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  return a.size() == 0 ||
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
 /// Packs `w` under `format`, supplying a TW pattern (sparsity 0.6)
@@ -131,13 +139,17 @@ TEST_P(BackendConformance, Fp16ActivationsStayClose) {
 
   ExecContext fp16;
   fp16.numerics = Numerics::kFp16;
-  ASSERT_TRUE(packed->supports(Numerics::kFp16));
   const MatrixF c16 = packed->matmul(fp16, a);
   const MatrixF c32 = packed->matmul(ExecContext{}, a);
   // fp16 inputs, fp32 accumulate: relative error ~2^-11 per operand.
   const float scale = static_cast<float>(shape.k);
   EXPECT_LT(max_abs_diff(c16, c32), 0.01f * scale) << format << " "
                                                    << shape.label;
+  // tw-int8 quantises each activation row to int8 itself, a step with
+  // no binary16 rounding in it, so fp16 must not change one bit.
+  if (format == "tw-int8") {
+    EXPECT_TRUE(bit_identical(c16, c32)) << shape.label;
+  }
 }
 
 constexpr ConformanceCase kCases[] = {
@@ -212,30 +224,6 @@ TEST(BackendEdge, FullyPrunedMatrixYieldsZeroOutput) {
   const MatrixF a = random_matrix(3, k, 53);
   const MatrixF c = packed->matmul(ExecContext{}, a);
   for (float v : c.flat()) EXPECT_EQ(v, 0.0f);
-}
-
-// ------------------------------------------------------ numerics support
-
-TEST(BackendNumerics, Int8SupportIsFormatInherent) {
-  const MatrixF w = random_matrix(32, 32, 59);
-  const MatrixF a = random_matrix(4, 32, 61);
-  for (const std::string& format : registered_formats()) {
-    const auto packed = pack_for_test(format, w, 16);
-    ExecContext int8;
-    int8.numerics = Numerics::kInt8;
-    if (packed->supports(Numerics::kInt8)) {
-      const MatrixF c = packed->matmul(int8, a);
-      EXPECT_EQ(c.rows(), 4u) << format;
-    } else {
-      MatrixF c(4, 32);
-      EXPECT_THROW(packed->matmul(int8, a, c), std::invalid_argument)
-          << format;
-    }
-  }
-  // The two int8-capable backends.
-  EXPECT_TRUE(pack_for_test("dense", w, 16)->supports(Numerics::kInt8));
-  EXPECT_TRUE(pack_for_test("tw-int8", w, 16)->supports(Numerics::kInt8));
-  EXPECT_FALSE(pack_for_test("tw", w, 16)->supports(Numerics::kInt8));
 }
 
 // ------------------------------------------------------------- registry
@@ -544,7 +532,10 @@ TEST_P(MicroKernel, Int8KernelIsExactWithPowerOfTwoScale) {
           v = static_cast<std::int8_t>(rng.uniform(-127.0f, 127.0f));
         const std::size_t kc_even = round_up_pair(kc);
         std::vector<std::int8_t> a_panel(kc_even * kMr), b_panel(kc_even * kNr);
-        pack_a_panel_i8(a.data(), kc, rows, kc, a_panel.data());
+        std::vector<std::int32_t> identity(kc);
+        std::iota(identity.begin(), identity.end(), 0);
+        pack_a_panel_gather_i8(a.data(), kc, rows, identity.data(), kc,
+                               a_panel.data());
         pack_b_panel_i8(b.data(), cols, kc, cols, b_panel.data());
 
         MatrixF c(rows, cols);

@@ -360,7 +360,7 @@ TEST(ShardColsTest, AllFormatsSliceExactOnRaggedShapes) {
           n0 = n1;
         }
         EXPECT_TRUE(bit_identical(joined, whole))
-            << format << " " << numerics_name(numerics)
+            << format << (numerics == Numerics::kFp16 ? " fp16" : " fp32")
             << " range join diverged at shards=" << shards;
       }
     }

@@ -8,7 +8,11 @@
 // under fuzzing is strict: any input either parses or throws
 // std::exception — no crash, no sanitizer report, no misaligned span
 // handed to a kernel, no unbounded allocation (sizes are validated
-// against the image length before allocation).
+// against the image length before allocation).  And every weight that
+// parses is executed as served: to_dense(), one whole matmul and one
+// column-range matmul on a 2-row A.  A payload the loaders accept but a
+// kernel mis-indexes therefore fails the run under ASan+UBSan instead
+// of passing as "parsed".
 //
 // Built two ways (CMakeLists TILESPARSE_ENABLE_FUZZER):
 //  * libFuzzer (clang): LLVMFuzzerTestOneInput only; link with
@@ -36,6 +40,29 @@
 
 namespace {
 
+// Header dimensions reach int32 max with no payload behind them; the
+// harness's own A (2 x K) and C (2 x N) stay bounded by running only
+// weights up to this size.
+constexpr std::size_t kMaxRunDim = std::size_t{1} << 20;
+
+/// Executes a parsed weight the way serving does: to_dense(), then a
+/// whole matmul and a column-range matmul (the middle third of the
+/// columns, as a scheduler shard runs it) on a 2-row A.
+void execute(const tilesparse::PackedWeight& weight) {
+  (void)weight.to_dense();
+  const std::size_t k = weight.k(), n = weight.n();
+  if (k > kMaxRunDim || n > kMaxRunDim) return;
+  tilesparse::MatrixF a(2, k);
+  for (std::size_t i = 0; i < a.size(); ++i)
+    a.data()[i] = static_cast<float>(i % 7) - 3.0f;
+  const tilesparse::ExecContext ctx;
+  (void)weight.matmul(ctx, a);
+  if (n == 0) return;
+  const std::size_t n0 = n / 3, n1 = n - n / 3;
+  tilesparse::MatrixF c(2, n1 - n0);
+  weight.matmul(ctx, a, c, n0, n1);
+}
+
 void fuzz_one(const std::uint8_t* data, std::size_t size) {
   {
     std::istringstream in(
@@ -43,7 +70,7 @@ void fuzz_one(const std::uint8_t* data, std::size_t size) {
         std::ios::binary);
     try {
       auto weight = tilesparse::read_packed_weight(in);
-      if (weight) (void)weight->to_dense();
+      if (weight) execute(*weight);
     } catch (const std::exception&) {
       // Malformed input rejected — the expected failure mode.
     }
@@ -51,7 +78,7 @@ void fuzz_one(const std::uint8_t* data, std::size_t size) {
 
   // The same bytes at the base alignment an mmap'd file gets.  The
   // image is shared so borrowed weights keep it alive past the cursor
-  // (their to_dense() still reads it below).
+  // (execute() still reads it below).
   const std::shared_ptr<std::byte> image(
       static_cast<std::byte*>(
           ::operator new(size > 0 ? size : 1, std::align_val_t{64})),
@@ -60,7 +87,7 @@ void fuzz_one(const std::uint8_t* data, std::size_t size) {
   tilesparse::MappedArtifact in(image.get(), size, image);
   try {
     const auto model = tilesparse::read_model_weights(in);
-    for (const auto& layer : model) (void)layer.weight->to_dense();
+    for (const auto& layer : model) execute(*layer.weight);
   } catch (const std::exception&) {
   }
 }

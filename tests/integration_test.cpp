@@ -7,6 +7,8 @@
 
 #include "core/tew.hpp"
 #include "core/tile_exec.hpp"
+#include "exec/tew_weight.hpp"
+#include "exec/tw_weight.hpp"
 #include "gemm/dense_gemm.hpp"
 #include "prune/importance.hpp"
 #include "prune/tw_pruner.hpp"
@@ -37,7 +39,7 @@ TEST(Integration, PruneCompactExecuteMatchesDense) {
   const auto tiles = compact_tiles(w, pattern);
   MatrixF a(64, 256);
   fill_normal(a, rng);
-  const MatrixF c_tw = tw_matmul(a, tiles, 384);
+  const MatrixF c_tw = TwWeight(tiles, 256, 384).matmul(ExecContext{}, a);
   const MatrixF c_dense = matmul(a, w);  // w holds the pruned weights
   EXPECT_LT(max_abs_diff(c_tw, c_dense), 1e-3f);
 }
@@ -52,7 +54,7 @@ TEST(Integration, TewExecutionEqualsMaskedDense) {
 
   MatrixF a(32, 128);
   fill_normal(a, rng);
-  const MatrixF c = tew_matmul(a, tew);
+  const MatrixF c = TewWeight(tew).matmul(ExecContext{}, a);
   const MatrixF ref = matmul(a, tew_to_dense(tew));
   EXPECT_LT(max_abs_diff(c, ref), 1e-3f);
 }
@@ -72,11 +74,12 @@ TEST(Integration, MeasuredCpuTimeDropsWithSparsity) {
   auto time_at = [&](double sparsity_level) {
     const TilePattern p = tw_pattern_from_scores(scores, sparsity_level, 128);
     const auto tiles = compact_tiles(w, p);
+    const auto panels = prepack_all_tile_panels(tiles);
     MatrixF c(m, n);
     return time_best_of(
         [&] {
           c.fill(0.0f);
-          masked_gemm_all(a, tiles, c);
+          masked_gemm_all(a, tiles, panels, c);
         },
         3);
   };
@@ -111,7 +114,9 @@ TEST(Integration, Fp16TwPathStaysAccurate) {
   const auto tiles = compact_tiles(w, p);
   MatrixF a(16, 128);
   fill_normal(a, rng, 0.0f, 0.1f);
-  const MatrixF c16 = tw_matmul(a, tiles, 128, /*fp16_inputs=*/true);
+  ExecContext fp16;
+  fp16.numerics = Numerics::kFp16;
+  const MatrixF c16 = TwWeight(tiles, 128, 128).matmul(fp16, a);
   MatrixF pruned = w;
   apply_pattern(p, pruned);
   const MatrixF ref = matmul(a, pruned);

@@ -40,7 +40,7 @@ TEST(MaskedGemm, PackedMatchesGather) {
   const auto tile = make_tile({2, 4, 8, 16, 32, 39}, {0, 5, 10, 15}, 4);
   MatrixF c_gather(70, 16), c_packed(70, 16);
   masked_gemm_gather(a, tile, c_gather);
-  masked_gemm_packed(a, tile, c_packed);
+  masked_gemm_packed(a, tile, prepack_tile_panels(tile), c_packed);
   EXPECT_LT(max_abs_diff(c_gather, c_packed), 1e-4f);
 }
 
@@ -48,7 +48,7 @@ TEST(MaskedGemm, EmptyTileIsNoop) {
   const MatrixF a = random_matrix(4, 4, 5);
   MaskedTile tile;  // zero rows, zero cols
   MatrixF c(4, 4);
-  masked_gemm_packed(a, tile, c);
+  masked_gemm_packed(a, tile, prepack_tile_panels(tile), c);
   for (float v : c.flat()) EXPECT_EQ(v, 0.0f);
 }
 
@@ -58,7 +58,7 @@ TEST(MaskedGemm, AccumulatesAcrossTiles) {
   const auto t1 = make_tile({0, 1, 2, 10, 19}, {0, 1, 2, 3}, 7);
   const auto t2 = make_tile({3, 4, 5}, {4, 5}, 8);
   MatrixF c(10, 6);
-  masked_gemm_all(a, {t1, t2}, c);
+  masked_gemm_all(a, {t1, t2}, prepack_all_tile_panels({t1, t2}), c);
   const MatrixF dense_w = tiles_to_dense({t1, t2}, 20, 6);
   const MatrixF ref = matmul_reference(a, dense_w);
   EXPECT_LT(max_abs_diff(c, ref), 1e-4f);
@@ -72,7 +72,7 @@ TEST(MaskedGemm, FullTileEqualsDenseGemm) {
   const auto tile = make_tile(all_rows, all_cols, 9);
   const MatrixF a = random_matrix(m, k, 10);
   MatrixF c(m, n);
-  masked_gemm_packed(a, tile, c);
+  masked_gemm_packed(a, tile, prepack_tile_panels(tile), c);
   EXPECT_LT(max_abs_diff(c, matmul_reference(a, tile.weights)), 1e-4f);
 }
 
@@ -83,8 +83,9 @@ TEST(MaskedGemm, Fp16PathStaysClose) {
   for (int i = 0; i < 16; ++i) cols.push_back(i);
   const auto tile = make_tile(rows, cols, 12);
   MatrixF c32(32, 16), c16(32, 16);
-  masked_gemm_packed(a, tile, c32, /*fp16_inputs=*/false);
-  masked_gemm_packed(a, tile, c16, /*fp16_inputs=*/true);
+  const TilePanels panels = prepack_tile_panels(tile);
+  masked_gemm_packed(a, tile, panels, c32, /*fp16_inputs=*/false);
+  masked_gemm_packed(a, tile, panels, c16, /*fp16_inputs=*/true);
   EXPECT_LT(max_abs_diff(c32, c16), 0.05f);
   EXPECT_GT(max_abs_diff(c32, c16), 0.0f);  // rounding did happen
 }

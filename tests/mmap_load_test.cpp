@@ -23,6 +23,9 @@
 
 #include "exec/backend_registry.hpp"
 #include "exec/graph.hpp"
+#include "exec/quant_tw_weight.hpp"
+#include "exec/tew_weight.hpp"
+#include "exec/tw_weight.hpp"
 #include "exec/scheduler.hpp"
 #include "io/mmap_file.hpp"
 #include "io/serialize.hpp"
@@ -267,6 +270,46 @@ TEST(MappedHostile, MisalignedImageBaseRejected) {
   EXPECT_NO_THROW(MappedArtifact(image, sizeof(image)));
   EXPECT_THROW(MappedArtifact(image + 1, sizeof(image) - 1),
                std::runtime_error);
+}
+
+TEST(MappedHostile, OverlappingTileColumnsRejected) {
+  // Two tiles that both claim output column 1.  Each index vector is
+  // well-formed on its own, but the tile kernels run tiles in parallel
+  // on disjoint columns, and matmul would sum both tiles into column 1
+  // where to_dense() keeps one.
+  const std::size_t k = 4, n = 3;
+  std::vector<MaskedTile> tiles(2);
+  tiles[0].kept_rows = {0, 1};
+  tiles[0].out_cols = {0, 1};
+  tiles[1].kept_rows = {2, 3};
+  tiles[1].out_cols = {1, 2};
+  for (MaskedTile& tile : tiles) {
+    tile.weights = MatrixF(2, 2);
+    tile.weights.fill(1.0f);
+  }
+  // TEW's pattern is valid (disjoint tiles {0, 1} and {2}); only its
+  // compacted tiles overlap.
+  TewMatrix tew;
+  tew.k = k;
+  tew.n = n;
+  tew.pattern = reorganize_columns(k, n, 2, std::vector<std::uint8_t>(n, 1));
+  tew.tiles = tiles;
+  tew.remainder = csc_from_dense(MatrixF(k, n));
+
+  std::vector<std::unique_ptr<PackedWeight>> weights;
+  weights.push_back(std::make_unique<TwWeight>(tiles, k, n));
+  weights.push_back(std::make_unique<TewWeight>(std::move(tew)));
+  weights.push_back(std::make_unique<QuantTwWeight>(tiles, k, n));
+  for (const auto& weight : weights) {
+    const std::string format(weight->format());
+    TempArtifact artifact(("overlap_" + format).c_str());
+    save_packed_weight(artifact.path(), *weight);
+    EXPECT_THROW(load_packed_weight(artifact.path()), std::runtime_error)
+        << format << " stream";
+    EXPECT_THROW(load_packed_weight_mapped(artifact.path()),
+                 std::runtime_error)
+        << format << " mapped";
+  }
 }
 
 // ----------------------------------------------------- atomic save

@@ -11,6 +11,7 @@
 
 #include "core/tew.hpp"
 #include "core/tile_exec.hpp"
+#include "exec/tw_weight.hpp"
 #include "gemm/dense_gemm.hpp"
 #include "prune/importance.hpp"
 #include "prune/tw_pruner.hpp"
@@ -86,7 +87,7 @@ TEST_P(MaskedGemmSweep, MatchesDenseOnPrunedWeights) {
   apply_pattern(p, w);
   const auto tiles = compact_tiles(w, p);
   const MatrixF a = random_matrix(13, 64, 18);
-  const MatrixF c = tw_matmul(a, tiles, 96);
+  const MatrixF c = TwWeight(tiles, 64, 96).matmul(ExecContext{}, a);
   EXPECT_LT(max_abs_diff(c, matmul_reference(a, w)), 1e-3f)
       << "s=" << sparsity << " g=" << g;
 }

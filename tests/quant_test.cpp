@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "core/tile_exec.hpp"
+#include "exec/quant_tw_weight.hpp"
+#include "exec/tw_weight.hpp"
 #include "prune/importance.hpp"
 #include "prune/tw_pruner.hpp"
 #include "quant/quant_gemm.hpp"
@@ -209,17 +211,6 @@ TEST(Quantize, PerTensorMatchesAcrossLevels) {
   }
 }
 
-TEST(QuantGemm, DenseInt8CloseToFloat) {
-  const MatrixF a = random_matrix(16, 64, 2, 0.5f);
-  const MatrixF b = random_matrix(64, 24, 3, 0.5f);
-  const MatrixF c_fp = matmul_reference(a, b);
-  const MatrixF c_q = quant_matmul(quantize(a), quantize(b));
-  // Relative error of int8 GEMM: ~1% of output magnitude for these sizes.
-  const double norm = frobenius_norm(c_fp) / std::sqrt(c_fp.size());
-  EXPECT_LT(max_abs_diff(c_fp, c_q), 0.05f * norm * 10.0f);
-  EXPECT_GT(max_abs_diff(c_fp, c_q), 0.0f);  // quantisation did happen
-}
-
 TEST(QuantGemm, TwInt8MatchesFloatTwWithinError) {
   MatrixF w = random_matrix(96, 128, 4, 0.3f);
   const TilePattern pattern =
@@ -229,8 +220,8 @@ TEST(QuantGemm, TwInt8MatchesFloatTwWithinError) {
   const auto qtiles = quantize_tiles(tiles);
 
   const MatrixF a = random_matrix(16, 96, 5, 0.3f);
-  const MatrixF c_fp = tw_matmul(a, tiles, 128);
-  const MatrixF c_q = quant_tw_matmul(a, qtiles, 128);
+  const MatrixF c_fp = TwWeight(tiles, 96, 128).matmul(ExecContext{}, a);
+  const MatrixF c_q = QuantTwWeight(qtiles, 96, 128).matmul(ExecContext{}, a);
   const double norm = frobenius_norm(c_fp) / std::sqrt(c_fp.size());
   EXPECT_LT(max_abs_diff(c_fp, c_q), static_cast<float>(0.1 * norm * 10.0));
 }
@@ -257,7 +248,7 @@ TEST(QuantGemm, PerTileScalesBeatSingleGlobalScaleOnSkewedTiles) {
 TEST(QuantGemm, ZeroTilesSkipCleanly) {
   const std::vector<QuantMaskedTile> none;
   const MatrixF a = random_matrix(4, 8, 7);
-  const MatrixF c = quant_tw_matmul(a, none, 6);
+  const MatrixF c = QuantTwWeight(none, 8, 6).matmul(ExecContext{}, a);
   for (float v : c.flat()) EXPECT_EQ(v, 0.0f);
 }
 
@@ -268,7 +259,7 @@ TEST(QuantGemm, PreservesPrunedColumnsAsZero) {
   apply_pattern(pattern, w);
   const auto qtiles = quantize_tiles(compact_tiles(w, pattern));
   const MatrixF a = random_matrix(4, 32, 9);
-  const MatrixF c = quant_tw_matmul(a, qtiles, 32);
+  const MatrixF c = QuantTwWeight(qtiles, 32, 32).matmul(ExecContext{}, a);
   for (std::size_t col = 0; col < 32; ++col) {
     if (pattern.col_keep[col]) continue;
     for (std::size_t r = 0; r < 4; ++r) EXPECT_EQ(c(r, col), 0.0f);

@@ -72,7 +72,8 @@ TEST(Csc, GemmAccumulateMatchesDense) {
   const MatrixF w = random_sparse(13, 7, 0.6, 7);
   MatrixF c(9, 7);
   c.fill(0.5f);
-  csc_gemm_accumulate(a, csc_from_dense(w), c);
+  const Csc csc = csc_from_dense(w);
+  csc_gemm_accumulate(a, csc.ref(), c);
   const MatrixF ref = matmul_reference(a, w);
   for (std::size_t i = 0; i < c.size(); ++i)
     EXPECT_NEAR(c.data()[i], ref.data()[i] + 0.5f, 1e-4f);

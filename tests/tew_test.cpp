@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/tew.hpp"
+#include "exec/tew_weight.hpp"
 #include "prune/importance.hpp"
 #include "prune/tw_pruner.hpp"
 #include "tensor/ops.hpp"
@@ -68,7 +69,7 @@ TEST(Tew, MatmulIsExactlyTwPlusEw) {
   TewFixture f;
   const TewMatrix tew = build_tew(f.weights, f.pattern, f.scores, 0.04);
   const MatrixF a = random_matrix(9, 48, 2);
-  const MatrixF c = tew_matmul(a, tew);
+  const MatrixF c = TewWeight(tew).matmul(ExecContext{}, a);
   const MatrixF dense = tew_to_dense(tew);
   EXPECT_LT(max_abs_diff(c, matmul_reference(a, dense)), 1e-3f);
 }

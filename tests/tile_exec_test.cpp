@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/tile_exec.hpp"
+#include "exec/tw_weight.hpp"
 #include "prune/tw_pruner.hpp"
 #include "prune/importance.hpp"
 #include "tensor/ops.hpp"
@@ -41,7 +42,7 @@ TEST(CompactTiles, TwMatmulMatchesMaskedDenseGemm) {
   apply_pattern(p, pruned);
   const auto tiles = compact_tiles(w, p);
   const MatrixF a = random_matrix(10, 32, 3);
-  const MatrixF c = tw_matmul(a, tiles, 48);
+  const MatrixF c = TwWeight(tiles, 32, 48).matmul(ExecContext{}, a);
   EXPECT_LT(max_abs_diff(c, matmul_reference(a, pruned)), 1e-3f);
 }
 
