@@ -89,6 +89,7 @@ ExecGraph::NodeId ExecGraph::add_gemm(std::string name,
   if (epilogue.residual) node.reads.push_back(*epilogue.residual);
   node.epilogue = epilogue;
   node.writes = {out};
+  node.width = weight->n();
   nodes_.push_back(std::move(node));
   const NodeId id = nodes_.size() - 1;
   link(id);
@@ -112,6 +113,47 @@ ExecGraph::NodeId ExecGraph::add_host(std::string name,
   const NodeId id = nodes_.size() - 1;
   link(id);
   return id;
+}
+
+ExecGraph::NodeId ExecGraph::add_host_range(std::string name,
+                                            std::vector<SlotId> reads,
+                                            SlotId out, std::size_t width,
+                                            std::size_t step,
+                                            double macs_per_row, RangeFn fn) {
+  if (!fn) throw std::invalid_argument("ExecGraph::add_host_range: null body");
+  if (reads.empty()) {
+    throw std::invalid_argument(
+        "ExecGraph::add_host_range: needs a read to size its output rows");
+  }
+  for (SlotId id : reads) check_slot(id, "host range read");
+  check_slot(out, "host range output");
+  if (std::find(reads.begin(), reads.end(), out) != reads.end()) {
+    throw std::invalid_argument(
+        "ExecGraph::add_host_range: in-place host range is not supported");
+  }
+  if (width == 0 || step == 0 || width % step != 0) {
+    throw std::invalid_argument(
+        "ExecGraph::add_host_range: width must be a positive multiple of "
+        "the range step");
+  }
+  Node node;
+  node.name = std::move(name);
+  node.kind = NodeKind::kHost;
+  node.range_fn = std::move(fn);
+  node.reads = std::move(reads);
+  node.writes = {out};
+  node.width = width;
+  node.range_step = step;
+  node.macs_per_row = macs_per_row;
+  nodes_.push_back(std::move(node));
+  const NodeId id = nodes_.size() - 1;
+  link(id);
+  return id;
+}
+
+double ExecGraph::Node::macs(std::size_t m) const {
+  if (weight) return weight->macs(m);
+  return macs_per_row * static_cast<double>(m);
 }
 
 void ExecGraph::add_dep(NodeId node, NodeId before) {
@@ -186,17 +228,28 @@ std::vector<ExecGraph::NodeId> ExecGraph::topo_order() const {
 
 void ExecGraph::execute_node(NodeId id) {
   Node& node = nodes_.at(id);
-  if (node.kind == NodeKind::kHost) {
+  if (!node.column_ranged()) {
     node.fn(*this);
     return;
   }
-  const MatrixF& a = slot(node.in);
-  MatrixF& c = slot(node.out);
-  if (c.rows() != a.rows() || c.cols() != node.weight->n()) {
-    c = MatrixF(a.rows(), node.weight->n());
+  execute_range(id, slot(node.writes.front()), 0, node.width);
+}
+
+void ExecGraph::execute_range(NodeId id, MatrixF& block, std::size_t n0,
+                              std::size_t n1) const {
+  const Node& node = nodes_.at(id);
+  TS_CHECK(node.column_ranged() && n0 < n1 && n1 <= node.width &&
+               n0 % node.range_step == 0 && n1 % node.range_step == 0,
+           "ExecGraph::execute_range: not a column range of the node");
+  const MatrixF& a = slot(node.reads.front());
+  if (block.rows() != a.rows() || block.cols() != n1 - n0)
+    block = MatrixF(a.rows(), n1 - n0);
+  if (node.kind == NodeKind::kHost) {
+    node.range_fn(*this, block, n0, n1);
+    return;
   }
-  node.weight->matmul(node.ctx, a, c);
-  apply_epilogue(node.epilogue, c);
+  node.weight->matmul(node.ctx, a, block, n0, n1);
+  apply_epilogue(node.epilogue, block, n0);
 }
 
 void ExecGraph::apply_epilogue(const GemmEpilogue& epilogue, MatrixF& c,

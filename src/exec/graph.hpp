@@ -12,6 +12,13 @@
 // layernorm, attention core, pooling) — and an ExecScheduler
 // dispatches ready nodes onto worker streams (see exec/scheduler.hpp).
 //
+// GEMM nodes and host ops added with add_host_range() are column-range
+// nodes: any range [n0, n1) of their output columns (on multiples of
+// the node's range step) can be computed alone by execute_range(), and
+// a whole run is the [0, width) case.  The scheduler splits such a
+// node into column shards across its streams.  The attention core is
+// one: context columns [h·hd, (h+1)·hd) depend only on head h.
+//
 // A GEMM node's epilogue carries the elementwise ops that follow it in
 // a model (the paper's Sec. VI kernel fusion): bias, then an
 // activation, then a residual add, applied by apply_epilogue() to the
@@ -81,6 +88,11 @@ class ExecGraph {
 
   enum class NodeKind { kGemm, kHost };
 
+  /// A column-range host body: writes columns [n0, n1) of the node's
+  /// output into `block` (rows x (n1 - n0), already sized).
+  using RangeFn = std::function<void(const ExecGraph& graph, MatrixF& block,
+                                     std::size_t n0, std::size_t n1)>;
+
   struct Node {
     std::string name;
     NodeKind kind = NodeKind::kHost;
@@ -92,8 +104,16 @@ class ExecGraph {
     SlotId out = 0;
     ExecContext ctx;
     GemmEpilogue epilogue;
-    // Host payload.
+    // Host payload: `fn`, or `range_fn` for a column-range host node.
     std::function<void(ExecGraph&)> fn;
+    RangeFn range_fn;
+    // Column-range payload (GEMM nodes and add_host_range nodes): the
+    // output's column count, with ranges on multiples of `range_step`.
+    // `macs_per_row` prices a host range for the scheduler (a GEMM asks
+    // its weight).  Plain host nodes leave all three unset.
+    std::size_t width = 0;
+    std::size_t range_step = 1;
+    double macs_per_row = 0.0;
     // Declared slot accesses (gemm: reads = {in} plus the epilogue's
     // residual slot, writes = {out}; reads.front() is always the
     // activation).  This is the dataflow record validate_graph()
@@ -103,6 +123,13 @@ class ExecGraph {
     // Dependency edges (indices into nodes()).
     std::vector<NodeId> deps;
     std::vector<NodeId> dependents;
+
+    bool column_ranged() const noexcept {
+      return kind == NodeKind::kGemm || static_cast<bool>(range_fn);
+    }
+    /// Multiply-adds of a whole run at `m` output rows (0 for a plain
+    /// host node).
+    double macs(std::size_t m) const;
   };
 
   /// Adds a named buffer slot.  Shape is set by the first writer.
@@ -147,6 +174,18 @@ class ExecGraph {
   NodeId add_host(std::string name, std::vector<SlotId> reads,
                   std::vector<SlotId> writes, std::function<void(ExecGraph&)> fn);
 
+  /// Adds a column-range host node: `fn(graph, block, n0, n1)` computes
+  /// columns [n0, n1) of slot(out), which is slot(reads.front()).rows()
+  /// x `width`, for any range whose ends are multiples of `step`.  The
+  /// body must not read slot(out).  `macs_per_row` is the whole node's
+  /// multiply-add count per output row, which the scheduler weighs when
+  /// splitting it.  Throws std::invalid_argument on a null body, no
+  /// reads, out among the reads, or a width that is 0 or not a
+  /// multiple of `step`.
+  NodeId add_host_range(std::string name, std::vector<SlotId> reads,
+                        SlotId out, std::size_t width, std::size_t step,
+                        double macs_per_row, RangeFn fn);
+
   /// Explicit control edge: `node` runs only after `before`.  Edges in
   /// either direction are accepted (a later-added node may order an
   /// earlier one after it); validate_graph() proves the result is
@@ -168,8 +207,17 @@ class ExecGraph {
   std::vector<NodeId> topo_order() const;
 
   /// Executes one node on the calling thread (the scheduler's unit of
-  /// work; also usable directly for serial reference runs).
+  /// work; also usable directly for serial reference runs).  A
+  /// column-range node sizes its output slot and runs [0, width).
   void execute_node(NodeId id);
+
+  /// Computes columns [n0, n1) of column-range node `id` into `block`
+  /// (rows x (n1 - n0); sized here when it is not): a GEMM runs its
+  /// weight's column range and then its epilogue on those columns, a
+  /// host range its body.  The scheduler's shard unit; every path
+  /// produces the bits a whole run puts in those columns.
+  void execute_range(NodeId id, MatrixF& block, std::size_t n0,
+                     std::size_t n1) const;
 
   /// Applies `epilogue` to `c`, the block of a GEMM output holding
   /// columns [n0, n0 + c.cols()) of every row: resolves the residual

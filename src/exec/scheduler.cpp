@@ -30,7 +30,7 @@ std::size_t ExecScheduler::streams() const noexcept {
 }
 
 std::size_t ExecScheduler::shard_count(const ExecGraph::Node& node) const {
-  if (node.kind != ExecGraph::NodeKind::kGemm) return 1;
+  if (!node.column_ranged()) return 1;
   const std::size_t streams = this->streams();
   if (streams < 2) return 1;
 
@@ -40,19 +40,21 @@ std::size_t ExecScheduler::shard_count(const ExecGraph::Node& node) const {
       calibration.measured() ? calibration.dense_gflops : kFallbackDenseGflops;
   // Per-format effective rate: a slow format (csr penalty > 1) covers
   // the dispatch overhead with fewer of its own MACs, so it shards
-  // earlier than dense for the same nominal MAC count.
-  const double gflops =
-      dense_gflops /
-      std::max(0.05, calibration.mac_penalty(node.weight->format()));
+  // earlier than dense for the same nominal MAC count.  A host range
+  // runs on the dense micro-kernel and prices as dense.
+  const double penalty =
+      node.weight ? calibration.mac_penalty(node.weight->format()) : 1.0;
+  const double gflops = dense_gflops / std::max(0.05, penalty);
   const double overhead_us = options_.dispatch_overhead_us >= 0.0
                                  ? options_.dispatch_overhead_us
                                  : calibration.shard_overhead_us;
   // gflops * 1e9 flop/s * overhead_us * 1e-6 s, at 2 flops per MAC.
   const double min_macs_per_shard =
       std::max(1.0, gflops * overhead_us * 1e3 / 2.0);
-  const double macs = node.weight->macs(options_.reference_m);
+  const double macs = node.macs(options_.reference_m);
   const auto by_cost = static_cast<std::size_t>(macs / min_macs_per_shard);
-  const std::size_t by_cols = node.weight->n() / options_.min_shard_width;
+  const std::size_t by_cols =
+      node.width / std::max(options_.min_shard_width, node.range_step);
   return std::max<std::size_t>(1, std::min({streams, by_cost, by_cols}));
 }
 
@@ -74,12 +76,15 @@ ExecScheduler::Plan& ExecScheduler::prepare(ExecGraph& graph) {
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const std::size_t count = shard_count(nodes[i]);
     if (count < 2) continue;
-    const std::size_t n = nodes[i].weight->n();
-    const std::size_t base = n / count, rem = n % count;
+    // Split the node's range steps (a GEMM's columns, the attention
+    // core's heads) as evenly as they go.
+    const std::size_t step = nodes[i].range_step;
+    const std::size_t units = nodes[i].width / step;
+    const std::size_t base = units / count, rem = units % count;
     std::size_t n0 = 0;
     plan.node_plans[i].shards.reserve(count);
     for (std::size_t s = 0; s < count; ++s) {
-      const std::size_t n1 = n0 + base + (s < rem ? 1 : 0);
+      const std::size_t n1 = n0 + (base + (s < rem ? 1 : 0)) * step;
       Shard shard;
       shard.n0 = n0;
       shard.n1 = n1;
@@ -94,7 +99,7 @@ ExecScheduler::Plan& ExecScheduler::prepare(ExecGraph& graph) {
       slices.reserve(plan.node_plans[i].shards.size());
       for (const Shard& shard : plan.node_plans[i].shards)
         slices.emplace_back(shard.n0, shard.n1);
-      auto findings = audit_shard_slices(*nodes[i].weight, slices);
+      auto findings = audit_shard_slices(nodes[i], slices);
       for (const GraphFinding& finding : findings) {
         if (finding.severity == FindingSeverity::kError)
           throw GraphValidationError(std::move(findings));
@@ -103,7 +108,7 @@ ExecScheduler::Plan& ExecScheduler::prepare(ExecGraph& graph) {
   }
 
   // Expand nodes into dispatch tasks: one per whole node, or S column
-  // shards plus a join for sharded GEMMs.  The expansion is static
+  // shards plus a join for sharded nodes.  The expansion is static
   // across runs; only the pending counters are per-run state.
   std::vector<std::vector<std::size_t>> entry(nodes.size());  // receive deps
   std::vector<std::size_t> exit(nodes.size());                // signal dependents
@@ -220,19 +225,13 @@ void ExecScheduler::execute_task(ExecGraph& graph, Plan& plan,
               plan.node_plans[task.node].shards.size());
     Shard& shard =
         plan.node_plans[task.node].shards[static_cast<std::size_t>(task.shard)];
-    const MatrixF& a = graph.slot(node.in);
-    const std::size_t width = shard.n1 - shard.n0;
-    if (shard.scratch.rows() != a.rows() || shard.scratch.cols() != width)
-      shard.scratch = MatrixF(a.rows(), width);
-    node.weight->matmul(node.ctx, a, shard.scratch, shard.n0, shard.n1);
-    graph.apply_epilogue(node.epilogue, shard.scratch, shard.n0);
+    graph.execute_range(task.node, shard.scratch, shard.n0, shard.n1);
     return;
   }
   // Join: stitch the finished shard columns into the output slot.
-  const MatrixF& a = graph.slot(node.in);
-  MatrixF& c = graph.slot(node.out);
-  if (c.rows() != a.rows() || c.cols() != node.weight->n())
-    c = MatrixF(a.rows(), node.weight->n());
+  const std::size_t rows = graph.slot(node.reads.front()).rows();
+  MatrixF& c = graph.slot(node.writes.front());
+  if (c.rows() != rows || c.cols() != node.width) c = MatrixF(rows, node.width);
   for (const Shard& shard : plan.node_plans[task.node].shards) {
     const std::size_t width = shard.n1 - shard.n0;
     for (std::size_t r = 0; r < c.rows(); ++r) {

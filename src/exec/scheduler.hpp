@@ -11,19 +11,20 @@
 // single-stream reference (streams = 1), which executes the graph
 // serially on the calling thread with no queueing at all.
 //
-// Wide-N sharding: a GEMM whose output is very wide can be split into
-// column shards with a final join (the second axis of the paper's
-// scheme).  A shard is a column range [n0, n1) of the node's one
-// packed weight, not a copy of it: it runs
+// Wide-N sharding: a column-range node (exec/graph.hpp) whose output is
+// wide enough can be split into column shards with a final join (the
+// second axis of the paper's scheme).  A GEMM shard is a column range
+// [n0, n1) of the node's one packed weight, not a copy of it: it runs
 // PackedWeight::matmul(ctx, A, C, n0, n1), which every format executes
 // on its own storage, into private scratch, then applies the node's
-// epilogue (bias, GELU, residual) to its own columns; the join copies
-// the shards into the output slot.  Per output element the
-// accumulation sequence is the one the whole weight would have used,
-// so sharded results stay bit-identical too.  Shard granularity comes
-// from the PlannerCalibration cost model: a shard must carry enough
-// MACs to amortise one dispatch, measured against the host's dense
-// rate.
+// epilogue (bias, GELU, residual) to its own columns.  An attention-core
+// shard is a range of whole heads.  The join copies the shards into
+// the output slot.  Per output element the arithmetic is the one a
+// whole run would have used, so sharded results stay bit-identical
+// too.  Shard granularity comes from the PlannerCalibration cost
+// model: a shard must carry enough MACs to amortise one dispatch,
+// measured against the host's dense rate, and its ends fall on the
+// node's range step (one column for a GEMM, one head for the core).
 //
 // Thread budget: a node's ExecContext.threads still bounds the OpenMP
 // parallelism *inside* its kernel, so "S streams x T threads each"
@@ -52,7 +53,7 @@ struct SchedulerOptions {
   /// scheduler builds (gap, overlap, coverage of [0, N)).  run() throws
   /// GraphValidationError listing every finding on a malformed graph.
   bool validate = true;
-  /// Never split a GEMM below this many output columns per shard.
+  /// Never split a node below this many output columns per shard.
   std::size_t min_shard_width = 32;
   /// Activation rows assumed when sizing shards (the plan is built
   /// before inputs exist; serving batches near this keep shards
@@ -100,13 +101,13 @@ class ExecScheduler {
   struct RunStats {
     std::size_t nodes = 0;          ///< graph nodes executed
     std::size_t tasks = 0;          ///< dispatch units (shards + joins included)
-    std::size_t sharded_nodes = 0;  ///< GEMM nodes split into column shards
+    std::size_t sharded_nodes = 0;  ///< nodes split into column shards
     std::size_t shards = 0;         ///< total shard tasks
   };
   const RunStats& last_stats() const noexcept { return stats_; }
 
  private:
-  /// Columns [n0, n1) of the node's weight; holds no weight data.
+  /// Columns [n0, n1) of the node's output; holds no weight data.
   struct Shard {
     std::size_t n0 = 0, n1 = 0;
     MatrixF scratch;  ///< m x (n1 - n0), reused across runs

@@ -132,12 +132,17 @@ GraphValidationError::GraphValidationError(std::vector<GraphFinding> findings)
       findings_(std::move(findings)) {}
 
 std::vector<GraphFinding> audit_shard_slices(
-    const PackedWeight& weight,
+    const ExecGraph::Node& node,
     const std::vector<std::pair<std::size_t, std::size_t>>& slices) {
   std::vector<GraphFinding> findings;
-  const std::string who = "format '" + std::string(weight.format()) + "' (" +
-                          std::to_string(weight.k()) + " x " +
-                          std::to_string(weight.n()) + ")";
+  std::string who = "'" + node.name + "' (";
+  if (node.weight) {
+    who += "format '" + std::string(node.weight->format()) + "', " +
+           std::to_string(node.weight->k()) + " x ";
+  } else {
+    who += "width ";
+  }
+  who += std::to_string(node.width) + ")";
   if (slices.empty()) {
     add_finding(findings, FindingSeverity::kError, "shard-plan",
                 "empty shard plan for " + who);
@@ -157,6 +162,12 @@ std::vector<GraphFinding> audit_shard_slices(
                   "empty shard slice " + range + " of " + who);
       continue;
     }
+    if (n0 % node.range_step != 0 || n1 % node.range_step != 0) {
+      add_finding(findings, FindingSeverity::kError, "shard-plan",
+                  "shard slice " + range + " of " + who +
+                      " does not fall on its range step of " +
+                      std::to_string(node.range_step) + " columns");
+    }
     if (n0 < expected) {
       add_finding(findings, FindingSeverity::kError, "shard-plan",
                   "shard slice " + range + " overlaps the previous slice " +
@@ -171,11 +182,11 @@ std::vector<GraphFinding> audit_shard_slices(
     }
     expected = std::max(expected, n1);
   }
-  if (expected != weight.n()) {
+  if (expected != node.width) {
     add_finding(findings, FindingSeverity::kError, "shard-plan",
                 "shard plan of " + who + " covers columns [0, " +
-                    std::to_string(expected) + ") but the weight has N = " +
-                    std::to_string(weight.n()));
+                    std::to_string(expected) + ") but the node has N = " +
+                    std::to_string(node.width));
   }
   return findings;
 }
@@ -361,6 +372,11 @@ std::vector<GraphFinding> validate_graph(const ExecGraph& graph) {
                       msg);
         }
       }
+    } else if (node.column_ranged()) {
+      SlotState& out = slots[node.writes.front()];
+      out.width = node.width;
+      out.width_setter = id;
+      out.width_known_from_node = true;
     } else {
       // A host body sizes its outputs itself; downstream width checks
       // restart from unknown.

@@ -22,16 +22,18 @@
 //    verifier runs real cycle detection and prints the cycle as a
 //    node-name path.
 //  * Shape consistency: slot widths are propagated through GEMM nodes
-//    (out = weight->n()); a consumer whose weight K disagrees with the
+//    (out = weight->n()) and column-range host nodes (out = width); a
+//    consumer whose weight K disagrees with the
 //    producer's N is reported, as are epilogue bias and residual
 //    widths other than N and a residual slot aliasing the node's own
 //    output.  An epilogue's residual is a read of its node, so the
 //    def-use and hazard audits above cover it like any other input.
 //  * Shard-plan audit: audit_shard_slices() proves the column ranges
-//    the scheduler actually plans for a GEMM tile [0, N) exactly, with
-//    no gap and no overlap.  Shards are ranges of the node's own weight
-//    (PackedWeight::matmul(ctx, A, C, n0, n1)), so the ranges are the
-//    whole plan.
+//    the scheduler actually plans for a column-range node tile [0, N)
+//    exactly, with no gap and no overlap, and that every range ends on
+//    the node's range step (a whole head for the attention core).
+//    Shards are ranges of the node's own weight or body
+//    (ExecGraph::execute_range), so the ranges are the whole plan.
 //
 // Findings carry a severity: errors make validate_graph_or_throw (and
 // the scheduler, which validates once per graph build id) throw
@@ -80,12 +82,12 @@ std::vector<GraphFinding> validate_graph(const ExecGraph& graph);
 /// error.
 void validate_graph_or_throw(const ExecGraph& graph);
 
-/// Audits a shard plan for `weight`: `slices` must be ascending,
-/// non-empty, non-overlapping [n0, n1) column ranges tiling
-/// [0, weight.n()) exactly.  The ExecScheduler runs it on every plan
-/// it builds.
+/// Audits a shard plan for column-range node `node`: `slices` must be
+/// ascending, non-empty, non-overlapping [n0, n1) column ranges tiling
+/// [0, node.width) exactly, each end a multiple of node.range_step.
+/// The ExecScheduler runs it on every plan it builds.
 std::vector<GraphFinding> audit_shard_slices(
-    const PackedWeight& weight,
+    const ExecGraph::Node& node,
     const std::vector<std::pair<std::size_t, std::size_t>>& slices);
 
 /// One-line rendering ("error[missing-dep]: ...") used by what() and

@@ -16,15 +16,16 @@
 //
 // GELU has one formula, x / (1 + e^(-2u)) with u = sqrt(2/pi)(x +
 // 0.044715 x^3) — the tanh approximation rewritten as a sigmoid — and
-// its exp is 2^n p(r) with a degree-6 polynomial.  Dispatch follows
-// active_simd_level() (gemm/micro_kernel.hpp): an AVX2+FMA body, or a
-// scalar body running the same lane arithmetic with std::fma, so the
-// two levels agree bit for bit.  The ragged tail of a row runs the
-// 8-lane body over a zero-padded buffer: an output's bits depend only
-// on its input value, never on its column, the row length or a shard
-// boundary.  Where -2u exceeds the clamp (x below about -10, true GELU
-// under 1e-37) the result is -0, so the negative tail stays 0 out to
-// -inf; for x above about 10 the result is x itself, +inf included.
+// GELU and softmax share one exp, 2^n p(r) with a degree-6 polynomial.
+// Dispatch follows active_simd_level() (gemm/micro_kernel.hpp): an
+// AVX2+FMA body, or a scalar body running the same lane arithmetic with
+// std::fma, so the two levels agree bit for bit.  The ragged tail of a
+// row runs the 8-lane body over a padded buffer: a GELU output's bits
+// depend only on its input value, never on its column, the row length
+// or a shard boundary.  Where -2u exceeds the clamp (x below about -10,
+// true GELU under 1e-37) the result is -0, so the negative tail stays 0
+// out to -inf; for x above about 10 the result is x itself, +inf
+// included.
 
 #include <cstddef>
 
@@ -60,7 +61,11 @@ float layer_norm_row(const float* in, float* out, std::size_t n,
                      const float* gamma, const float* beta, float eps,
                      float* normalized = nullptr) noexcept;
 
-/// Numerically stable softmax of one row, in place.
+/// Numerically stable softmax of one row, in place: e^(x - max) with
+/// the shared exp (exactly 0 for an argument below -88, as std::exp
+/// underflows), summed in 8 interleaved lanes whose reduction order
+/// both levels share.  A row holding NaN or +inf, or only -inf, comes
+/// out as all quiet NaN.
 void softmax_row(float* row, std::size_t n) noexcept;
 
 }  // namespace tilesparse

@@ -113,7 +113,14 @@ TilePattern read_pattern(MappedArtifact& in) {
     tile.out_cols.assign(out_cols.begin(), out_cols.end());
     tile.row_keep.assign(row_keep.begin(), row_keep.end());
   }
-  validate_pattern(pattern);  // never trust a file
+  // Never trust a file.  validate_pattern reports a broken invariant as
+  // std::logic_error; read from an artifact it is corrupt input.
+  try {
+    validate_pattern(pattern);
+  } catch (const std::logic_error& e) {
+    throw std::runtime_error(std::string("tilesparse::io: corrupt pattern: ") +
+                             e.what());
+  }
   return pattern;
 }
 

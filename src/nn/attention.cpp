@@ -5,6 +5,12 @@
 #include <cmath>
 
 #include "gemm/fused_ops.hpp"
+#include "gemm/micro_kernel.hpp"
+#include "util/guards.hpp"
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 namespace tilesparse {
 
@@ -39,49 +45,107 @@ std::vector<Linear*> MultiHeadAttention::projection_layers() {
   return {&q_, &k_, &v_, &out_};
 }
 
+namespace {
+
+/// One (sequence, head) pair: S = softmax(scale * Q Kᵀ) into `scores`
+/// (seq x seq, row-major; null = thread scratch), then context += S V.  `q`, `k` and `v` point
+/// at the pair's first row and head column (leading dimension `ld`),
+/// `context` at its first output element (leading dimension `ldc`,
+/// zero on entry).  Both products run on micro_kernel_f32, so every
+/// score and context element is one kernel accumulation over d (or t)
+/// ascending from 0.
+void attend_pair(const float* q, const float* k, const float* v,
+                 std::size_t ld, std::size_t seq, std::size_t head_dim,
+                 float scale, float* scores, float* context,
+                 std::size_t ldc) {
+  const std::size_t t_strips = (seq + kNr - 1) / kNr;
+  const std::size_t d_strips = (head_dim + kNr - 1) / kNr;
+  GemmScratch& scratch = thread_gemm_scratch();
+  scratch.a_f32.resize(std::max(head_dim, seq) * kMr);
+  scratch.b_f32.resize(std::max(t_strips * head_dim, d_strips * seq) * kNr);
+  float* a_panel = scratch.a_f32.data();
+  float* b_panels = scratch.b_f32.data();
+  if (!scores) {
+    scratch.acc_f32.resize(seq * seq);
+    scores = scratch.acc_f32.data();
+  }
+
+  // Q·Kᵀ: the transposed K block packs straight into head_dim x kNr B
+  // panels, one per kNr keys; the scale rides on the packed Q panel.
+  for (std::size_t st = 0; st < t_strips; ++st) {
+    const std::size_t t0 = st * kNr;
+    pack_at_panel_f32(k + t0 * ld, ld, std::min(kNr, seq - t0), head_dim,
+                      b_panels + st * head_dim * kNr);
+  }
+  std::fill(scores, scores + seq * seq, 0.0f);
+  for (std::size_t s0 = 0; s0 < seq; s0 += kMr) {
+    const std::size_t rows = std::min(kMr, seq - s0);
+    pack_a_panel_f32(q + s0 * ld, ld, rows, head_dim, scale, false, a_panel);
+    for (std::size_t st = 0; st < t_strips; ++st) {
+      const std::size_t t0 = st * kNr;
+      micro_kernel_f32(head_dim, a_panel, b_panels + st * head_dim * kNr,
+                       scores + s0 * seq + t0, seq, rows,
+                       std::min(kNr, seq - t0));
+    }
+  }
+  for (std::size_t s = 0; s < seq; ++s) softmax_row(scores + s * seq, seq);
+
+  // P·V: V's head columns pack as seq x kNr B panels (ldb = ld), and
+  // the kernel writes straight into the context rows.
+  for (std::size_t st = 0; st < d_strips; ++st) {
+    const std::size_t d0 = st * kNr;
+    pack_b_panel_f32(v + d0, ld, seq, std::min(kNr, head_dim - d0),
+                     b_panels + st * seq * kNr);
+  }
+  for (std::size_t s0 = 0; s0 < seq; s0 += kMr) {
+    const std::size_t rows = std::min(kMr, seq - s0);
+    pack_a_panel_f32(scores + s0 * seq, seq, rows, seq, 1.0f, false, a_panel);
+    for (std::size_t st = 0; st < d_strips; ++st) {
+      const std::size_t d0 = st * kNr;
+      micro_kernel_f32(seq, a_panel, b_panels + st * seq * kNr,
+                       context + s0 * ldc + d0, ldc, rows,
+                       std::min(kNr, head_dim - d0));
+    }
+  }
+}
+
+}  // namespace
+
 void MultiHeadAttention::attention_core(const MatrixF& q, const MatrixF& k,
                                         const MatrixF& v, MatrixF& context,
+                                        std::size_t n0, std::size_t n1,
+                                        int threads,
                                         std::vector<MatrixF>* probs) const {
+  TS_CHECK(n0 < n1 && n1 <= dim_ && n0 % head_dim_ == 0 &&
+               n1 % head_dim_ == 0,
+           "MultiHeadAttention: core range must fall on head boundaries");
+  TS_CHECK(context.rows() == q.rows() && context.cols() == n1 - n0,
+           "MultiHeadAttention: context block must be rows x (n1 - n0)");
   const std::size_t batch = q.rows() / seq_;
-  if (probs) probs->assign(batch * heads_, MatrixF(seq_, seq_));
-  MatrixF scratch(seq_, seq_);
-  std::vector<float> kt(head_dim_ * seq_);  // this head's K^T, d-major
+  TS_CHECK(!probs || probs->size() == batch * heads_,
+           "MultiHeadAttention: probs must hold batch * heads matrices");
+  const std::size_t h0 = n0 / head_dim_;
+  const std::size_t range_heads = (n1 - n0) / head_dim_;
+  const std::size_t pairs = batch * range_heads;
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
+  context.fill(0.0f);
 
-  for (std::size_t b = 0; b < batch; ++b) {
-    for (std::size_t h = 0; h < heads_; ++h) {
-      const std::size_t col0 = h * head_dim_;
-      for (std::size_t t = 0; t < seq_; ++t) {
-        const float* krow = k.data() + (b * seq_ + t) * dim_ + col0;
-        for (std::size_t d = 0; d < head_dim_; ++d) kt[d * seq_ + t] = krow[d];
-      }
-      // scores(s, t) = scale * <q_s, k_t> over this head's columns.  The
-      // sum runs over d ascending from 0, exactly as a per-(s, t) dot
-      // product would, but with t innermost so the loop vectorises.
-      MatrixF& scores = probs ? (*probs)[b * heads_ + h] : scratch;
-      for (std::size_t s = 0; s < seq_; ++s) {
-        const float* qrow = q.data() + (b * seq_ + s) * dim_ + col0;
-        float* srow = scores.data() + s * seq_;
-        std::fill(srow, srow + seq_, 0.0f);
-        for (std::size_t d = 0; d < head_dim_; ++d) {
-          const float qd = qrow[d];
-          const float* ktrow = kt.data() + d * seq_;
-          for (std::size_t t = 0; t < seq_; ++t) srow[t] += qd * ktrow[t];
-        }
-        for (std::size_t t = 0; t < seq_; ++t) srow[t] *= scale;
-      }
-      for (std::size_t s = 0; s < seq_; ++s)
-        softmax_row(scores.data() + s * seq_, seq_);
-      // context rows = probs * V.
-      for (std::size_t s = 0; s < seq_; ++s) {
-        float* crow = context.data() + (b * seq_ + s) * dim_ + col0;
-        for (std::size_t t = 0; t < seq_; ++t) {
-          const float p = scores(s, t);
-          const float* vrow = v.data() + (b * seq_ + t) * dim_ + col0;
-          for (std::size_t d = 0; d < head_dim_; ++d) crow[d] += p * vrow[d];
-        }
-      }
-    }
+#ifdef _OPENMP
+  const int team = threads > 0 ? threads : omp_get_max_threads();
+#else
+  (void)threads;
+#endif
+#pragma omp parallel for schedule(static) num_threads(team)
+  for (std::size_t p = 0; p < pairs; ++p) {
+    const std::size_t b = p / range_heads;
+    const std::size_t h = h0 + p % range_heads;
+    const std::size_t offset = b * seq_ * dim_ + h * head_dim_;
+    float* scores = probs ? (*probs)[b * heads_ + h].data() : nullptr;
+    attend_pair(q.data() + offset, k.data() + offset, v.data() + offset,
+                dim_, seq_, head_dim_, scale, scores,
+                context.data() + b * seq_ * context.cols() +
+                    (h * head_dim_ - n0),
+                context.cols());
   }
 }
 
@@ -91,7 +155,9 @@ MatrixF MultiHeadAttention::forward(const MatrixF& x) {
   k_act_ = k_.forward(x);
   v_act_ = v_.forward(x);
   MatrixF context(x.rows(), dim_);
-  attention_core(q_act_, k_act_, v_act_, context, &attn_);
+  attn_.assign(x.rows() / seq_ * heads_, MatrixF(seq_, seq_));
+  attention_core(q_act_, k_act_, v_act_, context, 0, dim_,
+                 out_.exec_context().threads, &attn_);
   return out_.forward(context);
 }
 
@@ -106,16 +172,17 @@ ExecGraph::NodeId MultiHeadAttention::add_to_graph(
   q_.add_to_graph(graph, in, q);
   k_.add_to_graph(graph, in, k);
   v_.add_to_graph(graph, in, v);
-  graph.add_host(out_.weight().name + ".core", {q, k, v}, {context},
-                 [this, q, k, v, context](ExecGraph& g) {
-                   const MatrixF& qa = g.slot(q);
-                   MatrixF& ctx = g.slot(context);
-                   if (ctx.rows() != qa.rows() || ctx.cols() != dim_)
-                     ctx = MatrixF(qa.rows(), dim_);
-                   else
-                     ctx.fill(0.0f);
-                   attention_core(qa, g.slot(k), g.slot(v), ctx, nullptr);
-                 });
+  // Per output row: seq x head_dim MACs per head for each of Q·Kᵀ and P·V.
+  const double macs_per_row = 2.0 * static_cast<double>(seq_ * dim_);
+  const int threads = out_.exec_context().threads;
+  graph.add_host_range(
+      out_.weight().name + ".core", {q, k, v}, context, dim_, head_dim_,
+      macs_per_row,
+      [this, q, k, v, threads](const ExecGraph& g, MatrixF& block,
+                               std::size_t n0, std::size_t n1) {
+        attention_core(g.slot(q), g.slot(k), g.slot(v), block, n0, n1,
+                       threads, nullptr);
+      });
   return out_.add_to_graph(graph, context, out,
                            GemmActivation::kNone, residual);
 }

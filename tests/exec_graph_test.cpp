@@ -16,6 +16,7 @@
 #include "exec/graph.hpp"
 #include "exec/scheduler.hpp"
 #include "gemm/fused_ops.hpp"
+#include "nn/attention.hpp"
 #include "nn/bert_mini.hpp"
 #include "nn/layers.hpp"
 #include "nn/nmt_mini.hpp"
@@ -396,6 +397,83 @@ TEST(ShardColsTest, RangesAccumulateOntoC) {
           same = same && std::memcmp(&part(r, c), &whole(r, n0 + c),
                                      sizeof(float)) == 0;
       EXPECT_TRUE(same) << format << " range [" << n0 << ", " << n1 << ")";
+    }
+  }
+}
+
+TEST(ShardColsTest, AttentionHeadRangesMatchWholeCore) {
+  // The attention core is a column-range node split at head
+  // boundaries.  Head ranges run through execute_range and joined are
+  // bit-identical to the whole core, and scheduled runs at 1, 2 and 4
+  // streams (which split the core across streams) are bit-identical to
+  // forward(), which runs the core whole and fills its probability
+  // cache.  seq 20 is a multiple of neither kernel tile edge (kMr 6,
+  // kNr 16); head_dim 16 and 64 span one and four kNr strips.
+  ThreadPool pool(3);
+  for (const std::size_t seq : {16u, 20u}) {
+    for (const std::size_t head_dim : {16u, 64u}) {
+      const std::size_t heads = 4, dim = heads * head_dim, batch = 3;
+      Rng rng(31 + seq + head_dim);
+      MultiHeadAttention attn("attn", dim, heads, seq, rng);
+      const MatrixF x = random_matrix(batch * seq, dim, 32 + seq);
+      const MatrixF y_forward = attn.forward(x);
+
+      ExecGraph graph;
+      const auto in = graph.add_slot("x");
+      const auto out = graph.add_slot("y");
+      graph.mark_input(in);
+      attn.add_to_graph(graph, in, out);
+      graph.mark_output(out);
+      ExecGraph::NodeId core = graph.node_count();
+      for (ExecGraph::NodeId id = 0; id < graph.node_count(); ++id) {
+        const ExecGraph::Node& node = graph.nodes()[id];
+        if (node.kind == ExecGraph::NodeKind::kHost && node.column_ranged())
+          core = id;
+      }
+      ASSERT_LT(core, graph.node_count());
+      ASSERT_EQ(graph.nodes()[core].range_step, head_dim);
+      const std::string shape =
+          " seq " + std::to_string(seq) + " head_dim " + std::to_string(head_dim);
+
+      for (const std::size_t streams : {1u, 2u, 4u}) {
+        SchedulerOptions options;
+        options.streams = streams;
+        options.min_shard_width = 16;
+        options.dispatch_overhead_us = 0.0;
+        ExecScheduler scheduler(options, &pool);
+        graph.slot(in) = x;
+        scheduler.run(graph);
+        EXPECT_TRUE(bit_identical(graph.slot(out), y_forward))
+            << "streams " << streams << shape;
+        // The projections are unpacked (host nodes); the core splits
+        // into one head range per stream.
+        const ExecScheduler::RunStats& stats = scheduler.last_stats();
+        EXPECT_EQ(stats.sharded_nodes, streams > 1 ? 1u : 0u)
+            << "streams " << streams << shape;
+        EXPECT_EQ(stats.shards, streams > 1 ? streams : 0u)
+            << "streams " << streams << shape;
+      }
+
+      MatrixF whole;
+      graph.execute_range(core, whole, 0, dim);
+      EXPECT_TRUE(bit_identical(whole, graph.slot(graph.nodes()[core].writes[0])))
+          << shape;
+      for (const std::vector<std::size_t>& split :
+           {std::vector<std::size_t>{1, 1, 1, 1}, {1, 3}, {2, 2}, {3, 1}}) {
+        MatrixF joined(x.rows(), dim);
+        std::size_t n0 = 0;
+        for (const std::size_t range_heads : split) {
+          const std::size_t n1 = n0 + range_heads * head_dim;
+          MatrixF part;
+          graph.execute_range(core, part, n0, n1);
+          for (std::size_t r = 0; r < part.rows(); ++r)
+            for (std::size_t c = 0; c < part.cols(); ++c)
+              joined(r, n0 + c) = part(r, c);
+          n0 = n1;
+        }
+        EXPECT_TRUE(bit_identical(joined, whole))
+            << "split of " << split.size() << " ranges" << shape;
+      }
     }
   }
 }

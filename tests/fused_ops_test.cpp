@@ -229,5 +229,76 @@ TEST(FusedOps, SoftmaxNumericallyStableForLargeInputs) {
   EXPECT_FALSE(std::isnan(x(0, 2)));
 }
 
+std::vector<float> softmax_at(SimdLevel level, std::vector<float> row) {
+  ScopedSimdLevel scoped(level);
+  softmax_row(row.data(), row.size());
+  return row;
+}
+
+TEST(FusedOps, SoftmaxScalarAndAvx2AreBitIdentical) {
+  if (detected_simd_level() != SimdLevel::kAvx2)
+    GTEST_SKIP() << "host has no AVX2+FMA";
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(43);
+  std::vector<std::vector<float>> rows;
+  // Every width from 1 to 40 (8-lane body, ragged tail, both), at a
+  // spread where some arguments pass the -88 clamp and where none do.
+  for (std::size_t n = 1; n <= 40; ++n) {
+    for (const float spread : {3.0f, 60.0f}) {
+      std::vector<float> row(n);
+      for (float& v : row) v = rng.normal(0.0f, spread);
+      rows.push_back(row);
+    }
+  }
+  // -inf in the body and the tail, a row of only -inf, +inf, and NaN in
+  // the body, the tail and first.
+  for (const std::size_t n : {5u, 13u, 32u}) {
+    std::vector<float> row(n);
+    for (float& v : row) v = rng.normal(0.0f, 3.0f);
+    std::vector<float> neg = row;
+    neg[1] = -inf;
+    neg[n - 1] = -inf;
+    rows.push_back(neg);
+    rows.push_back(std::vector<float>(n, -inf));
+    std::vector<float> pos = row;
+    pos[n / 2] = inf;
+    rows.push_back(pos);
+    for (const std::size_t at : {std::size_t{0}, n / 2, n - 1}) {
+      std::vector<float> bad = row;
+      bad[at] = nan;
+      rows.push_back(bad);
+    }
+  }
+  for (const std::vector<float>& row : rows) {
+    const std::vector<float> scalar = softmax_at(SimdLevel::kScalar, row);
+    const std::vector<float> avx2 = softmax_at(SimdLevel::kAvx2, row);
+    for (std::size_t j = 0; j < row.size(); ++j) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(scalar[j]),
+                std::bit_cast<std::uint32_t>(avx2[j]))
+          << "n = " << row.size() << " j = " << j << " x = " << row[j]
+          << ": scalar " << scalar[j] << " vs avx2 " << avx2[j];
+    }
+    bool any_nan = false;
+    for (const float v : row) any_nan = any_nan || std::isnan(v) || v == inf;
+    const bool all_neg_inf =
+        std::all_of(row.begin(), row.end(), [&](float v) { return v == -inf; });
+    if (any_nan || all_neg_inf) {
+      for (const float v : scalar) EXPECT_TRUE(std::isnan(v));
+    }
+  }
+  // Arguments below the -88 clamp, -inf included, give exactly 0, as
+  // std::exp underflows there.
+  const std::vector<float> wide{0.0f, -88.5f, -100.0f, -1e30f, -inf, -87.0f};
+  for (const SimdLevel level : testable_simd_levels()) {
+    const std::vector<float> p = softmax_at(level, wide);
+    for (std::size_t j = 1; j <= 4; ++j)
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(p[j]), 0u)
+          << simd_level_name(level) << " x = " << wide[j];
+    EXPECT_GT(p[5], 0.0f) << simd_level_name(level);
+    EXPECT_NEAR(p[0], 1.0f, 1e-6f) << simd_level_name(level);
+  }
+}
+
 }  // namespace
 }  // namespace tilesparse

@@ -10,7 +10,8 @@
 // handed to a kernel, no unbounded allocation (sizes are validated
 // against the image length before allocation).  And every weight that
 // parses is executed as served: to_dense(), one whole matmul and one
-// column-range matmul on a 2-row A.  A payload the loaders accept but a
+// column-range matmul on a 2-row A — within the harness's own size
+// caps, since a header may declare dimensions no payload backs.  A payload the loaders accept but a
 // kernel mis-indexes therefore fails the run under ASan+UBSan instead
 // of passing as "parsed".
 //
@@ -31,6 +32,7 @@
 #include <string>
 
 #include "exec/backend_registry.hpp"
+#include "exec/tw_weight.hpp"
 #include "io/mmap_file.hpp"
 #include "io/serialize.hpp"
 #include "prune/importance.hpp"
@@ -40,18 +42,20 @@
 
 namespace {
 
-// Header dimensions reach int32 max with no payload behind them; the
-// harness's own A (2 x K) and C (2 x N) stay bounded by running only
-// weights up to this size.
+// Header dimensions reach int32 max with no payload behind them.  The
+// harness's own buffers stay bounded: A (2 x K) and C (2 x N) by running
+// only weights up to kMaxRunDim, the K x N to_dense() image by also
+// capping K * N.
 constexpr std::size_t kMaxRunDim = std::size_t{1} << 20;
+constexpr std::size_t kMaxDenseElements = std::size_t{1} << 22;
 
 /// Executes a parsed weight the way serving does: to_dense(), then a
 /// whole matmul and a column-range matmul (the middle third of the
 /// columns, as a scheduler shard runs it) on a 2-row A.
 void execute(const tilesparse::PackedWeight& weight) {
-  (void)weight.to_dense();
   const std::size_t k = weight.k(), n = weight.n();
   if (k > kMaxRunDim || n > kMaxRunDim) return;
+  if (k * n <= kMaxDenseElements) (void)weight.to_dense();
   tilesparse::MatrixF a(2, k);
   for (std::size_t i = 0; i < a.size(); ++i)
     a.data()[i] = static_cast<float>(i % 7) - 3.0f;
@@ -147,7 +151,14 @@ int write_seeds(const std::filesystem::path& dir) {
   tilesparse::write_model_weights(out, layers);
   std::ofstream file(dir / "tsmw_model.bin", std::ios::binary);
   file << out.str();
-  std::cout << "wire_fuzz: wrote " << packed.size() + 1 << " seeds to " << dir
+  // A tw header declaring K = N = 2^31 - 1 over zero tiles: the loader
+  // accepts it, so only the caps above keep its execution bounded.
+  const std::size_t huge = (std::size_t{1} << 31) - 1;
+  std::ostringstream huge_out(std::ios::binary);
+  tilesparse::write_packed_weight(huge_out, tilesparse::TwWeight({}, huge, huge));
+  std::ofstream huge_file(dir / "tspw_tw_huge_header.bin", std::ios::binary);
+  huge_file << huge_out.str();
+  std::cout << "wire_fuzz: wrote " << packed.size() + 2 << " seeds to " << dir
             << "\n";
   return 0;
 }

@@ -312,6 +312,54 @@ TEST(MappedHostile, OverlappingTileColumnsRejected) {
   }
 }
 
+TEST(MappedHostile, CorruptTewPatternThrowsRuntimeError) {
+  // A TEW artifact whose TW pattern gives column 1 to two pattern
+  // tiles, while its compacted tiles stay disjoint: the pattern check
+  // rejects it as corrupt input (std::runtime_error), like every other
+  // corrupt artifact, not as a broken internal invariant.
+  const std::size_t k = 4, n = 3;
+  std::vector<MaskedTile> tiles(2);
+  tiles[0].kept_rows = {0, 1};
+  tiles[0].out_cols = {0, 1};
+  tiles[1].kept_rows = {2, 3};
+  tiles[1].out_cols = {2};
+  for (MaskedTile& tile : tiles) {
+    tile.weights = MatrixF(2, tile.out_cols.size());
+    tile.weights.fill(1.0f);
+  }
+  TewMatrix tew;
+  tew.k = k;
+  tew.n = n;
+  tew.pattern.k = k;
+  tew.pattern.n = n;
+  tew.pattern.g = 2;
+  tew.pattern.col_keep.assign(n, 1);
+  tew.pattern.tiles.resize(2);
+  tew.pattern.tiles[0].out_cols = {0, 1};
+  tew.pattern.tiles[1].out_cols = {1, 2};
+  for (TwTile& tile : tew.pattern.tiles) tile.row_keep.assign(k, 1);
+  tew.tiles = std::move(tiles);
+  tew.remainder = csc_from_dense(MatrixF(k, n));
+  const TewWeight weight(std::move(tew));
+
+  TempArtifact artifact("corrupt_tew_pattern");
+  save_packed_weight(artifact.path(), weight);
+  for (const bool mapped : {false, true}) {
+    try {
+      (void)(mapped ? load_packed_weight_mapped(artifact.path())
+                    : load_packed_weight(artifact.path()));
+      ADD_FAILURE() << (mapped ? "mapped" : "stream") << " load accepted it";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("corrupt pattern"),
+                std::string::npos)
+          << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << (mapped ? "mapped" : "stream")
+                    << " load threw a non-runtime_error: " << e.what();
+    }
+  }
+}
+
 // ----------------------------------------------------- atomic save
 
 TEST(AtomicSave, NoTempFileSurvivesSuccessOrFailure) {

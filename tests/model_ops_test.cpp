@@ -15,6 +15,8 @@
 #include "workload/model_ops.hpp"
 #include "workload/shapes.hpp"
 
+#include "simd_levels.hpp"
+
 namespace tilesparse {
 namespace {
 
@@ -157,45 +159,68 @@ TEST(Consistency, InferPathsMatchForwardBits) {
 }
 
 TEST(Consistency, AttentionCoreMatchesNaiveDotProducts) {
-  // Pins attention_core's bits to the plain per-(s, t) loop: each score
-  // is a dot product summed over d ascending from 0, then scaled; each
-  // context row accumulates p * v_t over t ascending.
-  const std::size_t dim = 64, heads = 4, seq = 16, batch = 3;
-  const std::size_t head_dim = dim / heads;
-  Rng rng(17);
-  MultiHeadAttention attn("attn", dim, heads, seq, rng);
-  for (Linear* layer : attn.projection_layers())
-    fill_normal(layer->bias().value, rng, 0.0f, 0.1f);
-  MatrixF x(batch * seq, dim);
-  fill_normal(x, rng);
+  // Pins attention_core's bits to plain per-(s, t) loops at every SIMD
+  // level.  Both products run on the micro-kernel, which sums each
+  // output over k ascending from 0 and adds the sum onto a zeroed
+  // output: a score sums (scale * q_sd) * k_td over d, a context
+  // element p_st * v_td over t.  At AVX2 each step is one std::fma; the
+  // scalar kernel multiplies, rounds, then adds.  seq 20 is a multiple
+  // of neither kernel tile edge (kMr 6, kNr 16); head_dim 64 spans four
+  // kNr strips.
+  struct Shape {
+    std::size_t dim, heads, seq;
+  };
+  for (const Shape shape : {Shape{64, 4, 16}, Shape{128, 2, 20}}) {
+    const std::size_t dim = shape.dim, heads = shape.heads, seq = shape.seq;
+    const std::size_t batch = 3, head_dim = dim / heads;
+    Rng rng(17);
+    MultiHeadAttention attn("attn", dim, heads, seq, rng);
+    for (Linear* layer : attn.projection_layers())
+      fill_normal(layer->bias().value, rng, 0.0f, 0.1f);
+    MatrixF x(batch * seq, dim);
+    fill_normal(x, rng);
+    const std::vector<Linear*> proj = attn.projection_layers();
+    const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
 
-  const std::vector<Linear*> proj = attn.projection_layers();
-  const MatrixF q = proj[0]->infer(x);
-  const MatrixF k = proj[1]->infer(x);
-  const MatrixF v = proj[2]->infer(x);
-  MatrixF context(x.rows(), dim);
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
-  std::vector<float> scores(seq);
-  for (std::size_t b = 0; b < batch; ++b) {
-    for (std::size_t h = 0; h < heads; ++h) {
-      const std::size_t col0 = h * head_dim;
-      for (std::size_t s = 0; s < seq; ++s) {
-        for (std::size_t t = 0; t < seq; ++t) {
-          float dot = 0.0f;
-          for (std::size_t d = 0; d < head_dim; ++d)
-            dot += q(b * seq + s, col0 + d) * k(b * seq + t, col0 + d);
-          scores[t] = dot * scale;
+    for (const SimdLevel level : testable_simd_levels()) {
+      // The projections run at the level under test too.
+      ScopedSimdLevel scoped(level);
+      const MatrixF q = proj[0]->infer(x);
+      const MatrixF k = proj[1]->infer(x);
+      const MatrixF v = proj[2]->infer(x);
+      const bool fused = level == SimdLevel::kAvx2;
+      const auto step = [fused](float a, float b, float acc) {
+        return fused ? std::fma(a, b, acc) : acc + a * b;
+      };
+      MatrixF context(x.rows(), dim);
+      std::vector<float> scores(seq);
+      for (std::size_t b = 0; b < batch; ++b) {
+        for (std::size_t h = 0; h < heads; ++h) {
+          const std::size_t col0 = h * head_dim;
+          for (std::size_t s = 0; s < seq; ++s) {
+            for (std::size_t t = 0; t < seq; ++t) {
+              float dot = 0.0f;
+              for (std::size_t d = 0; d < head_dim; ++d)
+                dot = step(scale * q(b * seq + s, col0 + d),
+                           k(b * seq + t, col0 + d), dot);
+              scores[t] = 0.0f + dot;
+            }
+            softmax_row(scores.data(), seq);
+            for (std::size_t d = 0; d < head_dim; ++d) {
+              float acc = 0.0f;
+              for (std::size_t t = 0; t < seq; ++t)
+                acc = step(scores[t], v(b * seq + t, col0 + d), acc);
+              context(b * seq + s, col0 + d) = 0.0f + acc;
+            }
+          }
         }
-        softmax_row(scores.data(), seq);
-        for (std::size_t t = 0; t < seq; ++t)
-          for (std::size_t d = 0; d < head_dim; ++d)
-            context(b * seq + s, col0 + d) +=
-                scores[t] * v(b * seq + t, col0 + d);
       }
+      const MatrixF expected = proj[3]->infer(context);
+      EXPECT_TRUE(bit_identical(attn.forward(x), expected))
+          << simd_level_name(level) << " seq " << seq << " head_dim "
+          << head_dim;
     }
   }
-  const MatrixF expected = proj[3]->infer(context);
-  EXPECT_TRUE(bit_identical(attn.forward(x), expected));
 }
 
 TEST(Consistency, SoftmaxRowsMatchesLossSoftmax) {

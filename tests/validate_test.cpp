@@ -18,6 +18,7 @@
 #include "exec/graph.hpp"
 #include "exec/scheduler.hpp"
 #include "exec/validate.hpp"
+#include "nn/attention.hpp"
 #include "nn/bert_mini.hpp"
 #include "nn/nmt_mini.hpp"
 #include "nn/vgg_mini.hpp"
@@ -179,11 +180,20 @@ TEST(ValidateTest, TransitivePathCoversHazard) {
 
 // ------------------------------------------- fixture: bad shard slices
 
+/// The GEMM node of a one-node graph over `weight`: the node a shard
+/// plan for that weight is audited against.
+const ExecGraph::Node& gemm_node(ExecGraph& g, const PackedWeight& weight) {
+  const auto in = g.add_slot("in");
+  const auto out = g.add_slot("out");
+  return g.nodes()[g.add_gemm("w", &weight, in, out)];
+}
+
 TEST(ValidateTest, OverlappingShardSlicesAreReported) {
   const MatrixF w = random_matrix(16, 64, 3);
   const auto packed = make_packed("dense", w);
+  ExecGraph g;
   const auto findings = audit_shard_slices(
-      *packed, {{0, 24}, {16, 40}, {40, 64}});
+      gemm_node(g, *packed), {{0, 24}, {16, 40}, {40, 64}});
   EXPECT_TRUE(has_finding(findings, "shard-plan", "computed twice"))
       << render(findings);
 }
@@ -191,12 +201,44 @@ TEST(ValidateTest, OverlappingShardSlicesAreReported) {
 TEST(ValidateTest, ShardGapAndCoverageAreReported) {
   const MatrixF w = random_matrix(16, 64, 3);
   const auto packed = make_packed("dense", w);
-  const auto gap = audit_shard_slices(*packed, {{0, 16}, {24, 64}});
+  ExecGraph g;
+  const ExecGraph::Node& node = gemm_node(g, *packed);
+  const auto gap = audit_shard_slices(node, {{0, 16}, {24, 64}});
   EXPECT_TRUE(has_finding(gap, "shard-plan", "skips columns")) << render(gap);
-  const auto partial = audit_shard_slices(*packed, {{0, 16}, {16, 48}});
+  const auto partial = audit_shard_slices(node, {{0, 16}, {16, 48}});
   EXPECT_TRUE(has_finding(partial, "shard-plan", "N = 64")) << render(partial);
-  const auto good = audit_shard_slices(*packed, {{0, 16}, {16, 48}, {48, 64}});
+  const auto good = audit_shard_slices(node, {{0, 16}, {16, 48}, {48, 64}});
   EXPECT_TRUE(good.empty()) << render(good);
+}
+
+TEST(ValidateTest, AttentionCoreRangesMustFollowHeadBoundaries) {
+  // The core is a column-range node with one head (16 columns) as its
+  // range step: a range that splits a head, or a plan that leaves a
+  // gap, is an error; whole-head ranges tiling [0, 64) are clean.
+  Rng rng(5);
+  MultiHeadAttention attn("attn", 64, 4, 8, rng);
+  ExecGraph g;
+  const auto in = g.add_slot("x");
+  const auto out = g.add_slot("y");
+  g.mark_input(in);
+  attn.add_to_graph(g, in, out);
+  g.mark_output(out);
+  EXPECT_TRUE(validate_graph(g).empty()) << render(validate_graph(g));
+  const auto core = std::find_if(
+      g.nodes().begin(), g.nodes().end(),
+      [](const ExecGraph::Node& n) { return n.name == "attn.out.w.core"; });
+  ASSERT_NE(core, g.nodes().end());
+  ASSERT_TRUE(core->column_ranged());
+  EXPECT_EQ(core->width, 64u);
+  EXPECT_EQ(core->range_step, 16u);
+
+  const auto split = audit_shard_slices(*core, {{0, 24}, {24, 64}});
+  EXPECT_TRUE(has_finding(split, "shard-plan", "range step of 16"))
+      << render(split);
+  const auto gap = audit_shard_slices(*core, {{0, 16}, {32, 64}});
+  EXPECT_TRUE(has_finding(gap, "shard-plan", "skips columns")) << render(gap);
+  const auto heads = audit_shard_slices(*core, {{0, 16}, {16, 48}, {48, 64}});
+  EXPECT_TRUE(heads.empty()) << render(heads);
 }
 
 // --------------------------------------------- fixture: shape mismatch
