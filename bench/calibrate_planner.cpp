@@ -11,7 +11,6 @@
 // Usage: calibrate_planner [--out=<path>] [--m=<rows>] [--kn=<dim>]
 
 #include <cstdio>
-#include <cstring>
 #include <ctime>
 #include <memory>
 #include <stdexcept>
@@ -134,27 +133,21 @@ int main(int argc, char** argv) {
   calib.int8_mac_discount = dense_rate / int8_rate;
   calib.dense_gflops = 2.0 * dense_rate * 1e-9;
 
-  // Tile-shard overhead: time the wide dense matmul whole vs split
-  // into 4 column ranges run back-to-back (range dispatch + join cost
-  // with zero overlap); the per-shard surcharge prices shard dispatch
-  // for the scheduler.
+  // Shard overhead: time the wide dense matmul whole vs split into 4
+  // row shards run back-to-back, each writing its rows of C in place
+  // through row views (the scheduler's shard unit, with zero overlap);
+  // the per-shard surcharge prices shard dispatch for the scheduler.
   {
     constexpr std::size_t kShards = 4;
-    std::vector<MatrixF> parts;
-    for (std::size_t s = 0; s < kShards; ++s)
-      parts.emplace_back(m, (s + 1) * kn / kShards - s * kn / kShards);
     const ExecContext shard_ctx;
     const double t_whole =
         time_best_of([&] { dense->matmul(shard_ctx, a, c); }, 7);
     const double t_shards = time_best_of(
         [&] {
           for (std::size_t s = 0; s < kShards; ++s) {
-            dense->matmul(shard_ctx, a, parts[s], s * kn / kShards,
-                          (s + 1) * kn / kShards);
-            for (std::size_t r = 0; r < m; ++r)
-              std::memcpy(c.data() + r * kn + s * kn / kShards,
-                          parts[s].data() + r * parts[s].cols(),
-                          parts[s].cols() * sizeof(float));
+            const std::size_t r0 = s * m / kShards, r1 = (s + 1) * m / kShards;
+            MatrixF rows = c.row_view(r0, r1);
+            dense->matmul(shard_ctx, a.row_view(r0, r1), rows);
           }
         },
         7);

@@ -212,6 +212,12 @@ struct PackedStats {
   }
 };
 
+/// Effective GFLOP/s a served rate buys: the request's (pruned) MACs at
+/// 2 flops each, times requests per second.
+double effective_gflops(double macs_per_request, double requests_per_sec) {
+  return 2.0 * macs_per_request * requests_per_sec * 1e-9;
+}
+
 /// Zeroes the smallest-|w| `sparsity` fraction of `w` in place.
 void prune_by_magnitude(MatrixF& w, double sparsity) {
   std::vector<float> mags;
@@ -309,7 +315,6 @@ void run_throughput(BertMini& model, const TokenTeacherDataset& dataset,
 
       SchedulerOptions options;
       options.streams = streams;
-      options.reference_m = rows;
       ExecScheduler scheduler(options);
       model.set_exec_scheduler(&scheduler);
       const Measured measured = serve_closed_loop(model, dataset, batch, secs);
@@ -321,7 +326,8 @@ void run_throughput(BertMini& model, const TokenTeacherDataset& dataset,
           baseline > 0.0 ? measured.requests_per_sec / baseline : 1.0;
       // Effective rate over the packed encoder GEMMs: work the request
       // actually buys (pruned MACs), not the dense-equivalent count.
-      const double gflops = 2.0 * stats.macs * measured.requests_per_sec * 1e-9;
+      const double gflops =
+          effective_gflops(stats.macs, measured.requests_per_sec);
       std::printf("%-8s %-9.2f %-8zu %12.1f %12.3f %8.3f %8.3f %8.3f %10.2f "
                   "%9.2fx\n",
                   cfg.format, stats.sparsity(), streams,
@@ -365,7 +371,8 @@ void run_throughput(BertMini& model, const TokenTeacherDataset& dataset,
     ExecContext ctx;
     ctx.threads =
         static_cast<int>(std::max<std::size_t>(1, budget / point.streams));
-    pack_model(model, point.cfg.format, point.cfg.sparsity, rows, ctx);
+    const PackedStats stats =
+        pack_model(model, point.cfg.format, point.cfg.sparsity, rows, ctx);
     const OverloadMeasured overload = serve_overloaded(
         model, dataset, batch, point.streams, point.closed_loop_ms, secs);
     model.clear_packed_weights();
@@ -385,6 +392,8 @@ void run_throughput(BertMini& model, const TokenTeacherDataset& dataset,
     record.n = config.ffn_dim;
     record.ns_per_iter = overload.latency.p50_ms * 1e6;
     record.requests_per_sec = overload.latency.requests_per_sec;
+    record.gflops =
+        effective_gflops(stats.macs, overload.latency.requests_per_sec);
     record.streams = point.streams;
     record.sparsity = point.sparsity;
     record.p50_ms = overload.latency.p50_ms;
@@ -661,6 +670,8 @@ void run_batch_compare(const BertMiniConfig& config, std::size_t budget,
       record.n = n;
       record.ns_per_iter = by_mode[batching].ms_per_request * 1e6;
       record.requests_per_sec = by_mode[batching].requests_per_sec;
+      record.gflops =
+          effective_gflops(packed->macs(1), by_mode[batching].requests_per_sec);
       record.sparsity = point.sparsity;
       record.p50_ms = by_mode[batching].p50_ms;
       record.p95_ms = by_mode[batching].p95_ms;
@@ -698,7 +709,7 @@ void run_fairness(BertMini& model, const TokenTeacherDataset& dataset,
 
   ExecContext ctx;
   ctx.threads = static_cast<int>(budget);
-  pack_model(model, "tw", pruned_sparsity, seq, ctx);
+  const PackedStats stats = pack_model(model, "tw", pruned_sparsity, seq, ctx);
 
   std::printf("\nfairness: tenant-0 x%zu clients vs %zu light tenants x%zu "
               "clients (tw, DRR when batched)\n",
@@ -742,6 +753,7 @@ void run_fairness(BertMini& model, const TokenTeacherDataset& dataset,
       record.n = config.ffn_dim;
       record.ns_per_iter = m.ms_per_request * 1e6;
       record.requests_per_sec = m.requests_per_sec;
+      record.gflops = effective_gflops(stats.macs, m.requests_per_sec);
       record.sparsity = pruned_sparsity;
       record.p50_ms = m.p50_ms;
       record.p95_ms = m.p95_ms;
@@ -749,6 +761,8 @@ void run_fairness(BertMini& model, const TokenTeacherDataset& dataset,
       json.add(record);
     }
     const double jain = jain_index(rates);
+    double total_rate = 0.0;
+    for (const double rate : rates) total_rate += rate;
     std::printf("%-8s %-10s %10s Jain's index = %.3f\n", mode, "(all)", "",
                 jain);
 
@@ -758,6 +772,7 @@ void run_fairness(BertMini& model, const TokenTeacherDataset& dataset,
     summary.m = seq;
     summary.k = config.dim;
     summary.n = config.ffn_dim;
+    summary.gflops = effective_gflops(stats.macs, total_rate);  // all tenants
     summary.metric = jain;
     json.add(summary);
   }
@@ -778,7 +793,7 @@ void run_dynamic_load(BertMini& model, const TokenTeacherDataset& dataset,
 
   ExecContext ctx;
   ctx.threads = static_cast<int>(budget);
-  pack_model(model, "tw", pruned_sparsity, seq, ctx);
+  const PackedStats stats = pack_model(model, "tw", pruned_sparsity, seq, ctx);
 
   // Calibrate the solo service time directly (entry->run on a local
   // scheduler): the open-loop base rate targets ~60% of that capacity,
@@ -894,6 +909,7 @@ void run_dynamic_load(BertMini& model, const TokenTeacherDataset& dataset,
       record.n = config.ffn_dim;
       record.ns_per_iter = m.ms_per_request * 1e6;
       record.requests_per_sec = m.requests_per_sec;
+      record.gflops = effective_gflops(stats.macs, m.requests_per_sec);
       record.sparsity = pruned_sparsity;
       record.p50_ms = m.p50_ms;
       record.p95_ms = m.p95_ms;

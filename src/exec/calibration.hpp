@@ -35,8 +35,8 @@ struct PlannerCalibration {
   /// Weight-traffic term: MAC-equivalents charged per packed byte, so
   /// the memory footprint breaks ties when the batch is small.
   double macs_per_byte = 4.0;
-  /// Fixed cost (microseconds) of dispatching and joining one extra
-  /// wide-N shard: slice lookup, stream handoff, C-column join.  The
+  /// Fixed cost (microseconds) of dispatching one extra row shard:
+  /// stream handoff and the per-call kernel setup a shard repeats.  The
   /// scheduler's shard sizing charges this against the per-shard
   /// speedup ("tile-shard" entry of the calibration artifact).
   double shard_overhead_us = 20.0;

@@ -39,11 +39,11 @@ double CsrWeight::macs(std::size_t m) const noexcept {
   return static_cast<double>(m) * static_cast<double>(csr_.nnz());
 }
 
-void CsrWeight::accumulate(const ExecContext&, const MatrixF& a, MatrixF& c,
-                           std::size_t n0, std::size_t) const {
+void CsrWeight::accumulate(const ExecContext&, const MatrixF& a,
+                           MatrixF& c) const {
   // fp16 activation rounding is applied by the base wrapper (this
   // kernel has no native half path).
-  csr_panels_spmm_accumulate(a, panels_, c, n0);
+  csr_panels_spmm_accumulate(a, panels_, c);
 }
 
 }  // namespace tilesparse

@@ -43,11 +43,8 @@ class CsrWeight final : public PackedWeight {
   const CsrPanels& panels() const noexcept { return panels_; }
 
  protected:
-  /// The SpMM kernel accumulates each output column's terms in
-  /// ascending K order independent of the other columns, so a column
-  /// range (the panel strips it touches) executes bit-identically.
-  void accumulate(const ExecContext& ctx, const MatrixF& a, MatrixF& c,
-                  std::size_t n0, std::size_t n1) const override;
+  void accumulate(const ExecContext& ctx, const MatrixF& a,
+                  MatrixF& c) const override;
 
  private:
   explicit CsrWeight(CsrStore csr);

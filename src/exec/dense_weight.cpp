@@ -43,13 +43,12 @@ double DenseWeight::macs(std::size_t m) const noexcept {
 }
 
 void DenseWeight::accumulate(const ExecContext& ctx, const MatrixF& a,
-                             MatrixF& c, std::size_t n0,
-                             std::size_t) const {
+                             MatrixF& c) const {
   std::call_once(packed_b_once_,
                  [this] { packed_b_ = pack_dense_b(weights_, config_); });
   GemmConfig config = config_;
   config.fp16_inputs = ctx.fp16();
-  dense_gemm(a, packed_b_, c, /*alpha=*/1.0f, /*beta=*/1.0f, config, n0);
+  dense_gemm(a, packed_b_, c, /*alpha=*/1.0f, /*beta=*/1.0f, config);
 }
 
 }  // namespace tilesparse

@@ -33,12 +33,8 @@ class DenseWeight final : public PackedWeight {
   std::string_view format() const noexcept override { return "dense"; }
 
  protected:
-  /// Column ranges run only the packed-B strips they touch; the
-  /// micro-kernel accumulates each output column over K in a fixed
-  /// order regardless of which columns share the strip, so a range is
-  /// bit-identical.
-  void accumulate(const ExecContext& ctx, const MatrixF& a, MatrixF& c,
-                  std::size_t n0, std::size_t n1) const override;
+  void accumulate(const ExecContext& ctx, const MatrixF& a,
+                  MatrixF& c) const override;
   bool native_fp16() const noexcept override { return true; }
 
  private:

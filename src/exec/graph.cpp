@@ -131,19 +131,20 @@ ExecGraph::NodeId ExecGraph::add_host_range(std::string name,
     throw std::invalid_argument(
         "ExecGraph::add_host_range: in-place host range is not supported");
   }
-  if (width == 0 || step == 0 || width % step != 0) {
+  if (width == 0 || step == 0) {
     throw std::invalid_argument(
-        "ExecGraph::add_host_range: width must be a positive multiple of "
-        "the range step");
+        "ExecGraph::add_host_range: width and row step must be positive");
   }
   Node node;
   node.name = std::move(name);
   node.kind = NodeKind::kHost;
   node.range_fn = std::move(fn);
+  node.in = reads.front();
+  node.out = out;
   node.reads = std::move(reads);
   node.writes = {out};
   node.width = width;
-  node.range_step = step;
+  node.row_step = step;
   node.macs_per_row = macs_per_row;
   nodes_.push_back(std::move(node));
   const NodeId id = nodes_.size() - 1;
@@ -228,35 +229,69 @@ std::vector<ExecGraph::NodeId> ExecGraph::topo_order() const {
 
 void ExecGraph::execute_node(NodeId id) {
   Node& node = nodes_.at(id);
-  if (!node.column_ranged()) {
+  if (!node.row_ranged()) {
     node.fn(*this);
     return;
   }
-  execute_range(id, slot(node.writes.front()), 0, node.width);
+  size_output(id);
+  execute_rows(id, 0, node_rows(id));
 }
 
-void ExecGraph::execute_range(NodeId id, MatrixF& block, std::size_t n0,
-                              std::size_t n1) const {
+std::size_t ExecGraph::node_rows(NodeId id) const {
+  return slot(nodes_.at(id).in).rows();
+}
+
+void ExecGraph::size_output(NodeId id) {
   const Node& node = nodes_.at(id);
-  TS_CHECK(node.column_ranged() && n0 < n1 && n1 <= node.width &&
-               n0 % node.range_step == 0 && n1 % node.range_step == 0,
-           "ExecGraph::execute_range: not a column range of the node");
-  const MatrixF& a = slot(node.reads.front());
-  if (block.rows() != a.rows() || block.cols() != n1 - n0)
-    block = MatrixF(a.rows(), n1 - n0);
+  TS_CHECK(node.row_ranged(), "ExecGraph::size_output: not a row-range node");
+  const std::size_t rows = node_rows(id);
+  MatrixF& out = slot(node.out);
+  if (out.rows() != rows || out.cols() != node.width)
+    out = MatrixF(rows, node.width);
+}
+
+void ExecGraph::execute_rows(NodeId id, std::size_t r0, std::size_t r1) {
+  const Node& node = nodes_.at(id);
+  TS_CHECK(node.row_ranged(), "ExecGraph::execute_rows: not a row-range node");
+  const MatrixF& a = slot(node.in);
+  MatrixF& out = slot(node.out);
+  TS_CHECK(r0 <= r1 && r1 <= a.rows() && r0 % node.row_step == 0 &&
+               r1 % node.row_step == 0,
+           "ExecGraph::execute_rows: not a row range of the node");
+  TS_CHECK(out.rows() == a.rows() && out.cols() == node.width,
+           "ExecGraph::execute_rows: output slot not sized (size_output)");
+  if (r0 == r1) return;
+  MatrixF rows = out.row_view(r0, r1);
   if (node.kind == NodeKind::kHost) {
-    node.range_fn(*this, block, n0, n1);
+    node.range_fn(*this, r0, r1, rows);
     return;
   }
-  node.weight->matmul(node.ctx, a, block, n0, n1);
-  apply_epilogue(node.epilogue, block, n0);
+  node.weight->matmul(node.ctx, a.row_view(r0, r1), rows);
+  apply_epilogue(node.epilogue, rows, r0);
 }
 
 void ExecGraph::apply_epilogue(const GemmEpilogue& epilogue, MatrixF& c,
-                               std::size_t n0) const {
-  apply_gemm_epilogue(epilogue.bias, epilogue.activation,
-                      epilogue.residual ? &slot(*epilogue.residual) : nullptr,
-                      c, n0);
+                               std::size_t r0) const {
+  if (!epilogue.residual) {
+    apply_gemm_epilogue(epilogue.bias, epilogue.activation, nullptr, c);
+    return;
+  }
+  const MatrixF& residual = slot(*epilogue.residual);
+  TS_CHECK(r0 + c.rows() <= residual.rows(),
+           "GEMM epilogue residual has fewer rows than the output");
+  const MatrixF rows = residual.row_view(r0, r0 + c.rows());
+  apply_gemm_epilogue(epilogue.bias, epilogue.activation, &rows, c);
+}
+
+std::pair<std::size_t, std::size_t> row_shard(std::size_t m, std::size_t step,
+                                              std::size_t shards,
+                                              std::size_t s) noexcept {
+  const std::size_t units = m / step;
+  const std::size_t base = units / shards, rem = units % shards;
+  const std::size_t r0 = (s * base + std::min(s, rem)) * step;
+  const std::size_t r1 =
+      s + 1 == shards ? m : ((s + 1) * base + std::min(s + 1, rem)) * step;
+  return {r0, r1};
 }
 
 void ExecGraph::poison_slots() {

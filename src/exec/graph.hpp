@@ -12,17 +12,20 @@
 // layernorm, attention core, pooling) — and an ExecScheduler
 // dispatches ready nodes onto worker streams (see exec/scheduler.hpp).
 //
-// GEMM nodes and host ops added with add_host_range() are column-range
-// nodes: any range [n0, n1) of their output columns (on multiples of
-// the node's range step) can be computed alone by execute_range(), and
-// a whole run is the [0, width) case.  The scheduler splits such a
-// node into column shards across its streams.  The attention core is
-// one: context columns [h·hd, (h+1)·hd) depend only on head h.
+// GEMM nodes and host ops added with add_host_range() are row-range
+// nodes: any range [r0, r1) of their output rows (on multiples of the
+// node's row step) can be computed alone by execute_rows(), which reads
+// those rows of the inputs and writes those rows of the output slot in
+// place, and a whole run is the [0, M) case.  The scheduler splits such
+// a node into row shards across its streams (row_shard() deals out the
+// rows).  A GEMM's step is one row; the attention core's is one
+// sequence, since a sequence's rows attend to one another; LayerNorm's
+// is one row.
 //
 // A GEMM node's epilogue carries the elementwise ops that follow it in
 // a model (the paper's Sec. VI kernel fusion): bias, then an
 // activation, then a residual add, applied by apply_epilogue() to the
-// output while it is still hot — per column shard when the scheduler
+// output while it is still hot — per row shard when the scheduler
 // splits the node — instead of by separate host nodes that re-read it.
 //
 // Dataflow dependencies are derived from slot access: a node that
@@ -38,20 +41,21 @@
 // once per graph before the first dispatch.
 //
 // Slots are plain MatrixF buffers owned by the graph.  Their shapes
-// are set by whoever writes them (gemm nodes size their output from
-// the input rows and the weight's N), so one graph serves any batch
-// size.  Slots fed by the caller before run() are declared with
-// mark_input(); slots the caller reads afterwards with mark_output()
-// — the verifier uses both to tell external I/O from dangling reads
-// and dead stores.  A graph may be run repeatedly; it is cheap to
-// build and holds non-owning weight refs, so rebuilding after
-// re-packing is the expected pattern.
+// are set by whoever writes them (a row-range node sizes its output
+// from its input's rows and its width, reallocating only when the rows
+// change), so one graph serves any batch size.  Slots fed by the
+// caller before run() are declared with mark_input(); slots the caller
+// reads afterwards with mark_output() — the verifier uses both to tell
+// external I/O from dangling reads and dead stores.  A graph may be run
+// repeatedly; it is cheap to build and holds non-owning weight refs, so
+// rebuilding after re-packing is the expected pattern.
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/exec_context.hpp"
@@ -88,31 +92,33 @@ class ExecGraph {
 
   enum class NodeKind { kGemm, kHost };
 
-  /// A column-range host body: writes columns [n0, n1) of the node's
-  /// output into `block` (rows x (n1 - n0), already sized).
-  using RangeFn = std::function<void(const ExecGraph& graph, MatrixF& block,
-                                     std::size_t n0, std::size_t n1)>;
+  /// A row-range host body: computes rows [r0, r1) of the node's output
+  /// into `rows`, the (r1 - r0) x width row view of its output slot,
+  /// reading only rows [r0, r1) of its inputs.
+  using RangeFn = std::function<void(const ExecGraph& graph, std::size_t r0,
+                                     std::size_t r1, MatrixF& rows)>;
 
   struct Node {
     std::string name;
     NodeKind kind = NodeKind::kHost;
     // Gemm payload: out = epilogue(in * weight), under `ctx`
     // numerics/threads (alpha/beta forced to 1/0 — graph slots are
-    // single-assignment between writers).
+    // single-assignment between writers).  A row-range host node sets
+    // `in` (reads.front()) and `out` too.
     const PackedWeight* weight = nullptr;
     SlotId in = 0;
     SlotId out = 0;
     ExecContext ctx;
     GemmEpilogue epilogue;
-    // Host payload: `fn`, or `range_fn` for a column-range host node.
+    // Host payload: `fn`, or `range_fn` for a row-range host node.
     std::function<void(ExecGraph&)> fn;
     RangeFn range_fn;
-    // Column-range payload (GEMM nodes and add_host_range nodes): the
-    // output's column count, with ranges on multiples of `range_step`.
-    // `macs_per_row` prices a host range for the scheduler (a GEMM asks
-    // its weight).  Plain host nodes leave all three unset.
+    // Row-range payload (GEMM nodes and add_host_range nodes): the
+    // output's column count, and the row step every range bound falls
+    // on.  `macs_per_row` prices a host range for the scheduler (a GEMM
+    // asks its weight).  Plain host nodes leave all three unset.
     std::size_t width = 0;
-    std::size_t range_step = 1;
+    std::size_t row_step = 1;
     double macs_per_row = 0.0;
     // Declared slot accesses (gemm: reads = {in} plus the epilogue's
     // residual slot, writes = {out}; reads.front() is always the
@@ -124,7 +130,7 @@ class ExecGraph {
     std::vector<NodeId> deps;
     std::vector<NodeId> dependents;
 
-    bool column_ranged() const noexcept {
+    bool row_ranged() const noexcept {
       return kind == NodeKind::kGemm || static_cast<bool>(range_fn);
     }
     /// Multiply-adds of a whole run at `m` output rows (0 for a plain
@@ -174,14 +180,14 @@ class ExecGraph {
   NodeId add_host(std::string name, std::vector<SlotId> reads,
                   std::vector<SlotId> writes, std::function<void(ExecGraph&)> fn);
 
-  /// Adds a column-range host node: `fn(graph, block, n0, n1)` computes
-  /// columns [n0, n1) of slot(out), which is slot(reads.front()).rows()
-  /// x `width`, for any range whose ends are multiples of `step`.  The
-  /// body must not read slot(out).  `macs_per_row` is the whole node's
-  /// multiply-add count per output row, which the scheduler weighs when
+  /// Adds a row-range host node: `fn(graph, r0, r1, rows)` computes rows
+  /// [r0, r1) of slot(out), which is slot(reads.front()).rows() x
+  /// `width`, from rows [r0, r1) of the reads, for any range whose ends
+  /// are multiples of `step`.  The body must not read slot(out).
+  /// `macs_per_row` is the node's multiply-add count (or its
+  /// equivalent) per output row, which the scheduler weighs when
   /// splitting it.  Throws std::invalid_argument on a null body, no
-  /// reads, out among the reads, or a width that is 0 or not a
-  /// multiple of `step`.
+  /// reads, out among the reads, or a zero width or step.
   NodeId add_host_range(std::string name, std::vector<SlotId> reads,
                         SlotId out, std::size_t width, std::size_t step,
                         double macs_per_row, RangeFn fn);
@@ -208,24 +214,35 @@ class ExecGraph {
 
   /// Executes one node on the calling thread (the scheduler's unit of
   /// work; also usable directly for serial reference runs).  A
-  /// column-range node sizes its output slot and runs [0, width).
+  /// row-range node sizes its output slot and runs rows [0, M).
   void execute_node(NodeId id);
 
-  /// Computes columns [n0, n1) of column-range node `id` into `block`
-  /// (rows x (n1 - n0); sized here when it is not): a GEMM runs its
-  /// weight's column range and then its epilogue on those columns, a
-  /// host range its body.  The scheduler's shard unit; every path
-  /// produces the bits a whole run puts in those columns.
-  void execute_range(NodeId id, MatrixF& block, std::size_t n0,
-                     std::size_t n1) const;
+  /// Rows the output of row-range node `id` has this run: the rows of
+  /// its input slot (reads.front()).
+  std::size_t node_rows(NodeId id) const;
 
-  /// Applies `epilogue` to `c`, the block of a GEMM output holding
-  /// columns [n0, n0 + c.cols()) of every row: resolves the residual
-  /// slot and calls apply_gemm_epilogue (gemm/fused_ops.hpp).  Whole
-  /// GEMM nodes, scheduler column shards and host-run Linear layers
-  /// all go through it, so every path produces the same bits.
+  /// Sizes the output slot of row-range node `id` to node_rows(id) x
+  /// width, reallocating only when its shape differs.  Row shards write
+  /// into that slot, so it runs once before a node's first shard.
+  void size_output(NodeId id);
+
+  /// Computes rows [r0, r1) of row-range node `id` straight into those
+  /// rows of its output slot, which size_output() has sized: a GEMM
+  /// runs its weight on those rows of the input and then its epilogue,
+  /// a host range its body.  The scheduler's shard unit; every path
+  /// produces the bits a whole run puts in those rows.  Concurrent
+  /// calls on disjoint ranges of one node are safe.  An empty range is
+  /// a no-op.  Throws CheckError on a range outside [0, node_rows(id))
+  /// or off the node's row step, or on an unsized output.
+  void execute_rows(NodeId id, std::size_t r0, std::size_t r1);
+
+  /// Applies `epilogue` to `c`, rows [r0, r0 + c.rows()) of a GEMM
+  /// output: resolves those rows of the residual slot and calls
+  /// apply_gemm_epilogue (gemm/fused_ops.hpp).  Whole GEMM nodes,
+  /// scheduler row shards and host-run Linear layers all go through
+  /// it, so every path produces the same bits.
   void apply_epilogue(const GemmEpilogue& epilogue, MatrixF& c,
-                      std::size_t n0 = 0) const;
+                      std::size_t r0 = 0) const;
 
   /// Guards builds only: fills every non-input slot buffer with quiet
   /// NaNs so a node that runs before its producer (a missed dependency
@@ -254,5 +271,16 @@ class ExecGraph {
   std::vector<Slot> slots_;
   std::vector<Node> nodes_;
 };
+
+/// Rows [r0, r1) of shard `s` (< `shards`) of a row-range node over `m`
+/// rows with row step `step`: the m / step whole steps are dealt out in
+/// order, as evenly as they go (the first shards take one more), and
+/// the last shard also ends at `m`, taking any rows past the last whole
+/// step (which execute_rows then rejects as off the step).  A shard
+/// left without a step gets an empty range.  The one row rule: the
+/// scheduler's shards and its tiling audit both call it.
+std::pair<std::size_t, std::size_t> row_shard(std::size_t m, std::size_t step,
+                                              std::size_t shards,
+                                              std::size_t s) noexcept;
 
 }  // namespace tilesparse

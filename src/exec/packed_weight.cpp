@@ -50,21 +50,6 @@ void PackedWeight::save(std::ostream&) const {
 
 void PackedWeight::matmul(const ExecContext& ctx, const MatrixF& a,
                           MatrixF& c) const {
-  run(ctx, a, c, 0, n_);
-}
-
-void PackedWeight::matmul(const ExecContext& ctx, const MatrixF& a, MatrixF& c,
-                          std::size_t n0, std::size_t n1) const {
-  if (n0 >= n1 || n1 > n_) {
-    throw std::invalid_argument(
-        "PackedWeight::matmul: bad column range [" + std::to_string(n0) +
-        ", " + std::to_string(n1) + ") of N = " + std::to_string(n_));
-  }
-  run(ctx, a, c, n0, n1);
-}
-
-void PackedWeight::run(const ExecContext& ctx, const MatrixF& a, MatrixF& c,
-                       std::size_t n0, std::size_t n1) const {
   // Kernel-entry fault site: the one gate every GEMM kernel family runs
   // behind, and still outside the OpenMP regions so an injected
   // exception unwinds safely (see util/fault_injection.hpp).
@@ -74,11 +59,10 @@ void PackedWeight::run(const ExecContext& ctx, const MatrixF& a, MatrixF& c,
                                 std::to_string(a.cols()) +
                                 " cols, weight K = " + std::to_string(k_));
   }
-  const std::size_t width = n1 - n0;
-  if (c.rows() != a.rows() || c.cols() != width) {
+  if (c.rows() != a.rows() || c.cols() != n_) {
     throw std::invalid_argument("PackedWeight::matmul: C must be " +
                                 std::to_string(a.rows()) + " x " +
-                                std::to_string(width));
+                                std::to_string(n_));
   }
 
   // Unified beta handling: the backends only accumulate.
@@ -87,7 +71,7 @@ void PackedWeight::run(const ExecContext& ctx, const MatrixF& a, MatrixF& c,
   } else if (ctx.beta != 1.0f) {
     for (float& v : c.flat()) v *= ctx.beta;
   }
-  if (ctx.alpha == 0.0f || a.rows() == 0 || k_ == 0 || width == 0) return;
+  if (ctx.alpha == 0.0f || a.rows() == 0 || k_ == 0 || n_ == 0) return;
 
   // Non-native fp16: round a copy of A through binary16 so every format
   // sees identical tensor-core activation numerics.
@@ -101,18 +85,18 @@ void PackedWeight::run(const ExecContext& ctx, const MatrixF& a, MatrixF& c,
 
   ThreadScope scope(ctx.threads);
   if (ctx.alpha == 1.0f) {
-    accumulate(ctx, *input, c, n0, n1);
+    accumulate(ctx, *input, c);
     return;
   }
   if (ctx.beta == 0.0f) {
     // C was just zeroed: accumulate then scale in place.
-    accumulate(ctx, *input, c, n0, n1);
+    accumulate(ctx, *input, c);
     for (float& v : c.flat()) v *= ctx.alpha;
     return;
   }
   // General case: accumulate into scratch, then C += alpha * scratch.
-  MatrixF scratch(a.rows(), width);
-  accumulate(ctx, *input, scratch, n0, n1);
+  MatrixF scratch(a.rows(), n_);
+  accumulate(ctx, *input, scratch);
   for (std::size_t i = 0; i < c.size(); ++i)
     c.data()[i] += ctx.alpha * scratch.data()[i];
 }

@@ -17,13 +17,12 @@
 //   matmul(ctx, A, C)  ==  dense_gemm(A, to_dense(), C)
 // up to the format's arithmetic (exact for fp32 formats).
 //
-// Column ranges: matmul(ctx, A, C, n0, n1) computes only output
-// columns [n0, n1), reading the same packed storage (panels, tiles,
-// an mmap'd image) the whole-matrix call reads.  Every format keeps
-// each output column's accumulation order whatever range it falls in,
-// so a range is bit-identical to those columns of the whole product —
-// the property the ExecScheduler's wide-N shards rely on.  The
-// whole-matrix matmul is the [0, N) range.
+// Rows are independent: every format computes a row of C from the same
+// row of A alone (int8 activations included — their scales are per
+// row), so running rows [r0, r1) of A, e.g. a row view of a larger
+// activation (Matrix::row_view), gives exactly those rows of the whole
+// product.  The ExecScheduler's row shards and the batcher's batched ≡
+// solo guarantee both rest on it.
 
 #include <cstddef>
 #include <iosfwd>
@@ -46,12 +45,6 @@ class PackedWeight {
   /// fp32 and fp16 activations (formats without native fp16 round a
   /// copy of A through binary16).
   void matmul(const ExecContext& ctx, const MatrixF& a, MatrixF& c) const;
-
-  /// Columns [n0, n1) of the above: C is M x (n1 - n0) and receives
-  /// alpha * A * W[:, n0:n1] + beta * C.  Also throws
-  /// std::invalid_argument on an empty or out-of-range column range.
-  void matmul(const ExecContext& ctx, const MatrixF& a, MatrixF& c,
-              std::size_t n0, std::size_t n1) const;
 
   /// Allocating convenience: returns alpha * A * W (beta ignored).
   MatrixF matmul(const ExecContext& ctx, const MatrixF& a) const;
@@ -91,13 +84,12 @@ class PackedWeight {
  protected:
   PackedWeight(std::size_t k, std::size_t n) : k_(k), n_(n) {}
 
-  /// C += A * W[:, n0:n1] under `ctx` numerics, C being M x (n1 - n0)
-  /// (alpha/beta and range checks already handled by the public
-  /// wrapper; implementations must only accumulate, in the per-column
-  /// order of the whole product).
+  /// C += A * W under `ctx` numerics, C being M x N (alpha/beta and
+  /// shape checks already handled by the public wrapper;
+  /// implementations must only accumulate, each row of C from the same
+  /// row of A alone).
   virtual void accumulate(const ExecContext& ctx, const MatrixF& a,
-                          MatrixF& c, std::size_t n0,
-                          std::size_t n1) const = 0;
+                          MatrixF& c) const = 0;
 
   /// True when the backend's kernels apply fp16 rounding themselves, so
   /// the wrapper must not pre-round A.
@@ -111,9 +103,6 @@ class PackedWeight {
   }
 
  private:
-  void run(const ExecContext& ctx, const MatrixF& a, MatrixF& c,
-           std::size_t n0, std::size_t n1) const;
-
   std::size_t k_ = 0;
   std::size_t n_ = 0;
   StorageKeepalive keepalive_;

@@ -41,7 +41,7 @@ std::unique_ptr<QuantTwWeight> QuantTwWeight::load(MappedArtifact& in,
     const ConstSpan<std::int32_t> kept_rows = in.array<std::int32_t>();
     const ConstSpan<std::int32_t> out_cols = in.array<std::int32_t>();
     // Index vectors are a few percent of the payload; copy them so
-    // the kernels' column-range lookups keep plain vectors.
+    // the kernels keep plain vectors.
     tile.kept_rows.assign(kept_rows.begin(), kept_rows.end());
     tile.out_cols.assign(out_cols.begin(), out_cols.end());
     const auto rows = in.pod<std::uint64_t>();
@@ -87,8 +87,8 @@ double QuantTwWeight::macs(std::size_t m) const noexcept {
 }
 
 void QuantTwWeight::accumulate(const ExecContext&, const MatrixF& a,
-                               MatrixF& c, std::size_t n0, std::size_t) const {
-  quant_tw_gemm(a, tiles_, c, n0);
+                               MatrixF& c) const {
+  quant_tw_gemm(a, tiles_, c);
 }
 
 }  // namespace tilesparse

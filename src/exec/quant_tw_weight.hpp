@@ -50,13 +50,11 @@ class QuantTwWeight final : public PackedWeight {
   std::string_view format() const noexcept override { return "tw-int8"; }
 
  protected:
-  /// A column range runs the in-range columns of the same int8 tiles,
-  /// with their scales, and the int32 accumulation is exact.  Each
-  /// activation row's scale comes from that full row of A, which every
-  /// range reads whole, so every range quantises A to the same bits
-  /// and is bit-identical to the whole product.
-  void accumulate(const ExecContext& ctx, const MatrixF& a, MatrixF& c,
-                  std::size_t n0, std::size_t n1) const override;
+  /// Each activation row's scale comes from that row of A alone, so a
+  /// row range of A quantises only its own rows, to the bits the whole
+  /// product gives them.
+  void accumulate(const ExecContext& ctx, const MatrixF& a,
+                  MatrixF& c) const override;
   bool native_fp16() const noexcept override { return true; }
 
  private:

@@ -21,19 +21,13 @@ constexpr double kFallbackDenseGflops = 8.0;
 }  // namespace
 
 ExecScheduler::ExecScheduler(SchedulerOptions options, ThreadPool* pool)
-    : options_(options), pool_(pool ? pool : &ThreadPool::global()) {
-  if (options_.min_shard_width == 0) options_.min_shard_width = 1;
-}
+    : options_(options), pool_(pool ? pool : &ThreadPool::global()) {}
 
 std::size_t ExecScheduler::streams() const noexcept {
   return options_.streams > 0 ? options_.streams : pool_->worker_count();
 }
 
-std::size_t ExecScheduler::shard_count(const ExecGraph::Node& node) const {
-  if (!node.column_ranged()) return 1;
-  const std::size_t streams = this->streams();
-  if (streams < 2) return 1;
-
+double ExecScheduler::min_shard_macs(const ExecGraph::Node& node) const {
   const PlannerCalibration& calibration =
       options_.calibration ? *options_.calibration : planner_calibration();
   const double dense_gflops =
@@ -41,7 +35,7 @@ std::size_t ExecScheduler::shard_count(const ExecGraph::Node& node) const {
   // Per-format effective rate: a slow format (csr penalty > 1) covers
   // the dispatch overhead with fewer of its own MACs, so it shards
   // earlier than dense for the same nominal MAC count.  A host range
-  // runs on the dense micro-kernel and prices as dense.
+  // prices as dense.
   const double penalty =
       node.weight ? calibration.mac_penalty(node.weight->format()) : 1.0;
   const double gflops = dense_gflops / std::max(0.05, penalty);
@@ -49,13 +43,7 @@ std::size_t ExecScheduler::shard_count(const ExecGraph::Node& node) const {
                                  ? options_.dispatch_overhead_us
                                  : calibration.shard_overhead_us;
   // gflops * 1e9 flop/s * overhead_us * 1e-6 s, at 2 flops per MAC.
-  const double min_macs_per_shard =
-      std::max(1.0, gflops * overhead_us * 1e3 / 2.0);
-  const double macs = node.macs(options_.reference_m);
-  const auto by_cost = static_cast<std::size_t>(macs / min_macs_per_shard);
-  const std::size_t by_cols =
-      node.width / std::max(options_.min_shard_width, node.range_step);
-  return std::max<std::size_t>(1, std::min({streams, by_cost, by_cols}));
+  return gflops * overhead_us * 1e3 / 2.0;
 }
 
 ExecScheduler::Plan& ExecScheduler::prepare(ExecGraph& graph) {
@@ -72,82 +60,37 @@ ExecScheduler::Plan& ExecScheduler::prepare(ExecGraph& graph) {
   // once the cache is full.
   auto fresh = std::make_unique<Plan>();
   Plan& plan = *fresh;
-  plan.node_plans.resize(nodes.size());
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const std::size_t count = shard_count(nodes[i]);
-    if (count < 2) continue;
-    // Split the node's range steps (a GEMM's columns, the attention
-    // core's heads) as evenly as they go.
-    const std::size_t step = nodes[i].range_step;
-    const std::size_t units = nodes[i].width / step;
-    const std::size_t base = units / count, rem = units % count;
-    std::size_t n0 = 0;
-    plan.node_plans[i].shards.reserve(count);
-    for (std::size_t s = 0; s < count; ++s) {
-      const std::size_t n1 = n0 + (base + (s < rem ? 1 : 0)) * step;
-      Shard shard;
-      shard.n0 = n0;
-      shard.n1 = n1;
-      plan.node_plans[i].shards.push_back(std::move(shard));
-      n0 = n1;
-    }
-    if (options_.validate) {
-      // Audit the *actual* plan: the ranges above are what will
-      // execute, so a gap or an overlap is caught before it computes a
-      // single MAC.
-      std::vector<std::pair<std::size_t, std::size_t>> slices;
-      slices.reserve(plan.node_plans[i].shards.size());
-      for (const Shard& shard : plan.node_plans[i].shards)
-        slices.emplace_back(shard.n0, shard.n1);
-      auto findings = audit_shard_slices(nodes[i], slices);
-      for (const GraphFinding& finding : findings) {
-        if (finding.severity == FindingSeverity::kError)
-          throw GraphValidationError(std::move(findings));
-      }
-    }
-  }
+  plan.min_shard_macs.resize(nodes.size());
 
-  // Expand nodes into dispatch tasks: one per whole node, or S column
-  // shards plus a join for sharded nodes.  The expansion is static
-  // across runs; only the pending counters are per-run state.
-  std::vector<std::vector<std::size_t>> entry(nodes.size());  // receive deps
-  std::vector<std::size_t> exit(nodes.size());                // signal dependents
+  // Expand nodes into dispatch tasks: one per plain host node, one per
+  // stream for a row-range node.  The expansion is static across runs;
+  // which shards get rows is decided per run (start_sharded_node).
+  std::vector<std::vector<std::size_t>> entry(nodes.size());
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const std::vector<Shard>& shards = plan.node_plans[i].shards;
-    if (shards.empty()) {
+    const bool sharded = nodes[i].row_ranged();
+    if (sharded) plan.min_shard_macs[i] = min_shard_macs(nodes[i]);
+    for (std::size_t s = 0; s < (sharded ? streams() : 1); ++s) {
       Task task;
       task.node = i;
+      task.shard = sharded ? static_cast<std::ptrdiff_t>(s) : -1;
       task.initial_pending = nodes[i].deps.size();
-      plan.tasks.push_back(std::move(task));
-      entry[i] = {plan.tasks.size() - 1};
-      exit[i] = plan.tasks.size() - 1;
-      continue;
-    }
-    ++plan.sharded_nodes;
-    const std::size_t join_id = plan.tasks.size() + shards.size();
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-      Task task;
-      task.node = i;
-      task.shard = static_cast<std::ptrdiff_t>(s);
-      task.initial_pending = nodes[i].deps.size();
-      task.successors = {join_id};
       plan.tasks.push_back(std::move(task));
       entry[i].push_back(plan.tasks.size() - 1);
-      ++plan.shards;
     }
-    Task join;
-    join.node = i;
-    join.shard = -2;
-    join.initial_pending = shards.size();
-    plan.tasks.push_back(std::move(join));
-    exit[i] = join_id;
   }
+  // Every task of a node signals every task of each dependent: a
+  // dependent's shards read rows of this node's output that any of its
+  // shards may have written.
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    for (ExecGraph::NodeId dependent : nodes[i].dependents) {
-      auto& successors = plan.tasks[exit[i]].successors;
-      successors.insert(successors.end(), entry[dependent].begin(),
-                        entry[dependent].end());
+    for (std::size_t t : entry[i]) {
+      std::vector<std::size_t>& successors = plan.tasks[t].successors;
+      for (ExecGraph::NodeId dependent : nodes[i].dependents)
+        successors.insert(successors.end(), entry[dependent].begin(),
+                          entry[dependent].end());
     }
+    for (ExecGraph::NodeId dependent : nodes[i].dependents)
+      for (std::size_t t : entry[dependent])
+        plan.tasks[t].initial_pending += entry[i].size() - 1;
   }
   for (std::size_t t = 0; t < plan.tasks.size(); ++t) {
     if (plan.tasks[t].initial_pending == 0) plan.initially_ready.push_back(t);
@@ -168,6 +111,37 @@ ExecScheduler::Plan& ExecScheduler::prepare(ExecGraph& graph) {
   }
   plan_cache_.push_back(std::move(fresh));
   return *plan_cache_.back();
+}
+
+void ExecScheduler::start_sharded_node(ExecGraph& graph, const Plan& plan,
+                                       ExecGraph::NodeId id, NodeRun& run) {
+  const ExecGraph::Node& node = graph.nodes()[id];
+  run.rows = graph.node_rows(id);
+  // The cost floor, priced at this run's rows: split only as far as
+  // every shard still carries min_shard_macs.
+  const double floor = plan.min_shard_macs[id];
+  const double macs = node.macs(run.rows);
+  run.active = plan.streams;
+  if (floor > 0.0 && macs < floor * static_cast<double>(plan.streams))
+    run.active =
+        std::max<std::size_t>(1, static_cast<std::size_t>(macs / floor));
+  std::vector<std::pair<std::size_t, std::size_t>> ranges;
+  std::size_t given = 0;
+  for (std::size_t s = 0; s < run.active; ++s) {
+    ranges.push_back(row_shard(run.rows, node.row_step, run.active, s));
+    given += ranges.back().first < ranges.back().second ? 1 : 0;
+  }
+  if (options_.validate) {
+    // Audit the ranges the shards will really run: in order, on the
+    // row step, tiling [0, rows) — before a single MAC is computed.
+    auto findings = audit_row_shards(node, run.rows, ranges);
+    if (!findings.empty()) throw GraphValidationError(std::move(findings));
+  }
+  graph.size_output(id);
+  if (given >= 2) {
+    ++stats_.sharded_nodes;
+    stats_.shards += given;
+  }
 }
 
 void ExecScheduler::run_serial(ExecGraph& graph) {
@@ -207,39 +181,24 @@ void ExecScheduler::run(ExecGraph& graph) {
   run_concurrent(graph);
 }
 
-void ExecScheduler::execute_task(ExecGraph& graph, Plan& plan,
-                                 const Task& task) {
+void ExecScheduler::execute_task(ExecGraph& graph, const Task& task,
+                                 const std::vector<NodeRun>& node_runs) {
   // Node-boundary cancellation point + injected stream faults: both
   // throw here, inside the stream loop's try, so an expired deadline or
   // an injected fault aborts the run through the same first-exception
   // path a real node failure takes.
   if (cancel_) cancel_->throw_if_expired();
   fault_point(FaultSite::kSchedulerDispatch);
-  if (task.shard == -1) {
+  if (task.shard < 0) {
     graph.execute_node(task.node);
     return;
   }
-  const ExecGraph::Node& node = graph.nodes()[task.node];
-  if (task.shard >= 0) {
-    TS_ASSERT(static_cast<std::size_t>(task.shard) <
-              plan.node_plans[task.node].shards.size());
-    Shard& shard =
-        plan.node_plans[task.node].shards[static_cast<std::size_t>(task.shard)];
-    graph.execute_range(task.node, shard.scratch, shard.n0, shard.n1);
-    return;
-  }
-  // Join: stitch the finished shard columns into the output slot.
-  const std::size_t rows = graph.slot(node.reads.front()).rows();
-  MatrixF& c = graph.slot(node.writes.front());
-  if (c.rows() != rows || c.cols() != node.width) c = MatrixF(rows, node.width);
-  for (const Shard& shard : plan.node_plans[task.node].shards) {
-    const std::size_t width = shard.n1 - shard.n0;
-    for (std::size_t r = 0; r < c.rows(); ++r) {
-      const float* src = shard.scratch.data() + r * width;
-      float* dst = c.data() + r * c.cols() + shard.n0;
-      for (std::size_t j = 0; j < width; ++j) dst[j] = src[j];
-    }
-  }
+  const NodeRun& run = node_runs[task.node];
+  const auto shard = static_cast<std::size_t>(task.shard);
+  if (shard >= run.active) return;  // below the cost floor this run
+  const auto [r0, r1] = row_shard(run.rows, graph.nodes()[task.node].row_step,
+                                  run.active, shard);
+  graph.execute_rows(task.node, r0, r1);
 }
 
 void ExecScheduler::run_concurrent(ExecGraph& graph) {
@@ -248,15 +207,14 @@ void ExecScheduler::run_concurrent(ExecGraph& graph) {
   stats_ = RunStats{};
   stats_.nodes = graph.node_count();
   stats_.tasks = tasks.size();
-  stats_.sharded_nodes = plan.sharded_nodes;
-  stats_.shards = plan.shards;
 
-  // Per-run state: pending counters and the ready queue, seeded from
-  // the cached expansion.  Everything below the mutex; the kernels
-  // themselves run unlocked.
+  // Per-run state: pending counters, the sharded nodes' rows and the
+  // ready queue, seeded from the cached expansion.  Everything below
+  // the mutex; the kernels themselves run unlocked.
   std::vector<std::size_t> pending(tasks.size());
   for (std::size_t t = 0; t < tasks.size(); ++t)
     pending[t] = tasks[t].initial_pending;
+  std::vector<NodeRun> node_runs(graph.node_count());
   std::mutex mutex;
   std::condition_variable cv;
   std::vector<std::size_t> ready = plan.initially_ready;
@@ -273,11 +231,16 @@ void ExecScheduler::run_concurrent(ExecGraph& graph) {
       });
       if (aborted || executed == tasks.size()) return;
       const std::size_t id = ready[next_ready++];
-      lock.unlock();
       try {
-        execute_task(graph, plan, tasks[id]);
+        // A node's first shard out of the queue sizes its output and
+        // fixes its row split, under the lock, before any shard runs.
+        const Task& task = tasks[id];
+        if (task.shard >= 0 && node_runs[task.node].active == 0)
+          start_sharded_node(graph, plan, task.node, node_runs[task.node]);
+        lock.unlock();
+        execute_task(graph, task, node_runs);
       } catch (...) {
-        lock.lock();
+        if (!lock.owns_lock()) lock.lock();
         if (!error) error = std::current_exception();
         aborted = true;
         cv.notify_all();

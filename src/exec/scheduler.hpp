@@ -11,20 +11,27 @@
 // single-stream reference (streams = 1), which executes the graph
 // serially on the calling thread with no queueing at all.
 //
-// Wide-N sharding: a column-range node (exec/graph.hpp) whose output is
-// wide enough can be split into column shards with a final join (the
-// second axis of the paper's scheme).  A GEMM shard is a column range
-// [n0, n1) of the node's one packed weight, not a copy of it: it runs
-// PackedWeight::matmul(ctx, A, C, n0, n1), which every format executes
-// on its own storage, into private scratch, then applies the node's
-// epilogue (bias, GELU, residual) to its own columns.  An attention-core
-// shard is a range of whole heads.  The join copies the shards into
-// the output slot.  Per output element the arithmetic is the one a
-// whole run would have used, so sharded results stay bit-identical
-// too.  Shard granularity comes from the PlannerCalibration cost
-// model: a shard must carry enough MACs to amortise one dispatch,
-// measured against the host's dense rate, and its ends fall on the
-// node's range step (one column for a GEMM, one head for the core).
+// Row shards: a row-range node (exec/graph.hpp) — every GEMM, the
+// attention core and LayerNorm — is split into row shards, one per
+// stream (the second axis of the paper's scheme, taken over M, the wide
+// axis: a request's 256 rows against a TW weight's two tiles).  Shard s
+// of S runs ExecGraph::execute_rows on the rows row_shard() gives it:
+// it reads those rows of the node's inputs and writes them straight
+// into the output slot, so there is no shard scratch and no join.  A
+// GEMM shard runs the node's one packed weight, unchanged and with the
+// node's ExecContext.threads, on all its tiles, then applies the
+// node's epilogue (bias, GELU, residual) to its own rows; an
+// attention-core shard is a range of whole sequences.  Every row's
+// arithmetic is the one a whole run gives it, so sharded results stay
+// bit-identical too.  Rows come from the input slot at run time, so one
+// cached plan serves every M: the first shard of a node to leave the
+// ready queue sizes the output slot (under the scheduler's lock; WAR
+// edges guarantee no reader of the old buffer is still running) and
+// fixes how many of the node's shards get rows this run.  That count
+// comes from the PlannerCalibration cost model: a shard must carry
+// enough MACs at the run's M to amortise one dispatch, measured against
+// the host's dense rate; shards beyond it get empty ranges and return
+// at once.
 //
 // Thread budget: a node's ExecContext.threads still bounds the OpenMP
 // parallelism *inside* its kernel, so "S streams x T threads each"
@@ -49,16 +56,11 @@ struct SchedulerOptions {
   std::size_t streams = 0;
   /// Statically verify the graph (exec/validate.hpp) once per graph
   /// build id before the first dispatch — def-use, hazard-edge
-  /// completeness, acyclicity, shapes — and audit every shard plan the
-  /// scheduler builds (gap, overlap, coverage of [0, N)).  run() throws
-  /// GraphValidationError listing every finding on a malformed graph.
+  /// completeness, acyclicity, shapes — and audit every node's row
+  /// shards on every run (in order, on the row step, tiling [0, M)).
+  /// run() throws GraphValidationError listing every finding on a
+  /// malformed graph or shard split.
   bool validate = true;
-  /// Never split a node below this many output columns per shard.
-  std::size_t min_shard_width = 32;
-  /// Activation rows assumed when sizing shards (the plan is built
-  /// before inputs exist; serving batches near this keep shards
-  /// balanced).
-  std::size_t reference_m = 64;
   /// Estimated cost of dispatching one task; the calibration's
   /// per-format rate converts it into a minimum per-shard MAC count.
   /// Negative = use the calibration's measured shard_overhead_us
@@ -100,62 +102,64 @@ class ExecScheduler {
   /// Diagnostics of the most recent run().
   struct RunStats {
     std::size_t nodes = 0;          ///< graph nodes executed
-    std::size_t tasks = 0;          ///< dispatch units (shards + joins included)
-    std::size_t sharded_nodes = 0;  ///< nodes split into column shards
-    std::size_t shards = 0;         ///< total shard tasks
+    std::size_t tasks = 0;          ///< dispatch units (row shards included)
+    std::size_t sharded_nodes = 0;  ///< nodes whose rows went to >= 2 shards
+    std::size_t shards = 0;         ///< shards of those nodes given rows
   };
   const RunStats& last_stats() const noexcept { return stats_; }
 
  private:
-  /// Columns [n0, n1) of the node's output; holds no weight data.
-  struct Shard {
-    std::size_t n0 = 0, n1 = 0;
-    MatrixF scratch;  ///< m x (n1 - n0), reused across runs
-  };
-  struct NodePlan {
-    std::vector<Shard> shards;  ///< empty = execute the node whole
-  };
   /// One dispatch unit of the expanded task DAG (static across runs;
   /// only the pending counters are per-run state).
   struct Task {
     ExecGraph::NodeId node = 0;
-    std::ptrdiff_t shard = -1;  ///< >= 0: shard index; -1: whole node; -2: join
+    std::ptrdiff_t shard = -1;  ///< >= 0: row shard index; -1: whole node
     std::size_t initial_pending = 0;
     std::vector<std::size_t> successors;
   };
-
-  /// One cached expansion: shard plans + task DAG for a specific
-  /// (graph build id, node count, stream count).
+  /// One cached expansion: the task DAG for a specific (graph build
+  /// id, node count, stream count).  A row-range node expands into
+  /// `streams` row shards, a plain host node into one whole task.
   struct Plan {
     std::uint64_t build_id = 0;
     std::size_t node_count = 0;
     std::size_t streams = 0;
     std::uint64_t last_used = 0;  ///< LRU stamp
-    std::vector<NodePlan> node_plans;
+    /// Per node: the MACs a row shard must carry to pay for its
+    /// dispatch (the cost floor; 0 = none).
+    std::vector<double> min_shard_macs;
     std::vector<Task> tasks;
     std::vector<std::size_t> initially_ready;
-    std::size_t sharded_nodes = 0;
-    std::size_t shards = 0;
+  };
+
+  /// Per-run state of a sharded node, set by its first shard to leave
+  /// the ready queue: the rows it has this run and how many of its
+  /// shards get some (0 = not yet set).
+  struct NodeRun {
+    std::size_t rows = 0;
+    std::size_t active = 0;
   };
 
   Plan& prepare(ExecGraph& graph);
-  std::size_t shard_count(const ExecGraph::Node& node) const;
-  void execute_task(ExecGraph& graph, Plan& plan, const Task& task);
+  double min_shard_macs(const ExecGraph::Node& node) const;
+  void start_sharded_node(ExecGraph& graph, const Plan& plan,
+                          ExecGraph::NodeId id, NodeRun& run);
+  void execute_task(ExecGraph& graph, const Task& task,
+                    const std::vector<NodeRun>& node_runs);
   void run_serial(ExecGraph& graph);
   void run_concurrent(ExecGraph& graph);
 
   SchedulerOptions options_;
   ThreadPool* pool_;
   const CancelToken* cancel_ = nullptr;
-  // Plan cache: the task DAG expansion allocates and each shard keeps
-  // its run scratch, so plans are built once per (graph build id, node
-  // count, stream count) — the serving hot path re-runs the same graph
-  // per request, whatever its M.  A small LRU (not a single
-  // entry) because one worker's scheduler runs the graphs of several
-  // batch entries; one slot would replan on every alternation.
-  // Models allocate a fresh ExecGraph (fresh build id) whenever weights
-  // are re-packed; the node count catches a graph that grew new nodes
-  // in place.
+  // Plan cache: the task DAG expansion allocates, so plans are built
+  // once per (graph build id, node count, stream count) — the serving
+  // hot path re-runs the same graph per request, whatever its M.  A
+  // small LRU (not a single entry) because one worker's scheduler runs
+  // the graphs of several batch entries; one slot would replan on every
+  // alternation.  Models allocate a fresh ExecGraph (fresh build id)
+  // whenever weights are re-packed; the node count catches a graph that
+  // grew new nodes in place.
   static constexpr std::size_t kPlanCacheCapacity = 8;
   std::vector<std::unique_ptr<Plan>> plan_cache_;
   std::uint64_t plan_stamp_ = 0;

@@ -83,11 +83,11 @@ double TewWeight::macs(std::size_t m) const noexcept {
 }
 
 void TewWeight::accumulate(const ExecContext& ctx, const MatrixF& a,
-                           MatrixF& c, std::size_t n0, std::size_t) const {
+                           MatrixF& c) const {
   // fp16 applies to the TW part only: on the GPU the EW remainder runs
   // on CUDA cores in fp32.
-  masked_gemm_all(a, tiles_, panels_, c, ctx.fp16(), n0);
-  csc_gemm_accumulate(a, remainder_.ref(), c, n0);
+  masked_gemm_all(a, tiles_, panels_, c, ctx.fp16());
+  csc_gemm_accumulate(a, remainder_.ref(), c);
 }
 
 }  // namespace tilesparse

@@ -46,11 +46,8 @@ class TewWeight final : public PackedWeight {
   std::string_view format() const noexcept override { return "tew"; }
 
  protected:
-  /// Both halves run column ranges exactly: the TW tiles keep their
-  /// kept_rows (so the masked kernel's accumulation order is unchanged)
-  /// and the CSC remainder's columns are independent.
-  void accumulate(const ExecContext& ctx, const MatrixF& a, MatrixF& c,
-                  std::size_t n0, std::size_t n1) const override;
+  void accumulate(const ExecContext& ctx, const MatrixF& a,
+                  MatrixF& c) const override;
   bool native_fp16() const noexcept override { return true; }
 
  private:

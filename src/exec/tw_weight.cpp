@@ -53,8 +53,8 @@ double TwWeight::macs(std::size_t m) const noexcept {
 }
 
 void TwWeight::accumulate(const ExecContext& ctx, const MatrixF& a,
-                          MatrixF& c, std::size_t n0, std::size_t) const {
-  masked_gemm_all(a, tiles_, panels_, c, ctx.fp16(), n0);
+                          MatrixF& c) const {
+  masked_gemm_all(a, tiles_, panels_, c, ctx.fp16());
 }
 
 }  // namespace tilesparse

@@ -40,17 +40,13 @@ class TwWeight final : public PackedWeight {
   std::string_view format() const noexcept override { return "tw"; }
 
  protected:
-  /// A column range runs each tile's in-range compacted columns on the
-  /// same prepacked panels; kept_rows alone fix the kernel's K-blocking
-  /// and per-lane order, so ranges are bit-identical to the whole.
-  void accumulate(const ExecContext& ctx, const MatrixF& a, MatrixF& c,
-                  std::size_t n0, std::size_t n1) const override;
+  void accumulate(const ExecContext& ctx, const MatrixF& a,
+                  MatrixF& c) const override;
   bool native_fp16() const noexcept override { return true; }
 
  private:
   std::vector<MaskedTile> tiles_;
-  /// B panels pre-packed at construction (column ranges read them in
-  /// place).
+  /// B panels pre-packed at construction.
   std::vector<TilePanels> panels_;
 };
 

@@ -131,62 +131,57 @@ GraphValidationError::GraphValidationError(std::vector<GraphFinding> findings)
       }()),
       findings_(std::move(findings)) {}
 
-std::vector<GraphFinding> audit_shard_slices(
-    const ExecGraph::Node& node,
-    const std::vector<std::pair<std::size_t, std::size_t>>& slices) {
+std::vector<GraphFinding> audit_row_shards(
+    const ExecGraph::Node& node, std::size_t rows,
+    const std::vector<std::pair<std::size_t, std::size_t>>& shards) {
   std::vector<GraphFinding> findings;
   std::string who = "'" + node.name + "' (";
-  if (node.weight) {
-    who += "format '" + std::string(node.weight->format()) + "', " +
-           std::to_string(node.weight->k()) + " x ";
-  } else {
-    who += "width ";
-  }
-  who += std::to_string(node.width) + ")";
-  if (slices.empty()) {
+  who += std::to_string(rows);
+  who += " rows, row step ";
+  who += std::to_string(node.row_step);
+  who += ")";
+  if (shards.empty()) {
     add_finding(findings, FindingSeverity::kError, "shard-plan",
-                "empty shard plan for " + who);
+                "no row shards for " + who);
     return findings;
   }
-  // Structural tiling of [0, N): ascending, gap-free, overlap-free.
+  // Structural tiling of [0, rows): in order, gap-free, overlap-free.
   std::size_t expected = 0;
-  for (std::size_t i = 0; i < slices.size(); ++i) {
-    const auto [n0, n1] = slices[i];
+  for (const auto& [r0, r1] : shards) {
     std::string range = "[";
-    range += std::to_string(n0);
+    range += std::to_string(r0);
     range += ", ";
-    range += std::to_string(n1);
+    range += std::to_string(r1);
     range += ")";
-    if (n1 <= n0) {
+    if (r1 < r0) {
       add_finding(findings, FindingSeverity::kError, "shard-plan",
-                  "empty shard slice " + range + " of " + who);
+                  "row shard " + range + " of " + who + " ends before it "
+                  "starts");
       continue;
     }
-    if (n0 % node.range_step != 0 || n1 % node.range_step != 0) {
+    if (r0 % node.row_step != 0 || r1 % node.row_step != 0) {
       add_finding(findings, FindingSeverity::kError, "shard-plan",
-                  "shard slice " + range + " of " + who +
-                      " does not fall on its range step of " +
-                      std::to_string(node.range_step) + " columns");
+                  "row shard " + range + " of " + who +
+                      " does not fall on its row step");
     }
-    if (n0 < expected) {
+    if (r0 < expected) {
       add_finding(findings, FindingSeverity::kError, "shard-plan",
-                  "shard slice " + range + " overlaps the previous slice " +
-                      "(columns [" + std::to_string(n0) + ", " +
+                  "row shard " + range + " overlaps the previous shard " +
+                      "(rows [" + std::to_string(r0) + ", " +
                       std::to_string(expected) + ") are computed twice) in " +
                       who);
-    } else if (n0 > expected) {
+    } else if (r0 > expected) {
       add_finding(findings, FindingSeverity::kError, "shard-plan",
-                  "shard plan of " + who + " skips columns [" +
-                      std::to_string(expected) + ", " + std::to_string(n0) +
-                      ") before slice " + range);
+                  "row shards of " + who + " skip rows [" +
+                      std::to_string(expected) + ", " + std::to_string(r0) +
+                      ") before shard " + range);
     }
-    expected = std::max(expected, n1);
+    expected = std::max(expected, r1);
   }
-  if (expected != node.width) {
+  if (expected != rows) {
     add_finding(findings, FindingSeverity::kError, "shard-plan",
-                "shard plan of " + who + " covers columns [0, " +
-                    std::to_string(expected) + ") but the node has N = " +
-                    std::to_string(node.width));
+                "row shards of " + who + " cover rows [0, " +
+                    std::to_string(expected) + ") of " + std::to_string(rows));
   }
   return findings;
 }
@@ -372,7 +367,7 @@ std::vector<GraphFinding> validate_graph(const ExecGraph& graph) {
                       msg);
         }
       }
-    } else if (node.column_ranged()) {
+    } else if (node.row_ranged()) {
       SlotState& out = slots[node.writes.front()];
       out.width = node.width;
       out.width_setter = id;

@@ -5,8 +5,8 @@
 // The two worst bugs this repo has shipped (a ThreadPool
 // use-after-return, unhardened wire parsing) were both failures no
 // test could see until runtime.  Graphs and shard plans have the same
-// character: a missing dependency edge or a shard slicing that drops a
-// column produces *plausible numbers*, silently.  This verifier proves
+// character: a missing dependency edge or a shard split that drops a
+// row produces *plausible numbers*, silently.  This verifier proves
 // the structural properties once, before the first dispatch:
 //
 //  * Slot def-use: a read must be preceded (in execution order) by a
@@ -22,18 +22,19 @@
 //    verifier runs real cycle detection and prints the cycle as a
 //    node-name path.
 //  * Shape consistency: slot widths are propagated through GEMM nodes
-//    (out = weight->n()) and column-range host nodes (out = width); a
+//    (out = weight->n()) and row-range host nodes (out = width); a
 //    consumer whose weight K disagrees with the
 //    producer's N is reported, as are epilogue bias and residual
 //    widths other than N and a residual slot aliasing the node's own
 //    output.  An epilogue's residual is a read of its node, so the
 //    def-use and hazard audits above cover it like any other input.
-//  * Shard-plan audit: audit_shard_slices() proves the column ranges
-//    the scheduler actually plans for a column-range node tile [0, N)
-//    exactly, with no gap and no overlap, and that every range ends on
-//    the node's range step (a whole head for the attention core).
-//    Shards are ranges of the node's own weight or body
-//    (ExecGraph::execute_range), so the ranges are the whole plan.
+//  * Row-shard audit: audit_row_shards() proves the row ranges the
+//    scheduler's shards of a row-range node really run at a given M
+//    tile [0, M) in order, with no gap and no overlap, each bound on
+//    the node's row step (a whole sequence for the attention core).
+//    Shards write their rows of the output slot in place
+//    (ExecGraph::execute_rows), so the ranges are the whole split.  M
+//    is known only at run time, so the scheduler runs it on every run.
 //
 // Findings carry a severity: errors make validate_graph_or_throw (and
 // the scheduler, which validates once per graph build id) throw
@@ -82,13 +83,15 @@ std::vector<GraphFinding> validate_graph(const ExecGraph& graph);
 /// error.
 void validate_graph_or_throw(const ExecGraph& graph);
 
-/// Audits a shard plan for column-range node `node`: `slices` must be
-/// ascending, non-empty, non-overlapping [n0, n1) column ranges tiling
-/// [0, node.width) exactly, each end a multiple of node.range_step.
-/// The ExecScheduler runs it on every plan it builds.
-std::vector<GraphFinding> audit_shard_slices(
-    const ExecGraph::Node& node,
-    const std::vector<std::pair<std::size_t, std::size_t>>& slices);
+/// Audits the row shards of row-range node `node` over `rows` output
+/// rows: `shards` ([r0, r1) per shard, in shard order; empty ranges
+/// allowed) must tile [0, rows) exactly, each bound a multiple of
+/// node.row_step.  The ExecScheduler runs it on the shards of every
+/// node it splits, on every run, while SchedulerOptions::validate is
+/// on.
+std::vector<GraphFinding> audit_row_shards(
+    const ExecGraph::Node& node, std::size_t rows,
+    const std::vector<std::pair<std::size_t, std::size_t>>& shards);
 
 /// One-line rendering ("error[missing-dep]: ...") used by what() and
 /// the CLI surfaces.

@@ -19,8 +19,7 @@
 // Lifetime: borrowed storage aliases the image, so every borrowing
 // weight holds a StorageKeepalive (shared_ptr to the mapping or buffer)
 // — the image lives as long as any weight loaded from it.  Packed
-// weights, shards and copies own their storage; only loaded weights
-// borrow.
+// weights and copies own their storage; only loaded weights borrow.
 
 #include <cstddef>
 #include <memory>

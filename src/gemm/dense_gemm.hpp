@@ -39,7 +39,7 @@ struct GemmConfig {
 /// matmul call.  Panels are independent of alpha/beta/fp16 (only A is
 /// rounded), so one PackedDenseB serves every ExecContext.  MatrixF
 /// storage is 64-byte aligned, so every kNr-float panel row is one
-/// cache line; column ranges read these panels in place.
+/// cache line.
 struct PackedDenseB {
   MatrixF panels;  ///< k x round_up(n, kNr) floats, in panel order
   std::size_t k = 0;   ///< B rows
@@ -56,12 +56,11 @@ void dense_gemm(const MatrixF& a, const MatrixF& b, MatrixF& c,
                 const GemmConfig& config = {});
 
 /// Same, with B already packed (config.kc is ignored; the panels' own
-/// blocking is used).  C may hold a column range of the product: it is
-/// M x c.cols() and receives columns [n0, n0 + c.cols()) of A * B, each
-/// accumulated exactly as the whole product accumulates it.
+/// blocking is used).  Each row of C depends only on the same row of A,
+/// so a row range of A computes those rows of C bit for bit.
 void dense_gemm(const MatrixF& a, const PackedDenseB& b, MatrixF& c,
                 float alpha = 1.0f, float beta = 0.0f,
-                const GemmConfig& config = {}, std::size_t n0 = 0);
+                const GemmConfig& config = {});
 
 /// Convenience allocating wrapper: returns A*B.
 MatrixF matmul(const MatrixF& a, const MatrixF& b, const GemmConfig& config = {});

@@ -239,15 +239,14 @@ float layer_norm_row(const float* in, float* out, std::size_t n,
 }
 
 void apply_gemm_epilogue(const MatrixF* bias, GemmActivation activation,
-                         const MatrixF* residual, MatrixF& c,
-                         std::size_t n0) {
+                         const MatrixF* residual, MatrixF& c) {
   const std::size_t cols = c.cols();
-  TS_CHECK(!bias || n0 + cols <= bias->cols(),
-           "GEMM epilogue bias is narrower than the output");
+  TS_CHECK(!bias || bias->cols() == cols,
+           "GEMM epilogue bias width differs from the output's");
   TS_CHECK(!residual ||
-               (residual->rows() == c.rows() && n0 + cols <= residual->cols()),
-           "GEMM epilogue residual does not cover the output");
-  const float* b = bias ? bias->data() + n0 : nullptr;
+               (residual->rows() == c.rows() && residual->cols() == cols),
+           "GEMM epilogue residual shape differs from the output's");
+  const float* b = bias ? bias->data() : nullptr;
   const bool gelu = activation == GemmActivation::kGelu;
   for (std::size_t r = 0; r < c.rows(); ++r) {
     float* row = c.data() + r * cols;
@@ -255,7 +254,7 @@ void apply_gemm_epilogue(const MatrixF* bias, GemmActivation activation,
       for (std::size_t j = 0; j < cols; ++j) row[j] += b[j];
     if (gelu) gelu_row(row, row, cols);
     if (residual) {
-      const float* res = residual->data() + r * residual->cols() + n0;
+      const float* res = residual->data() + r * cols;
       for (std::size_t j = 0; j < cols; ++j) row[j] += res[j];
     }
   }

@@ -9,8 +9,8 @@
 // holds bit for bit and a faster kernel is a change to one function.
 //
 // The kernels are serial (no OpenMP): graph host nodes and GEMM shard
-// epilogues run on scheduler streams, which already supply the
-// parallelism.  Callers apply them per row, never over a flat
+// epilogues run on scheduler streams as row shards, which already
+// supply the parallelism.  Callers apply them per row, never over a flat
 // multi-row buffer, so a row's bits depend only on that row
 // (batched ≡ solo).
 //
@@ -41,17 +41,16 @@ void gelu_row(const float* in, float* out, std::size_t n) noexcept;
 /// Elementwise activation a GEMM epilogue applies after the bias.
 enum class GemmActivation { kNone, kGelu };
 
-/// The GEMM epilogue, in forward()'s op order: for every row of `c`,
-/// c += bias;  c = activation(c);  c += residual.  `c` is the block of
-/// a GEMM output holding columns [n0, n0 + c.cols()), so `bias` (1 x N)
-/// and `residual` (rows x N) are read at those columns; either may be
-/// null.  The one bias and residual add: Linear::infer, graph GEMM
-/// nodes and the scheduler's column shards all call it, so every path
-/// produces the same bits.  Throws CheckError when `bias` or
-/// `residual` does not cover the block.
+/// The GEMM epilogue, in forward()'s op order: for every row of `c`
+/// (M x N), c += bias;  c = activation(c);  c += residual, with `bias`
+/// 1 x N and `residual` M x N (the same rows of the residual when `c`
+/// is a row range of a larger output); either may be null.  The one
+/// bias and residual add: Linear::infer, graph GEMM nodes and the
+/// scheduler's row shards all call it, so every path produces the same
+/// bits.  Throws CheckError when `bias` or `residual` does not match
+/// `c`'s shape.
 void apply_gemm_epilogue(const MatrixF* bias, GemmActivation activation,
-                         const MatrixF* residual, MatrixF& c,
-                         std::size_t n0 = 0);
+                         const MatrixF* residual, MatrixF& c);
 
 /// LayerNorm of one row: out[j] = (in[j] - mean) * inv_std * gamma[j] +
 /// beta[j] with inv_std = 1 / sqrt(var + eps).  When `normalized` is

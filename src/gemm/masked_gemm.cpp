@@ -73,39 +73,24 @@ std::vector<TilePanels> prepack_all_tile_panels(
   return panels;
 }
 
-std::pair<std::size_t, std::size_t> tile_col_range(
-    const std::vector<std::int32_t>& out_cols, std::size_t n0,
-    std::size_t n1) {
-  const auto lo = std::lower_bound(out_cols.begin(), out_cols.end(),
-                                   static_cast<std::int32_t>(n0));
-  const auto hi = std::lower_bound(lo, out_cols.end(),
-                                   static_cast<std::int32_t>(n1));
-  return {static_cast<std::size_t>(lo - out_cols.begin()),
-          static_cast<std::size_t>(hi - out_cols.begin())};
-}
-
 void masked_gemm_packed(const MatrixF& a, const MaskedTile& tile,
-                        const TilePanels& panels, MatrixF& c, bool fp16_inputs,
-                        std::size_t n0) {
+                        const TilePanels& panels, MatrixF& c,
+                        bool fp16_inputs) {
   const std::size_t m = a.rows();
   const std::size_t kt = tile.kept_rows.size();
   const std::size_t wt = tile.out_cols.size();
   assert(tile.weights.rows() == kt && tile.weights.cols() == wt);
   if (m == 0 || kt == 0 || wt == 0) return;
-  // The compacted columns in range, and the kNr strips covering them.
-  const auto [j0, j1] = tile_col_range(tile.out_cols, n0, n0 + c.cols());
-  if (j0 == j1) return;
-  const std::size_t s0 = j0 / kNr, s1 = (j1 + kNr - 1) / kNr;
 
-  const std::size_t wt_round = ((wt + kNr - 1) / kNr) * kNr;
-  const std::size_t acc_cols = (s1 - s0) * kNr;
+  const std::size_t strips = (wt + kNr - 1) / kNr;
+  const std::size_t wt_round = strips * kNr;
   const std::size_t kcap = std::min(kKc, kt);
   const std::size_t mcap = std::min(kMc, m);
 
   // Per-thread scratch: masked_gemm_all runs one tile per worker.
   GemmScratch& scratch = thread_gemm_scratch();
   scratch.a_f32.resize(kcap * kMr);
-  scratch.acc_f32.resize(mcap * acc_cols);
+  scratch.acc_f32.resize(mcap * wt_round);
   float* a_panel = scratch.a_f32.data();
   float* acc = scratch.acc_f32.data();
 
@@ -115,7 +100,7 @@ void masked_gemm_packed(const MatrixF& a, const MaskedTile& tile,
 
   for (std::size_t i0 = 0; i0 < m; i0 += mcap) {
     const std::size_t mlen = std::min(mcap, m - i0);
-    std::fill_n(acc, mlen * acc_cols, 0.0f);
+    std::fill_n(acc, mlen * wt_round, 0.0f);
     for (std::size_t kb = 0; kb < k_blocks; ++kb) {
       const std::size_t k0 = kb * kcap;
       const std::size_t klen = std::min(kcap, kt - k0);
@@ -126,33 +111,31 @@ void masked_gemm_packed(const MatrixF& a, const MaskedTile& tile,
         pack_a_panel_gather_f32(a.data() + (i0 + i) * a.cols(), a.cols(),
                                 rows, tile.kept_rows.data() + k0, klen,
                                 /*alpha=*/1.0f, fp16_inputs, a_panel);
-        for (std::size_t s = s0; s < s1; ++s) {
+        for (std::size_t s = 0; s < strips; ++s) {
           micro_kernel_f32(klen, a_panel, block_base + s * klen * kNr,
-                           acc + i * acc_cols + (s - s0) * kNr, acc_cols,
-                           rows, kNr);
+                           acc + i * wt_round + s * kNr, wt_round, rows, kNr);
         }
       }
     }
-    // Scatter the chunk's in-range columns into their C columns.
+    // Scatter the chunk's accumulator into the tile's surviving C columns.
     for (std::size_t i = 0; i < mlen; ++i) {
-      const float* arow = acc + i * acc_cols;
+      const float* arow = acc + i * wt_round;
       float* crow = c.data() + (i0 + i) * c.cols();
-      for (std::size_t j = j0; j < j1; ++j)
-        crow[static_cast<std::size_t>(tile.out_cols[j]) - n0] +=
-            arow[j - s0 * kNr];
+      for (std::size_t j = 0; j < wt; ++j)
+        crow[static_cast<std::size_t>(tile.out_cols[j])] += arow[j];
     }
   }
 }
 
 void masked_gemm_all(const MatrixF& a, const std::vector<MaskedTile>& tiles,
                      const std::vector<TilePanels>& panels, MatrixF& c,
-                     bool fp16_inputs, std::size_t n0) {
+                     bool fp16_inputs) {
   assert(panels.size() == tiles.size());
   // Tiles write disjoint C columns (out_cols never overlap across tiles
   // of one weight matrix), so the loop is safely parallel.
 #pragma omp parallel for schedule(dynamic)
   for (std::size_t t = 0; t < tiles.size(); ++t) {
-    masked_gemm_packed(a, tiles[t], panels[t], c, fp16_inputs, n0);
+    masked_gemm_packed(a, tiles[t], panels[t], c, fp16_inputs);
   }
 }
 

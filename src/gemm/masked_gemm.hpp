@@ -15,7 +15,6 @@
 //    coalesced" path of Fig. 7-2.
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "tensor/matrix.hpp"
@@ -39,7 +38,7 @@ void masked_gemm_gather(const MatrixF& a, const MaskedTile& tile, MatrixF& c);
 /// prepack serves every batch size and numerics mode (fp16 rounds the
 /// A panels inside the kernel, weights are pre-rounded by the caller).
 /// MatrixF storage is 64-byte aligned, so every kNr-float panel row is
-/// one cache line; column ranges read these panels in place.
+/// one cache line.
 struct TilePanels {
   MatrixF b;  ///< kt x round_up(wt, kNr) floats, in panel order
 };
@@ -51,31 +50,20 @@ TilePanels prepack_tile_panels(const MaskedTile& tile);
 /// analogue) and runs the micro-kernel on `panels`, the tile's
 /// prepack_tile_panels.  `fp16_inputs` rounds the packed A panel
 /// through binary16; pre-round the tile weights with
-/// round_matrix_to_half for full tensor-core numerics.
-///
-/// C may hold a column range of the output: it receives original
-/// columns [n0, n0 + c.cols()).  Only the tile's compacted columns in
-/// that range are computed (the kNr strips covering them) and
-/// scattered; the K-blocking comes from kept_rows alone and a lane's
-/// arithmetic never depends on its strip, so a range is bit-identical
-/// to the same columns of the whole product.
+/// round_matrix_to_half for full tensor-core numerics.  Each row of C
+/// depends only on the same row of A, so a row range of A computes
+/// those rows of C bit for bit.
 void masked_gemm_packed(const MatrixF& a, const MaskedTile& tile,
                         const TilePanels& panels, MatrixF& c,
-                        bool fp16_inputs = false, std::size_t n0 = 0);
+                        bool fp16_inputs = false);
 
 /// Executes a whole set of tiles (one TW-pruned weight matrix) against a
-/// shared A, packed variant, parallel across tiles.  C holds original
-/// columns [n0, n0 + c.cols()) (M x N_original for the whole product).
-/// `panels` parallels `tiles` 1:1 (prepack_all_tile_panels).  Tiles
-/// must write disjoint output columns, as every pruned weight's do.
+/// shared A, packed variant, parallel across tiles.  C is M x
+/// N_original.  `panels` parallels `tiles` 1:1 (prepack_all_tile_panels).
+/// Tiles must write disjoint output columns, as every pruned weight's do.
 void masked_gemm_all(const MatrixF& a, const std::vector<MaskedTile>& tiles,
                      const std::vector<TilePanels>& panels, MatrixF& c,
-                     bool fp16_inputs = false, std::size_t n0 = 0);
-
-/// The compacted columns [j0, j1) of `out_cols` (ascending) that fall in
-/// original columns [n0, n1): the part of a tile a column range runs.
-std::pair<std::size_t, std::size_t> tile_col_range(
-    const std::vector<std::int32_t>& out_cols, std::size_t n0, std::size_t n1);
+                     bool fp16_inputs = false);
 
 /// Prepacks panels for every tile of a weight matrix.
 std::vector<TilePanels> prepack_all_tile_panels(

@@ -113,20 +113,16 @@ void attend_pair(const float* q, const float* k, const float* v,
 
 void MultiHeadAttention::attention_core(const MatrixF& q, const MatrixF& k,
                                         const MatrixF& v, MatrixF& context,
-                                        std::size_t n0, std::size_t n1,
                                         int threads,
                                         std::vector<MatrixF>* probs) const {
-  TS_CHECK(n0 < n1 && n1 <= dim_ && n0 % head_dim_ == 0 &&
-               n1 % head_dim_ == 0,
-           "MultiHeadAttention: core range must fall on head boundaries");
-  TS_CHECK(context.rows() == q.rows() && context.cols() == n1 - n0,
-           "MultiHeadAttention: context block must be rows x (n1 - n0)");
+  TS_CHECK(q.rows() % seq_ == 0 && q.cols() == dim_,
+           "MultiHeadAttention: core input must be whole sequences x dim");
+  TS_CHECK(context.rows() == q.rows() && context.cols() == dim_,
+           "MultiHeadAttention: context must be rows x dim");
   const std::size_t batch = q.rows() / seq_;
   TS_CHECK(!probs || probs->size() == batch * heads_,
            "MultiHeadAttention: probs must hold batch * heads matrices");
-  const std::size_t h0 = n0 / head_dim_;
-  const std::size_t range_heads = (n1 - n0) / head_dim_;
-  const std::size_t pairs = batch * range_heads;
+  const std::size_t pairs = batch * heads_;
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
   context.fill(0.0f);
 
@@ -137,15 +133,13 @@ void MultiHeadAttention::attention_core(const MatrixF& q, const MatrixF& k,
 #endif
 #pragma omp parallel for schedule(static) num_threads(team)
   for (std::size_t p = 0; p < pairs; ++p) {
-    const std::size_t b = p / range_heads;
-    const std::size_t h = h0 + p % range_heads;
+    const std::size_t b = p / heads_;
+    const std::size_t h = p % heads_;
     const std::size_t offset = b * seq_ * dim_ + h * head_dim_;
-    float* scores = probs ? (*probs)[b * heads_ + h].data() : nullptr;
+    float* scores = probs ? (*probs)[p].data() : nullptr;
     attend_pair(q.data() + offset, k.data() + offset, v.data() + offset,
-                dim_, seq_, head_dim_, scale, scores,
-                context.data() + b * seq_ * context.cols() +
-                    (h * head_dim_ - n0),
-                context.cols());
+                dim_, seq_, head_dim_, scale, scores, context.data() + offset,
+                dim_);
   }
 }
 
@@ -156,8 +150,8 @@ MatrixF MultiHeadAttention::forward(const MatrixF& x) {
   v_act_ = v_.forward(x);
   MatrixF context(x.rows(), dim_);
   attn_.assign(x.rows() / seq_ * heads_, MatrixF(seq_, seq_));
-  attention_core(q_act_, k_act_, v_act_, context, 0, dim_,
-                 out_.exec_context().threads, &attn_);
+  attention_core(q_act_, k_act_, v_act_, context, out_.exec_context().threads,
+                 &attn_);
   return out_.forward(context);
 }
 
@@ -176,12 +170,12 @@ ExecGraph::NodeId MultiHeadAttention::add_to_graph(
   const double macs_per_row = 2.0 * static_cast<double>(seq_ * dim_);
   const int threads = out_.exec_context().threads;
   graph.add_host_range(
-      out_.weight().name + ".core", {q, k, v}, context, dim_, head_dim_,
+      out_.weight().name + ".core", {q, k, v}, context, dim_, seq_,
       macs_per_row,
-      [this, q, k, v, threads](const ExecGraph& g, MatrixF& block,
-                               std::size_t n0, std::size_t n1) {
-        attention_core(g.slot(q), g.slot(k), g.slot(v), block, n0, n1,
-                       threads, nullptr);
+      [this, q, k, v, threads](const ExecGraph& g, std::size_t r0,
+                               std::size_t r1, MatrixF& rows) {
+        attention_core(g.slot(q).row_view(r0, r1), g.slot(k).row_view(r0, r1),
+                       g.slot(v).row_view(r0, r1), rows, threads, nullptr);
       });
   return out_.add_to_graph(graph, context, out,
                            GemmActivation::kNone, residual);

@@ -198,18 +198,12 @@ ExecGraph::SlotId BertMini::append_exec_graph(
     // Attention branch; the output projection's epilogue adds the
     // residual (pre-LN, matching forward()).
     const ExecGraph::SlotId h = g.add_slot(p + ".ln1.out");
-    const LayerNorm* ln1 = blk.ln1.get();
-    g.add_host(p + ".ln1", {x}, {h}, [ln1, x, h](ExecGraph& gg) {
-      gg.slot(h) = ln1->infer(gg.slot(x));
-    });
+    blk.ln1->add_to_graph(g, p + ".ln1", x, h);
     const ExecGraph::SlotId x1 = g.add_slot(p + ".attn.out");
     blk.attn->add_to_graph(g, h, x1, /*residual=*/x);
     // FFN branch: GELU in ffn_in's epilogue, the residual in ffn_out's.
     const ExecGraph::SlotId f = g.add_slot(p + ".ln2.out");
-    const LayerNorm* ln2 = blk.ln2.get();
-    g.add_host(p + ".ln2", {x1}, {f}, [ln2, x1, f](ExecGraph& gg) {
-      gg.slot(f) = ln2->infer(gg.slot(x1));
-    });
+    blk.ln2->add_to_graph(g, p + ".ln2", x1, f);
     const ExecGraph::SlotId f1 = g.add_slot(p + ".ffn_in.out");
     blk.ffn_in->add_to_graph(g, f, f1, GemmActivation::kGelu);
     const ExecGraph::SlotId x2 = g.add_slot(p + ".ffn_out.out");

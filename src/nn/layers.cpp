@@ -9,6 +9,7 @@
 #include "gemm/fused_ops.hpp"
 #include "io/serialize.hpp"
 #include "tensor/ops.hpp"
+#include "util/guards.hpp"
 
 namespace tilesparse {
 
@@ -245,13 +246,32 @@ MatrixF LayerNorm::forward(const MatrixF& x) {
 }
 
 MatrixF LayerNorm::infer(const MatrixF& x) const {
+  MatrixF y(x.rows(), x.cols());
+  infer(x, y);
+  return y;
+}
+
+void LayerNorm::infer(const MatrixF& x, MatrixF& y) const {
   const std::size_t n = x.cols();
-  MatrixF y(x.rows(), n);
+  TS_CHECK(n == gamma_.value.cols() && y.rows() == x.rows() && y.cols() == n,
+           "LayerNorm::infer: x and y must both be rows x dim");
   for (std::size_t r = 0; r < x.rows(); ++r) {
     layer_norm_row(x.data() + r * n, y.data() + r * n, n, gamma_.value.data(),
                    beta_.value.data(), kEps);
   }
-  return y;
+}
+
+ExecGraph::NodeId LayerNorm::add_to_graph(ExecGraph& graph, std::string name,
+                                          ExecGraph::SlotId in,
+                                          ExecGraph::SlotId out) const {
+  // Two reduction passes (mean, variance) and a normalise-scale-shift
+  // pass: about four multiply-adds per element.
+  const std::size_t dim = gamma_.value.cols();
+  const double macs_per_row = 4.0 * static_cast<double>(dim);
+  return graph.add_host_range(
+      std::move(name), {in}, out, dim, /*step=*/1, macs_per_row,
+      [this, in](const ExecGraph& g, std::size_t r0, std::size_t r1,
+                 MatrixF& rows) { infer(g.slot(in).row_view(r0, r1), rows); });
 }
 
 MatrixF LayerNorm::backward(const MatrixF& dy) {

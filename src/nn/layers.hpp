@@ -167,8 +167,19 @@ class LayerNorm : public Layer {
 
   MatrixF forward(const MatrixF& x) override;
   MatrixF infer(const MatrixF& x) const;
+  /// infer(x) into `y`, already x.rows() x dim: the one inference body,
+  /// which the graph node runs on row views.
+  void infer(const MatrixF& x, MatrixF& y) const;
   MatrixF backward(const MatrixF& dy) override;
   std::vector<Param*> params() override { return {&gamma_, &beta_}; }
+
+  /// Adds this layer to an execution graph as the row-range host node
+  /// `name`: slot(out) = infer(slot(in)), one row as its row step, so
+  /// the scheduler may split it into row shards.  The layer must
+  /// outlive the graph.
+  ExecGraph::NodeId add_to_graph(ExecGraph& graph, std::string name,
+                                 ExecGraph::SlotId in,
+                                 ExecGraph::SlotId out) const;
 
  private:
   Param gamma_, beta_;

@@ -119,7 +119,7 @@ double evaluate_with_format(PruneTask& task, const std::string& format,
 
 /// Graph-scheduled variant: packs, attaches an ExecScheduler built
 /// from `scheduler_options` so the model evaluates through its
-/// execution graph (stream overlap + wide-N sharding), then detaches
+/// execution graph (stream overlap + row shards), then detaches
 /// and restores dense execution.  Tasks without a graph path evaluate
 /// synchronously — same metric, no overlap.
 double evaluate_with_format(PruneTask& task, const std::string& format,

@@ -29,12 +29,11 @@ std::vector<QuantMaskedTile> quantize_tiles(const std::vector<MaskedTile>& tiles
 /// C += A * W for TW-pruned int8 weights, the QuantTwWeight backend's
 /// kernel.  A is quantised internally (dynamic per-row scales);
 /// accumulation is int32 per tile, scaled to float on store.  Parallel
-/// across tiles, which must write disjoint output columns.  C holds
-/// original columns [n0, n0 + c.cols()) (M x N for the whole product);
-/// as in masked_gemm_packed, only the tiles' in-range compacted columns
-/// run, bit-identical to the whole product.
+/// across tiles, which must write disjoint output columns.  C is M x N.
+/// A row's scale and products depend on that row alone, so a row range
+/// of A quantises and computes only its own rows, bit for bit.
 void quant_tw_gemm(const MatrixF& a, const std::vector<QuantMaskedTile>& tiles,
-                   MatrixF& c, std::size_t n0 = 0);
+                   MatrixF& c);
 
 /// Dense K x N reconstruction of quantised tiles (dequantised values,
 /// zeros where pruned) — what the int8 kernel arithmetically executes.

@@ -35,20 +35,18 @@ MatrixF csc_to_dense(const CscRef& m) {
   return dense;
 }
 
-void csc_gemm_accumulate(const MatrixF& a, const CscRef& b, MatrixF& c,
-                         std::size_t n0) {
+void csc_gemm_accumulate(const MatrixF& a, const CscRef& b, MatrixF& c) {
   assert(a.cols() == b.rows);
-  assert(c.rows() == a.rows() && n0 + c.cols() <= b.cols);
+  assert(c.rows() == a.rows() && c.cols() == b.cols);
   const std::size_t m = a.rows();
   // Parallel over output columns: every (i, col) is written by exactly
   // one iteration, so no atomics are needed.
 #pragma omp parallel for schedule(dynamic, 8)
-  for (std::size_t j = 0; j < c.cols(); ++j) {
-    const std::size_t col = n0 + j;
+  for (std::size_t col = 0; col < b.cols; ++col) {
     for (auto i = b.col_ptr[col]; i < b.col_ptr[col + 1]; ++i) {
       const auto k = static_cast<std::size_t>(b.row_idx[static_cast<std::size_t>(i)]);
       const float v = b.values[static_cast<std::size_t>(i)];
-      for (std::size_t r = 0; r < m; ++r) c(r, j) += a(r, k) * v;
+      for (std::size_t r = 0; r < m; ++r) c(r, col) += a(r, k) * v;
     }
   }
 }

@@ -43,11 +43,9 @@ Csc csc_from_dense(const MatrixF& dense, float tol = 0.0f);
 MatrixF csc_to_dense(const CscRef& m);
 inline MatrixF csc_to_dense(const Csc& m) { return csc_to_dense(m.ref()); }
 
-/// C += A(MxK dense) * B(KxN, this CSC).  Column-parallel.  C holds
-/// columns [n0, n0 + c.cols()) of the product (M x N for the whole of
-/// it); columns are independent, so a range is bit-identical to the
-/// same columns of the whole product.
-void csc_gemm_accumulate(const MatrixF& a, const CscRef& b, MatrixF& c,
-                         std::size_t n0 = 0);
+/// C += A(MxK dense) * B(KxN, this CSC).  Column-parallel; rows are
+/// independent, so a row range of A computes those rows of C bit for
+/// bit.
+void csc_gemm_accumulate(const MatrixF& a, const CscRef& b, MatrixF& c);
 
 }  // namespace tilesparse

@@ -99,14 +99,13 @@ CsrPanels build_csr_panels(const CsrRef& csr, std::size_t strip_cols) {
 }
 
 void csr_panels_spmm_accumulate(const MatrixF& a, const CsrPanels& b,
-                                MatrixF& c, std::size_t n0) {
+                                MatrixF& c) {
   TS_CHECK(a.cols() == b.rows, "csr_panels_spmm: A cols must equal B rows");
-  TS_CHECK(c.rows() == a.rows() && n0 + c.cols() <= b.cols,
+  TS_CHECK(c.rows() == a.rows() && c.cols() == b.cols,
            "csr_panels_spmm: C shape mismatch");
   const std::size_t m = a.rows();
   const std::size_t depth = b.rows;
-  const std::size_t n1 = n0 + c.cols();
-  if (m == 0 || n0 == n1) return;
+  if (m == 0 || b.cols == 0) return;
   const std::size_t mblocks = (m + kNr - 1) / kNr;
 #pragma omp parallel for schedule(dynamic)
   for (std::size_t mb = 0; mb < mblocks; ++mb) {
@@ -120,21 +119,17 @@ void csr_panels_spmm_accumulate(const MatrixF& a, const CsrPanels& b,
     scratch.acc_f32.resize(b.strip_cols * kNr);
     float* frag = scratch.acc_f32.data();
     for (const CsrPanels::Strip& strip : b.strips) {
-      if (strip.row_idx.empty() || strip.n1 <= n0 || strip.n0 >= n1) continue;
+      if (strip.row_idx.empty()) continue;
       const std::size_t width = strip.n1 - strip.n0;
       TS_ASSERT(width <= b.strip_cols && strip.n1 <= b.cols);
       std::fill(frag, frag + width * kNr, 0.0f);
       spmm_strip_f32(a_panel, strip.row_idx.data(), strip.row_ptr.data(),
                      strip.row_idx.size(), strip.col.data(), strip.val.data(),
                      frag);
-      // Flush the strip's in-range columns only.
-      const std::size_t lo = std::max(strip.n0, n0);
-      const std::size_t hi = std::min(strip.n1, n1);
       for (std::size_t r = 0; r < rows; ++r) {
-        float* crow = c.data() + (i0 + r) * c.cols();
+        float* crow = c.data() + (i0 + r) * c.cols() + strip.n0;
         const float* f = frag + r;
-        for (std::size_t j = lo; j < hi; ++j)
-          crow[j - n0] += f[(j - strip.n0) * kNr];
+        for (std::size_t j = 0; j < width; ++j) crow[j] += f[j * kNr];
       }
     }
   }

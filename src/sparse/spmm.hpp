@@ -68,12 +68,11 @@ inline CsrPanels build_csr_panels(const Csr& csr, std::size_t strip_cols = 0) {
   return build_csr_panels(csr.ref(), strip_cols);
 }
 
-/// C += A * B over the panel layout.  C holds columns [n0, n0 +
-/// c.cols()) of the product (M x N for the whole of it); only the
-/// strips that range touches run.  Bit-identical across column ranges:
-/// every output column accumulates its terms in ascending K order into
-/// a zeroed fragment added to C exactly once, whatever range it is in.
+/// C += A * B over the panel layout, C being M x N.  Every output
+/// element accumulates its terms in ascending K order into a zeroed
+/// fragment added to C exactly once, so a row range of A computes
+/// those rows of C bit for bit.
 void csr_panels_spmm_accumulate(const MatrixF& a, const CsrPanels& b,
-                                MatrixF& c, std::size_t n0 = 0);
+                                MatrixF& c);
 
 }  // namespace tilesparse

@@ -7,14 +7,16 @@
 // free functions (tensor/ops.hpp) per Core Guidelines C.4.
 //
 // A Matrix either owns its storage (the default: 64-byte aligned heap
-// allocation, freed on destruction) or borrows immutable storage that
-// outlives it — the path for weights resolved out of an artifact image,
-// mapped or read into memory (io/mmap_file.hpp).  A borrowed matrix
-// never frees; copying one always deep-copies into an owning matrix, so value
+// allocation, freed on destruction) or borrows storage that outlives
+// it.  Two kinds of borrowers exist: weights resolved out of an
+// artifact image, mapped or read into memory (io/mmap_file.hpp), and
+// row views of another matrix (row_view).  A borrowed matrix never
+// frees; copying one always deep-copies into an owning matrix, so value
 // semantics are unchanged for every existing caller.  Mutating a
 // borrowed matrix through the non-const accessors is undefined (mapped
-// pages are read-only, and the image is shared); callers that need to
-// write take a copy.
+// pages are read-only, and the image is shared) except for the row
+// view of a non-const matrix, which writes that matrix's rows: the
+// graph's row shards write their rows of an output slot through one.
 
 #include <cassert>
 #include <cstddef>
@@ -47,6 +49,20 @@ class Matrix {
     m.data_ = const_cast<T*>(data);
     m.owns_ = false;
     return m;
+  }
+
+  /// Rows [r0, r1) as a borrowed matrix over this one's storage (rows
+  /// are contiguous, so the view is itself row-major).  The view writes
+  /// through to this matrix and must not outlive it or a reallocation
+  /// of it.  The data pointer carries no alignment beyond float's.
+  Matrix row_view(std::size_t r0, std::size_t r1) noexcept {
+    assert(r0 <= r1 && r1 <= rows_);
+    return borrowed(data_ + r0 * cols_, r1 - r0, cols_);
+  }
+  /// Read-only rows [r0, r1) (const: the view must not be written).
+  const Matrix row_view(std::size_t r0, std::size_t r1) const noexcept {
+    assert(r0 <= r1 && r1 <= rows_);
+    return borrowed(data_ + r0 * cols_, r1 - r0, cols_);
   }
 
   Matrix(const Matrix& other) : Matrix(other.rows_, other.cols_) {

@@ -1,7 +1,8 @@
 // ExecGraph + ExecScheduler: model-level execution plans must be pure
-// reorderings — a scheduled run (any stream count, with or without
-// wide-N sharding) is bit-identical to the single-stream reference and
-// to the old synchronous layer-by-layer path, for every weight format.
+// reorderings — a scheduled run (any stream count, with or without row
+// shards, at any kernel thread count) is bit-identical to the
+// single-stream reference and to the old synchronous layer-by-layer
+// path, for every weight format.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +25,7 @@
 #include "prune/importance.hpp"
 #include "prune/tw_pruner.hpp"
 #include "tensor/ops.hpp"
+#include "util/guards.hpp"
 #include "util/rng.hpp"
 #include "util/threadpool.hpp"
 #include "workload/datasets.hpp"
@@ -190,21 +192,19 @@ TEST_P(SchedulerDeterminism, BitIdenticalToSingleStreamAcrossStreams) {
     DiamondGraph d = make_diamond(format, 40, 56, 192);
     SchedulerOptions options;
     options.streams = streams;
-    options.min_shard_width = 16;  // force wide-N sharding where supported
-    options.dispatch_overhead_us = 0.0;
+    options.dispatch_overhead_us = 0.0;  // no cost floor: always shard
     ExecScheduler scheduler(options, &pool);
-    // Repeated runs through the same scheduler reuse the shard plan.
+    // Repeated runs through the same scheduler reuse the plan.
     for (int rep = 0; rep < 3; ++rep) {
       d.graph.slot(d.in) = a;
       scheduler.run(d.graph);
       EXPECT_TRUE(bit_identical(d.graph.slot(d.out), expected))
           << format << " diverged at streams=" << streams << " rep=" << rep;
     }
-    // Every built-in format runs column ranges exactly — dense/csr by
-    // column independence, the tile formats because kept_rows (and
-    // per-tile int8 scales) alone fix each lane's arithmetic.
-    EXPECT_GT(scheduler.last_stats().sharded_nodes, 0u)
-        << format << " should shard the wide-N node";
+    // Every built-in format runs row ranges exactly: each computes a
+    // row of C from the same row of A alone (int8 scales are per row).
+    EXPECT_EQ(scheduler.last_stats().sharded_nodes, 5u)
+        << format << " should shard every GEMM";
   }
 }
 
@@ -248,8 +248,9 @@ void build_epilogue_graph(EpilogueGraph& e, const PackedWeight* w1,
 }
 
 TEST(FusedEpilogueTest, BitIdenticalToUnfusedOpsAcrossFormats) {
-  // N = 150 in 4 shards and N = 100 in 2 put shard edges at columns 38,
-  // 76, 113 and 50: none on a multiple of the 8-lane GELU body.
+  // M = 21 in 4 row shards puts shard edges at rows 6, 11 and 16, two of
+  // them inside a 6-row micro-kernel tile; N = 150 and 100 are not
+  // multiples of the 8-lane GELU body.
   const std::size_t m = 21, k = 40, n1 = 150, n2 = 100;
   const MatrixF a = random_matrix(m, k, 31);
   const MatrixF res = random_matrix(m, n2, 32);
@@ -273,7 +274,6 @@ TEST(FusedEpilogueTest, BitIdenticalToUnfusedOpsAcrossFormats) {
     for (const bool sharded : {false, true}) {
       SchedulerOptions options;
       options.streams = sharded ? 4 : 1;
-      options.min_shard_width = 37;
       options.dispatch_overhead_us = 0.0;
       ExecScheduler scheduler(options, &pool);
       EpilogueGraph e;
@@ -287,7 +287,7 @@ TEST(FusedEpilogueTest, BitIdenticalToUnfusedOpsAcrossFormats) {
       }
       if (sharded) {
         EXPECT_EQ(scheduler.last_stats().sharded_nodes, 2u) << format;
-        EXPECT_EQ(scheduler.last_stats().shards, 6u) << format;
+        EXPECT_EQ(scheduler.last_stats().shards, 8u) << format;
       }
     }
   }
@@ -330,49 +330,47 @@ TEST(FusedEpilogueTest, LinearMatchesForwardPackedOrNot) {
   }
 }
 
-// --------------------------------------------------------- wide-N shards
+// ------------------------------------------------------------ row shards
 
-TEST(ShardColsTest, AllFormatsSliceExactOnRaggedShapes) {
-  // Deliberately awkward shapes: prime-ish N (so tile widths and shard
-  // boundaries disagree), shard counts that do not divide it, ranges
-  // crossing the 16-column panel boundary and splitting tiles.  Column
-  // ranges run on the whole weight's own storage, under fp32 and fp16
-  // activations alike.
+/// Copies `part` into rows [r0, r0 + part.rows()) of `whole`.
+void put_rows(MatrixF& whole, std::size_t r0, const MatrixF& part) {
+  std::memcpy(whole.data() + r0 * whole.cols(), part.data(),
+              part.size() * sizeof(float));
+}
+
+TEST(RowShardTest, AllFormatsRowRangesExactOnRaggedShapes) {
+  // Row views of A run through the whole weight into row views of C:
+  // shard counts that do not divide M = 37, ranges splitting the 6-row
+  // micro-kernel tile and the TW kernels' 96-row chunks' remainder,
+  // one-row shards, under fp32 and fp16 activations alike.
   for (const Numerics numerics : {Numerics::kFp32, Numerics::kFp16}) {
     ExecContext ctx;
     ctx.numerics = numerics;
     for (const std::string format : {"dense", "csr", "tw", "tew", "tw-int8"}) {
       const MatrixF w = random_matrix(37, 117, 21);
-      const MatrixF a = random_matrix(13, 37, 22);
+      const MatrixF a = random_matrix(37, 37, 22);
       const auto packed = pack_for_test(format, w, 8);
       const MatrixF whole = packed->matmul(ctx, a);
 
-      for (const std::size_t shards : {2u, 3u, 5u, 117u}) {
+      for (const std::size_t shards : {2u, 3u, 5u, 37u}) {
         MatrixF joined(a.rows(), w.cols());
-        const std::size_t base = w.cols() / shards, rem = w.cols() % shards;
-        std::size_t n0 = 0;
         for (std::size_t s = 0; s < shards; ++s) {
-          const std::size_t n1 = n0 + base + (s < rem ? 1 : 0);
-          MatrixF part(a.rows(), n1 - n0);
-          packed->matmul(ctx, a, part, n0, n1);
-          for (std::size_t r = 0; r < part.rows(); ++r)
-            for (std::size_t c = 0; c < part.cols(); ++c)
-              joined(r, n0 + c) = part(r, c);
-          n0 = n1;
+          const auto [r0, r1] = row_shard(a.rows(), 1, shards, s);
+          MatrixF rows = joined.row_view(r0, r1);
+          packed->matmul(ctx, a.row_view(r0, r1), rows);
         }
         EXPECT_TRUE(bit_identical(joined, whole))
             << format << (numerics == Numerics::kFp16 ? " fp16" : " fp32")
-            << " range join diverged at shards=" << shards;
+            << " row shards diverged at shards=" << shards;
       }
     }
   }
 }
 
-TEST(ShardColsTest, RangesAccumulateOntoC) {
+TEST(RowShardTest, RowRangesAccumulateOntoC) {
   // With alpha = 1 the backends accumulate straight onto the (scaled) C
-  // they are given: A * W[:, n0:n1] + beta * C must match the same
-  // columns of the whole-matrix call, including ranges that start
-  // inside a 16-column strip.
+  // they are given: rows [r0, r1) of A * W + beta * C, computed through
+  // row views, must match the same rows of the whole-matrix call.
   const MatrixF w = random_matrix(37, 117, 23);
   const MatrixF a = random_matrix(13, 37, 24);
   const MatrixF c0 = random_matrix(13, 117, 25);
@@ -382,114 +380,309 @@ TEST(ShardColsTest, RangesAccumulateOntoC) {
     const auto packed = pack_for_test(format, w, 8);
     MatrixF whole = c0;
     packed->matmul(ctx, a, whole);
-    for (const auto& [n0, n1] : {std::pair<std::size_t, std::size_t>{0, 117},
-                                 {5, 40},
-                                 {23, 24},
-                                 {70, 117}}) {
-      MatrixF part(a.rows(), n1 - n0);
-      for (std::size_t r = 0; r < part.rows(); ++r)
-        for (std::size_t c = 0; c < part.cols(); ++c)
-          part(r, c) = c0(r, n0 + c);
-      packed->matmul(ctx, a, part, n0, n1);
-      bool same = true;
-      for (std::size_t r = 0; r < part.rows(); ++r)
-        for (std::size_t c = 0; c < part.cols(); ++c)
-          same = same && std::memcmp(&part(r, c), &whole(r, n0 + c),
-                                     sizeof(float)) == 0;
-      EXPECT_TRUE(same) << format << " range [" << n0 << ", " << n1 << ")";
+    for (const auto& [r0, r1] : {std::pair<std::size_t, std::size_t>{0, 13},
+                                 {2, 7},
+                                 {6, 7},
+                                 {9, 13}}) {
+      MatrixF c = c0;
+      MatrixF rows = c.row_view(r0, r1);
+      packed->matmul(ctx, a.row_view(r0, r1), rows);
+      EXPECT_TRUE(bit_identical(rows, whole.row_view(r0, r1)))
+          << format << " rows [" << r0 << ", " << r1 << ")";
+      // Rows outside the range are untouched.
+      EXPECT_TRUE(bit_identical(c.row_view(0, r0), c0.row_view(0, r0)))
+          << format;
+      EXPECT_TRUE(bit_identical(c.row_view(r1, 13), c0.row_view(r1, 13)))
+          << format;
     }
   }
 }
 
-TEST(ShardColsTest, AttentionHeadRangesMatchWholeCore) {
-  // The attention core is a column-range node split at head
-  // boundaries.  Head ranges run through execute_range and joined are
-  // bit-identical to the whole core, and scheduled runs at 1, 2 and 4
-  // streams (which split the core across streams) are bit-identical to
+/// in -> [up + bias + GELU] -> mid -> [LayerNorm] -> normed ->
+/// [down + bias + residual(in)] -> out: every row-range node kind a
+/// BERT block uses, with the GEMMs at `threads` kernel threads.
+struct RowGraph {
+  ExecGraph graph;
+  ExecGraph::SlotId in = 0, out = 0;
+};
+
+void build_row_graph(RowGraph& g, const PackedWeight* up, const MatrixF& b1,
+                     const LayerNorm& ln, const PackedWeight* down,
+                     const MatrixF& b2, ExecContext ctx) {
+  g.in = g.graph.add_slot("in");
+  g.graph.mark_input(g.in);
+  const auto mid = g.graph.add_slot("mid");
+  const auto normed = g.graph.add_slot("normed");
+  g.out = g.graph.add_slot("out");
+  g.graph.mark_output(g.out);
+  GemmEpilogue gelu;
+  gelu.bias = &b1;
+  gelu.activation = GemmActivation::kGelu;
+  g.graph.add_gemm("up", up, g.in, mid, ctx, gelu);
+  ln.add_to_graph(g.graph, "ln", mid, normed);
+  GemmEpilogue residual;
+  residual.bias = &b2;
+  residual.residual = g.in;
+  g.graph.add_gemm("down", down, normed, g.out, ctx, residual);
+}
+
+TEST(RowShardTest, ShardsAndThreadsMatchSerialAcrossFormats) {
+  // Row shards ≡ serial and threads ≡ serial: every format, at every
+  // stream count and kernel thread count, on ragged M (1 row, fewer
+  // rows than streams, M not a multiple of the micro-kernel's 6-row
+  // tile, a full prefill batch), is bit-identical to a single-stream,
+  // single-thread run of the same graph.
+  const std::size_t k = 40, hidden = 56;
+  const MatrixF b1 = random_matrix(1, hidden, 41);
+  const MatrixF b2 = random_matrix(1, k, 42);
+  LayerNorm ln("ln", hidden);
+  {
+    Rng rng(43);
+    for (Param* p : ln.params()) fill_normal(p->value, rng);
+  }
+  const std::vector<std::size_t> ms = {1, 5, 13, 37, 256};
+  ThreadPool pool(3);
+  for (const Numerics numerics : {Numerics::kFp32, Numerics::kFp16}) {
+    for (const std::string format : {"dense", "tw", "tew", "csr", "tw-int8"}) {
+      const auto up = pack_for_test(format, random_matrix(k, hidden, 44), 8);
+      const auto down = pack_for_test(format, random_matrix(hidden, k, 45), 8);
+      const std::string label =
+          format + (numerics == Numerics::kFp16 ? " fp16" : " fp32");
+
+      // References: one stream, one kernel thread.
+      std::vector<MatrixF> expected;
+      {
+        ExecContext ctx;
+        ctx.numerics = numerics;
+        ctx.threads = 1;
+        RowGraph g;
+        build_row_graph(g, up.get(), b1, ln, down.get(), b2, ctx);
+        SchedulerOptions serial;
+        serial.streams = 1;
+        ExecScheduler scheduler(serial);
+        for (const std::size_t m : ms) {
+          g.graph.slot(g.in) = random_matrix(m, k, 46 + m);
+          scheduler.run(g.graph);
+          expected.push_back(g.graph.slot(g.out));
+        }
+      }
+
+      for (const int threads : {1, 2, 3, 4}) {
+        ExecContext ctx;
+        ctx.numerics = numerics;
+        ctx.threads = threads;
+        RowGraph g;
+        build_row_graph(g, up.get(), b1, ln, down.get(), b2, ctx);
+        for (const std::size_t streams : {1u, 2u, 3u, 4u}) {
+          SchedulerOptions options;
+          options.streams = streams;
+          options.dispatch_overhead_us = 0.0;
+          ExecScheduler scheduler(options, &pool);
+          // One graph and one cached plan serve every M, in either
+          // order (shrinking M reallocates the output slots).
+          for (std::size_t i = 0; i < ms.size(); ++i) {
+            g.graph.slot(g.in) = random_matrix(ms[i], k, 46 + ms[i]);
+            scheduler.run(g.graph);
+            EXPECT_TRUE(bit_identical(g.graph.slot(g.out), expected[i]))
+                << label << " M=" << ms[i] << " streams=" << streams
+                << " threads=" << threads;
+            const std::size_t given = std::min<std::size_t>(streams, ms[i]);
+            const ExecScheduler::RunStats& stats = scheduler.last_stats();
+            EXPECT_EQ(stats.sharded_nodes, given > 1 ? 3u : 0u)
+                << label << " M=" << ms[i] << " streams=" << streams;
+            EXPECT_EQ(stats.shards, given > 1 ? 3 * given : 0u)
+                << label << " M=" << ms[i] << " streams=" << streams;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RowShardTest, CostFloorKeepsSmallNodesWhole) {
+  // The calibration's dispatch cost is priced at the run's rows: with a
+  // floor no node reaches, every row-range node runs as one shard, and
+  // the result is still the serial one.
+  const MatrixF w = random_matrix(32, 48, 47);
+  const auto packed = make_packed("dense", w);
+  const MatrixF a = random_matrix(64, 32, 48);
+  const MatrixF expected = packed->matmul(ExecContext{}, a);
+  ExecGraph g;
+  const auto in = g.add_slot("in");
+  const auto out = g.add_slot("out");
+  g.add_gemm("gemm", packed.get(), in, out);
+  ThreadPool pool(3);
+  SchedulerOptions options;
+  options.streams = 4;
+  options.dispatch_overhead_us = 1e9;
+  ExecScheduler scheduler(options, &pool);
+  g.slot(in) = a;
+  scheduler.run(g);
+  EXPECT_TRUE(bit_identical(g.slot(out), expected));
+  EXPECT_EQ(scheduler.last_stats().sharded_nodes, 0u);
+  EXPECT_EQ(scheduler.last_stats().tasks, 4u);  // one per stream, 3 empty
+}
+
+TEST(RowShardTest, LayerNormRowRangesMatchInfer) {
+  // LayerNorm is a row-range host node over layer_norm_row: row ranges
+  // through execute_rows and scheduled runs at 1 to 4 streams are
+  // bit-identical to LayerNorm::infer.
+  const std::size_t dim = 56;
+  LayerNorm ln("ln", dim);
+  Rng rng(49);
+  for (Param* p : ln.params()) fill_normal(p->value, rng);
+  ExecGraph graph;
+  const auto in = graph.add_slot("x");
+  const auto out = graph.add_slot("y");
+  graph.mark_input(in);
+  graph.mark_output(out);
+  const ExecGraph::NodeId node = ln.add_to_graph(graph, "ln", in, out);
+  ASSERT_TRUE(graph.nodes()[node].row_ranged());
+  EXPECT_EQ(graph.nodes()[node].row_step, 1u);
+  EXPECT_EQ(graph.nodes()[node].width, dim);
+
+  ThreadPool pool(3);
+  for (const std::size_t m : {1u, 5u, 37u}) {
+    const MatrixF x = random_matrix(m, dim, 50 + m);
+    const MatrixF expected = ln.infer(x);
+    for (const std::size_t streams : {1u, 2u, 3u, 4u}) {
+      SchedulerOptions options;
+      options.streams = streams;
+      options.dispatch_overhead_us = 0.0;
+      ExecScheduler scheduler(options, &pool);
+      graph.slot(in) = x;
+      scheduler.run(graph);
+      EXPECT_TRUE(bit_identical(graph.slot(out), expected))
+          << "M=" << m << " streams=" << streams;
+    }
+    graph.slot(out) = MatrixF();
+    graph.size_output(node);
+    for (std::size_t r0 = 0; r0 < m; r0 += 2)
+      graph.execute_rows(node, r0, std::min(m, r0 + 2));
+    EXPECT_TRUE(bit_identical(graph.slot(out), expected)) << "M=" << m;
+  }
+}
+
+/// The attention block of `attn` as a graph over `in` -> `out`; returns
+/// the core node.
+ExecGraph::NodeId build_attention_graph(const MultiHeadAttention& attn,
+                                        ExecGraph& graph,
+                                        ExecGraph::SlotId& in,
+                                        ExecGraph::SlotId& out) {
+  in = graph.add_slot("x");
+  out = graph.add_slot("y");
+  graph.mark_input(in);
+  attn.add_to_graph(graph, in, out);
+  graph.mark_output(out);
+  for (ExecGraph::NodeId id = 0; id < graph.node_count(); ++id) {
+    const ExecGraph::Node& node = graph.nodes()[id];
+    if (node.kind == ExecGraph::NodeKind::kHost && node.row_ranged()) return id;
+  }
+  return graph.node_count();
+}
+
+TEST(RowShardTest, AttentionSequenceRangesMatchWholeCore) {
+  // The attention core is a row-range node with one sequence as its row
+  // step.  Scheduled runs at 1 to 4 streams over 1 to 9 sequences
+  // (fewer sequences than streams included) are bit-identical to
   // forward(), which runs the core whole and fills its probability
-  // cache.  seq 20 is a multiple of neither kernel tile edge (kMr 6,
+  // cache, and sequence ranges through execute_rows match the whole
+  // core.  seq 20 is a multiple of neither kernel tile edge (kMr 6,
   // kNr 16); head_dim 16 and 64 span one and four kNr strips.
   ThreadPool pool(3);
   for (const std::size_t seq : {16u, 20u}) {
     for (const std::size_t head_dim : {16u, 64u}) {
-      const std::size_t heads = 4, dim = heads * head_dim, batch = 3;
+      const std::size_t heads = 4, dim = heads * head_dim;
       Rng rng(31 + seq + head_dim);
       MultiHeadAttention attn("attn", dim, heads, seq, rng);
-      const MatrixF x = random_matrix(batch * seq, dim, 32 + seq);
-      const MatrixF y_forward = attn.forward(x);
-
       ExecGraph graph;
-      const auto in = graph.add_slot("x");
-      const auto out = graph.add_slot("y");
-      graph.mark_input(in);
-      attn.add_to_graph(graph, in, out);
-      graph.mark_output(out);
-      ExecGraph::NodeId core = graph.node_count();
-      for (ExecGraph::NodeId id = 0; id < graph.node_count(); ++id) {
-        const ExecGraph::Node& node = graph.nodes()[id];
-        if (node.kind == ExecGraph::NodeKind::kHost && node.column_ranged())
-          core = id;
-      }
+      ExecGraph::SlotId in = 0, out = 0;
+      const ExecGraph::NodeId core =
+          build_attention_graph(attn, graph, in, out);
       ASSERT_LT(core, graph.node_count());
-      ASSERT_EQ(graph.nodes()[core].range_step, head_dim);
+      ASSERT_EQ(graph.nodes()[core].row_step, seq);
       const std::string shape =
           " seq " + std::to_string(seq) + " head_dim " + std::to_string(head_dim);
 
-      for (const std::size_t streams : {1u, 2u, 4u}) {
-        SchedulerOptions options;
-        options.streams = streams;
-        options.min_shard_width = 16;
-        options.dispatch_overhead_us = 0.0;
-        ExecScheduler scheduler(options, &pool);
-        graph.slot(in) = x;
-        scheduler.run(graph);
-        EXPECT_TRUE(bit_identical(graph.slot(out), y_forward))
-            << "streams " << streams << shape;
-        // The projections are unpacked (host nodes); the core splits
-        // into one head range per stream.
-        const ExecScheduler::RunStats& stats = scheduler.last_stats();
-        EXPECT_EQ(stats.sharded_nodes, streams > 1 ? 1u : 0u)
-            << "streams " << streams << shape;
-        EXPECT_EQ(stats.shards, streams > 1 ? streams : 0u)
-            << "streams " << streams << shape;
+      for (std::size_t batch = 1; batch <= 9; ++batch) {
+        const MatrixF x = random_matrix(batch * seq, dim, 32 + seq + batch);
+        const MatrixF y_forward = attn.forward(x);
+        for (const std::size_t streams : {1u, 2u, 3u, 4u}) {
+          SchedulerOptions options;
+          options.streams = streams;
+          options.dispatch_overhead_us = 0.0;
+          ExecScheduler scheduler(options, &pool);
+          graph.slot(in) = x;
+          scheduler.run(graph);
+          EXPECT_TRUE(bit_identical(graph.slot(out), y_forward))
+              << "batch " << batch << " streams " << streams << shape;
+          // The projections are unpacked (host nodes); the core splits
+          // into one range of whole sequences per stream, as far as the
+          // sequences go.
+          const std::size_t given = std::min(streams, batch);
+          const ExecScheduler::RunStats& stats = scheduler.last_stats();
+          EXPECT_EQ(stats.sharded_nodes, given > 1 ? 1u : 0u)
+              << "batch " << batch << " streams " << streams << shape;
+          EXPECT_EQ(stats.shards, given > 1 ? given : 0u)
+              << "batch " << batch << " streams " << streams << shape;
+        }
       }
 
-      MatrixF whole;
-      graph.execute_range(core, whole, 0, dim);
-      EXPECT_TRUE(bit_identical(whole, graph.slot(graph.nodes()[core].writes[0])))
-          << shape;
+      // Uneven sequence ranges of a 4-sequence batch against the whole.
+      const MatrixF x = random_matrix(4 * seq, dim, 33 + seq);
+      graph.slot(in) = x;
+      SchedulerOptions serial;
+      serial.streams = 1;
+      ExecScheduler(serial).run(graph);
+      const MatrixF whole = graph.slot(graph.nodes()[core].out);
       for (const std::vector<std::size_t>& split :
            {std::vector<std::size_t>{1, 1, 1, 1}, {1, 3}, {2, 2}, {3, 1}}) {
-        MatrixF joined(x.rows(), dim);
-        std::size_t n0 = 0;
-        for (const std::size_t range_heads : split) {
-          const std::size_t n1 = n0 + range_heads * head_dim;
-          MatrixF part;
-          graph.execute_range(core, part, n0, n1);
-          for (std::size_t r = 0; r < part.rows(); ++r)
-            for (std::size_t c = 0; c < part.cols(); ++c)
-              joined(r, n0 + c) = part(r, c);
-          n0 = n1;
+        graph.slot(graph.nodes()[core].out) = MatrixF();
+        graph.size_output(core);
+        std::size_t r0 = 0;
+        for (const std::size_t sequences : split) {
+          graph.execute_rows(core, r0, r0 + sequences * seq);
+          r0 += sequences * seq;
         }
-        EXPECT_TRUE(bit_identical(joined, whole))
+        EXPECT_TRUE(bit_identical(graph.slot(graph.nodes()[core].out), whole))
             << "split of " << split.size() << " ranges" << shape;
       }
     }
   }
 }
 
-TEST(ShardColsTest, RejectsBadRanges) {
-  const MatrixF w = random_matrix(16, 32, 2);
-  const MatrixF a = random_matrix(4, 16, 3);
-  for (const std::string format : {"dense", "csr", "tw", "tew", "tw-int8"}) {
-    const auto packed = pack_for_test(format, w, 8);
-    MatrixF empty(a.rows(), 0), wide(a.rows(), 32);
-    EXPECT_THROW(packed->matmul(ExecContext{}, a, empty, 4, 4),
-                 std::invalid_argument)
-        << format;
-    EXPECT_THROW(packed->matmul(ExecContext{}, a, wide, 8, 40),
-                 std::invalid_argument)
-        << format;
+TEST(RowShardTest, RejectsOffStepRanges) {
+  Rng rng(51);
+  MultiHeadAttention attn("attn", 32, 4, 8, rng);
+  ExecGraph graph;
+  ExecGraph::SlotId in = 0, out = 0;
+  const ExecGraph::NodeId core = build_attention_graph(attn, graph, in, out);
+  ASSERT_LT(core, graph.node_count());
+  graph.slot(in) = random_matrix(24, 32, 52);
+  for (const ExecGraph::NodeId id : graph.topo_order()) {
+    if (id == core) break;
+    graph.execute_node(id);
+  }
+  // The output slot is unsized until size_output().
+  EXPECT_THROW(graph.execute_rows(core, 0, 8), CheckError);
+  graph.size_output(core);
+  EXPECT_NO_THROW(graph.execute_rows(core, 8, 16));
+  EXPECT_NO_THROW(graph.execute_rows(core, 16, 16));  // empty: a no-op
+  EXPECT_THROW(graph.execute_rows(core, 0, 12), CheckError);   // half a sequence
+  EXPECT_THROW(graph.execute_rows(core, 4, 16), CheckError);   // off step
+  EXPECT_THROW(graph.execute_rows(core, 16, 32), CheckError);  // past M
+  EXPECT_THROW(graph.execute_rows(core, 16, 8), CheckError);   // reversed
+
+  // A batch that is not whole sequences is rejected serially (the whole
+  // range is off the step) and sharded (the row audit's step finding).
+  ThreadPool pool(3);
+  for (const std::size_t streams : {1u, 2u}) {
+    SchedulerOptions options;
+    options.streams = streams;
+    options.dispatch_overhead_us = 0.0;
+    ExecScheduler scheduler(options, &pool);
+    graph.slot(in) = random_matrix(20, 32, 53);
+    EXPECT_ANY_THROW(scheduler.run(graph)) << "streams " << streams;
   }
 }
 
@@ -510,7 +703,6 @@ TEST(ModelGraphTest, BertGraphForwardBitIdenticalToSyncAcrossFormats) {
     for (const std::size_t streams : {1u, 4u}) {
       SchedulerOptions options;
       options.streams = streams;
-      options.min_shard_width = 16;
       options.dispatch_overhead_us = 0.0;
       ExecScheduler scheduler(options, &pool);
       model.set_exec_scheduler(&scheduler);

@@ -43,28 +43,27 @@
 namespace {
 
 // Header dimensions reach int32 max with no payload behind them.  The
-// harness's own buffers stay bounded: A (2 x K) and C (2 x N) by running
+// harness's own buffers stay bounded: A (3 x K) and C (3 x N) by running
 // only weights up to kMaxRunDim, the K x N to_dense() image by also
 // capping K * N.
 constexpr std::size_t kMaxRunDim = std::size_t{1} << 20;
 constexpr std::size_t kMaxDenseElements = std::size_t{1} << 22;
 
 /// Executes a parsed weight the way serving does: to_dense(), then a
-/// whole matmul and a column-range matmul (the middle third of the
-/// columns, as a scheduler shard runs it) on a 2-row A.
+/// whole matmul on a 3-row A and a row range (the middle third of A's
+/// rows, through row views of A and C, as a scheduler row shard runs
+/// it).
 void execute(const tilesparse::PackedWeight& weight) {
   const std::size_t k = weight.k(), n = weight.n();
   if (k > kMaxRunDim || n > kMaxRunDim) return;
   if (k * n <= kMaxDenseElements) (void)weight.to_dense();
-  tilesparse::MatrixF a(2, k);
+  tilesparse::MatrixF a(3, k);
   for (std::size_t i = 0; i < a.size(); ++i)
     a.data()[i] = static_cast<float>(i % 7) - 3.0f;
   const tilesparse::ExecContext ctx;
-  (void)weight.matmul(ctx, a);
-  if (n == 0) return;
-  const std::size_t n0 = n / 3, n1 = n - n / 3;
-  tilesparse::MatrixF c(2, n1 - n0);
-  weight.matmul(ctx, a, c, n0, n1);
+  tilesparse::MatrixF c = weight.matmul(ctx, a);
+  tilesparse::MatrixF rows = c.row_view(1, 2);
+  weight.matmul(ctx, a.row_view(1, 2), rows);
 }
 
 void fuzz_one(const std::uint8_t* data, std::size_t size) {

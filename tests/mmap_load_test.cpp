@@ -4,7 +4,7 @@
 //
 //  1. Equivalence — for every registered format, a weight loaded
 //     zero-copy from a mapped artifact is bit-identical to the
-//     stream-loaded one: to_dense, matmul, column-range matmul, bytes.
+//     stream-loaded one: to_dense, matmul, row-range matmul, bytes.
 //  2. Hostile input — truncated, corrupt, misaligned, or missing
 //     artifacts throw std::runtime_error with offset diagnostics; they
 //     never fault or feed the kernels a misaligned pointer.
@@ -114,11 +114,11 @@ TEST_P(MappedEqualsStream, BitIdenticalEverywhere) {
   EXPECT_FLOAT_EQ(
       max_abs_diff(mapped->matmul(ctx, a), streamed->matmul(ctx, a)), 0.0f);
 
-  // A column range runs on the mapped image itself and still executes
-  // identically.
-  MatrixF range_mapped(a.rows(), 32), range_streamed(a.rows(), 32);
-  mapped->matmul(ctx, a, range_mapped, 8, 40);
-  streamed->matmul(ctx, a, range_streamed, 8, 40);
+  // A row range (a scheduler row shard) runs on the mapped image itself
+  // and still executes identically.
+  MatrixF range_mapped(3, mapped->n()), range_streamed(3, streamed->n());
+  mapped->matmul(ctx, a.row_view(2, 5), range_mapped);
+  streamed->matmul(ctx, a.row_view(2, 5), range_streamed);
   EXPECT_FLOAT_EQ(max_abs_diff(range_mapped, range_streamed), 0.0f);
 }
 
@@ -153,7 +153,7 @@ TEST(MappedModel, ModelArtifactLoadsZeroCopy) {
 }
 
 TEST(MappedModel, ShardedScheduleOverMappedWeightsMatchesSerial) {
-  // Column shards are ranges of one weight, so the shards of a mapped
+  // Row shards all run one whole weight, so the shards of a mapped
   // weight share its borrowed image, and the dense shards race to build
   // its lazily packed B panels.  A multi-stream sharded schedule over
   // freshly mapped weights must match the serial schedule over
@@ -191,7 +191,6 @@ TEST(MappedModel, ShardedScheduleOverMappedWeightsMatchesSerial) {
   for (int rep = 0; rep < 3; ++rep) {
     SchedulerOptions options;
     options.streams = 4;
-    options.min_shard_width = 16;
     options.dispatch_overhead_us = 0.0;
     ExecScheduler scheduler(options, &pool);
     const MatrixF got =

@@ -1,6 +1,6 @@
 // Static ExecGraph verifier (exec/validate.hpp): every class of
 // malformed graph — cycles, reads before any writer, slot-implied
-// hazards with no covering dependency path, bad shard plans, shape
+// hazards with no covering dependency path, bad row shards, shape
 // mismatches — is rejected with a diagnostic naming the offending
 // nodes/slots, while the real model graphs (Bert/NMT/VGG) validate
 // clean.  The scheduler runs this audit once per graph build, so a
@@ -178,43 +178,49 @@ TEST(ValidateTest, TransitivePathCoversHazard) {
   EXPECT_NO_THROW(validate_graph_or_throw(g));
 }
 
-// ------------------------------------------- fixture: bad shard slices
+// ---------------------------------------------- fixture: bad row shards
 
-/// The GEMM node of a one-node graph over `weight`: the node a shard
-/// plan for that weight is audited against.
+/// The GEMM node of a one-node graph over `weight`: the node a row
+/// split is audited against.
 const ExecGraph::Node& gemm_node(ExecGraph& g, const PackedWeight& weight) {
   const auto in = g.add_slot("in");
   const auto out = g.add_slot("out");
   return g.nodes()[g.add_gemm("w", &weight, in, out)];
 }
 
-TEST(ValidateTest, OverlappingShardSlicesAreReported) {
+TEST(ValidateTest, OverlappingRowShardsAreReported) {
   const MatrixF w = random_matrix(16, 64, 3);
   const auto packed = make_packed("dense", w);
   ExecGraph g;
-  const auto findings = audit_shard_slices(
-      gemm_node(g, *packed), {{0, 24}, {16, 40}, {40, 64}});
+  const auto findings = audit_row_shards(gemm_node(g, *packed), 64,
+                                         {{0, 24}, {16, 40}, {40, 64}});
   EXPECT_TRUE(has_finding(findings, "shard-plan", "computed twice"))
       << render(findings);
 }
 
-TEST(ValidateTest, ShardGapAndCoverageAreReported) {
+TEST(ValidateTest, RowShardGapAndCoverageAreReported) {
   const MatrixF w = random_matrix(16, 64, 3);
   const auto packed = make_packed("dense", w);
   ExecGraph g;
   const ExecGraph::Node& node = gemm_node(g, *packed);
-  const auto gap = audit_shard_slices(node, {{0, 16}, {24, 64}});
-  EXPECT_TRUE(has_finding(gap, "shard-plan", "skips columns")) << render(gap);
-  const auto partial = audit_shard_slices(node, {{0, 16}, {16, 48}});
-  EXPECT_TRUE(has_finding(partial, "shard-plan", "N = 64")) << render(partial);
-  const auto good = audit_shard_slices(node, {{0, 16}, {16, 48}, {48, 64}});
+  const auto gap = audit_row_shards(node, 64, {{0, 16}, {24, 64}});
+  EXPECT_TRUE(has_finding(gap, "shard-plan", "skip rows")) << render(gap);
+  const auto partial = audit_row_shards(node, 64, {{0, 16}, {16, 48}});
+  EXPECT_TRUE(has_finding(partial, "shard-plan", "of 64")) << render(partial);
+  const auto reversed = audit_row_shards(node, 64, {{0, 16}, {48, 16}});
+  EXPECT_TRUE(has_finding(reversed, "shard-plan", "ends before"))
+      << render(reversed);
+  const auto good = audit_row_shards(node, 64, {{0, 16}, {16, 48}, {48, 64}});
   EXPECT_TRUE(good.empty()) << render(good);
+  // Empty shards (more shards than rows) still tile.
+  const auto sparse = audit_row_shards(node, 2, {{0, 1}, {1, 1}, {1, 2}});
+  EXPECT_TRUE(sparse.empty()) << render(sparse);
 }
 
-TEST(ValidateTest, AttentionCoreRangesMustFollowHeadBoundaries) {
-  // The core is a column-range node with one head (16 columns) as its
-  // range step: a range that splits a head, or a plan that leaves a
-  // gap, is an error; whole-head ranges tiling [0, 64) are clean.
+TEST(ValidateTest, AttentionCoreRowShardsMustFollowSequences) {
+  // The core is a row-range node with one sequence (8 rows) as its row
+  // step: a shard that splits a sequence, or a split that leaves a gap,
+  // is an error; whole-sequence shards tiling [0, 32) are clean.
   Rng rng(5);
   MultiHeadAttention attn("attn", 64, 4, 8, rng);
   ExecGraph g;
@@ -228,17 +234,57 @@ TEST(ValidateTest, AttentionCoreRangesMustFollowHeadBoundaries) {
       g.nodes().begin(), g.nodes().end(),
       [](const ExecGraph::Node& n) { return n.name == "attn.out.w.core"; });
   ASSERT_NE(core, g.nodes().end());
-  ASSERT_TRUE(core->column_ranged());
+  ASSERT_TRUE(core->row_ranged());
   EXPECT_EQ(core->width, 64u);
-  EXPECT_EQ(core->range_step, 16u);
+  EXPECT_EQ(core->row_step, 8u);
 
-  const auto split = audit_shard_slices(*core, {{0, 24}, {24, 64}});
-  EXPECT_TRUE(has_finding(split, "shard-plan", "range step of 16"))
-      << render(split);
-  const auto gap = audit_shard_slices(*core, {{0, 16}, {32, 64}});
-  EXPECT_TRUE(has_finding(gap, "shard-plan", "skips columns")) << render(gap);
-  const auto heads = audit_shard_slices(*core, {{0, 16}, {16, 48}, {48, 64}});
-  EXPECT_TRUE(heads.empty()) << render(heads);
+  const auto split = audit_row_shards(*core, 32, {{0, 12}, {12, 32}});
+  EXPECT_TRUE(has_finding(split, "shard-plan", "row step")) << render(split);
+  const auto gap = audit_row_shards(*core, 32, {{0, 8}, {16, 32}});
+  EXPECT_TRUE(has_finding(gap, "shard-plan", "skip rows")) << render(gap);
+  const auto ragged = audit_row_shards(*core, 30, {{0, 16}, {16, 30}});
+  EXPECT_TRUE(has_finding(ragged, "shard-plan", "row step")) << render(ragged);
+  const auto sequences = audit_row_shards(*core, 32, {{0, 8}, {8, 24}, {24, 32}});
+  EXPECT_TRUE(sequences.empty()) << render(sequences);
+}
+
+TEST(ValidateTest, RowRuleTilesEveryM) {
+  // row_shard, the one row rule, tiles [0, m) on step multiples for
+  // every m, step and shard count, and the audit agrees; when m is not
+  // a multiple of the step the last shard carries the ragged rows and
+  // the audit reports them.
+  const MatrixF w = random_matrix(8, 8, 6);
+  const auto packed = make_packed("dense", w);
+  for (const std::size_t step : {1u, 3u, 8u}) {
+    ExecGraph g;
+    ExecGraph::Node node = gemm_node(g, *packed);
+    node.row_step = step;
+    for (std::size_t m = 0; m <= 50; ++m) {
+      for (std::size_t shards = 1; shards <= 5; ++shards) {
+        std::vector<std::pair<std::size_t, std::size_t>> ranges;
+        std::size_t largest = 0, smallest = m;
+        for (std::size_t s = 0; s < shards; ++s) {
+          ranges.push_back(row_shard(m, step, shards, s));
+          const std::size_t units = (ranges.back().second / step) -
+                                    (ranges.back().first / step);
+          largest = std::max(largest, units);
+          smallest = std::min(smallest, units);
+        }
+        const auto findings = audit_row_shards(node, m, ranges);
+        const std::string where = "m " + std::to_string(m) + " step " +
+                                  std::to_string(step) + " shards " +
+                                  std::to_string(shards);
+        EXPECT_EQ(ranges.back().second, m) << where;
+        EXPECT_LE(largest - smallest, 1u) << where;  // as even as it goes
+        if (m % step == 0) {
+          EXPECT_TRUE(findings.empty()) << where << "\n" << render(findings);
+        } else {
+          EXPECT_TRUE(has_finding(findings, "shard-plan", "row step"))
+              << where;
+        }
+      }
+    }
+  }
 }
 
 // --------------------------------------------- fixture: shape mismatch
