@@ -21,6 +21,7 @@
 #include "exec/backend_registry.hpp"
 #include "exec/planner.hpp"
 #include "io/serialize.hpp"
+#include "quant/quant_gemm.hpp"
 #include "sparse/bsr.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
@@ -66,7 +67,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::printf("== Planner calibration (m=%zu, k=n=%zu) ==\n\n", m, kn);
+  std::printf("== Planner calibration (m=%zu, k=n=%zu, int8 unit %s) ==\n\n",
+              m, kn, quant_tw_unit());
   Rng rng(11);
   MatrixF a(m, kn);
   fill_normal(a, rng);

@@ -1,8 +1,9 @@
 // Extension bench: TW + INT8 quantization (the paper's stated future
 // work, Sec. VIII).  Measures on the CPU substrate:
 //  * numerical error of int8 TW execution vs fp32 and fp16 TW,
-//  * measured kernel time (int8 arithmetic is narrower; on real tensor
-//    cores it doubles peak throughput on top of the sparsity win),
+//  * measured kernel time, on the int8 unit it prints (AMX-INT8 tiles,
+//    AVX2 or scalar; int8 arithmetic is narrower, and on a matrix unit
+//    it multiplies peak throughput on top of the sparsity win),
 //  * measured time of per-row activation quantisation (quantize_rows,
 //    which every int8 GEMM runs on its A) at each SIMD level,
 // and reports the projected energy per inference from the device model.
@@ -13,6 +14,7 @@
 #include "exec/backend_registry.hpp"
 #include "gemm/dense_gemm.hpp"
 #include "gemm/micro_kernel.hpp"
+#include "quant/quant_gemm.hpp"
 #include "quant/quantize.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
@@ -24,6 +26,7 @@ int main(int argc, char** argv) {
   const std::string json_path = take_json_flag(argc, argv);
   BenchJson sink;
   std::puts("== Extension: TW x INT8 quantization ==\n");
+  std::printf("int8 unit: %s\n\n", quant_tw_unit());
   Rng rng(3);
   const std::size_t m = 256, k = 768, n = 768;
   MatrixF a(m, k);

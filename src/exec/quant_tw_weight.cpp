@@ -18,7 +18,14 @@ QuantTwWeight::QuantTwWeight(const std::vector<MaskedTile>& tiles,
 
 QuantTwWeight::QuantTwWeight(std::vector<QuantMaskedTile> tiles, std::size_t k,
                              std::size_t n)
-    : PackedWeight(k, n), tiles_(std::move(tiles)) {}
+    : PackedWeight(k, n), tiles_(std::move(tiles)) {
+  // Every path to a tw-int8 weight (from floats, stream, mapped image)
+  // passes here, so this is the one index check: the AMX gather reads
+  // kept rows in ascending order, and the tile loop writes disjoint
+  // columns in parallel.
+  wire::check_tile_indices(tiles_, k, n);
+  amx_ = pack_amx_tiles(tiles_, k);
+}
 
 void QuantTwWeight::save(std::ostream& out) const {
   wire::write_pod<std::uint64_t>(out, tiles_.size());
@@ -56,7 +63,6 @@ std::unique_ptr<QuantTwWeight> QuantTwWeight::load(MappedArtifact& in,
                                       static_cast<std::size_t>(rows),
                                       static_cast<std::size_t>(cols));
   }
-  wire::check_tile_indices(tiles, k, n);
   auto weight = std::make_unique<QuantTwWeight>(std::move(tiles), k, n);
   weight->set_storage_keepalive(in.keepalive());
   return weight;
@@ -88,7 +94,7 @@ double QuantTwWeight::macs(std::size_t m) const noexcept {
 
 void QuantTwWeight::accumulate(const ExecContext&, const MatrixF& a,
                                MatrixF& c) const {
-  quant_tw_gemm(a, tiles_, c);
+  quant_tw_gemm(a, tiles_, amx_, c);
 }
 
 }  // namespace tilesparse

@@ -30,7 +30,12 @@ class QuantTwWeight final : public PackedWeight {
   QuantTwWeight(const std::vector<MaskedTile>& tiles, std::size_t k,
                 std::size_t n);
 
-  /// Wraps already-quantised tiles (the deployment load path).
+  /// Wraps already-quantised tiles; every other constructor and the
+  /// loader end here.  Throws std::runtime_error unless each tile's
+  /// kept_rows and out_cols are strictly ascending and in range and no
+  /// column belongs to two tiles (wire::check_tile_indices).  On an
+  /// AMX-INT8 host it also packs the tiles' B copy for the matrix unit
+  /// (pack_amx_tiles), once.
   QuantTwWeight(std::vector<QuantMaskedTile> tiles, std::size_t k,
                 std::size_t n);
 
@@ -38,8 +43,9 @@ class QuantTwWeight final : public PackedWeight {
   /// int8 tiles *with their per-tile scales* — loading never
   /// re-quantises (which would shift results between the train and
   /// serve sides).  Each tile's int8 weight matrix borrows the image in
-  /// place, and quant_tw_gemm executes directly on the borrowed tiles
-  /// (no private repack).
+  /// place, and the AVX2 and scalar bodies of quant_tw_gemm execute
+  /// directly on the borrowed tiles; only the AMX body reads the B copy
+  /// the constructor packs.
   static std::unique_ptr<QuantTwWeight> load(MappedArtifact& in,
                                              std::size_t k, std::size_t n);
 
@@ -59,6 +65,7 @@ class QuantTwWeight final : public PackedWeight {
 
  private:
   std::vector<QuantMaskedTile> tiles_;
+  std::vector<AmxTile> amx_;  ///< empty on a host without AMX-INT8
 };
 
 }  // namespace tilesparse

@@ -6,7 +6,14 @@
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define TILESPARSE_X86_DISPATCH 1
+#include <cpuid.h>
 #include <immintrin.h>
+#endif
+
+#if defined(TILESPARSE_X86_DISPATCH) && defined(__linux__)
+#define TILESPARSE_AMX_PROBE 1
+#include <sys/syscall.h>
+#include <unistd.h>
 #endif
 
 namespace tilesparse {
@@ -203,6 +210,25 @@ SimdLevel detect() noexcept {
   return SimdLevel::kScalar;
 }
 
+bool detect_amx_int8() noexcept {
+#ifdef TILESPARSE_AMX_PROBE
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  constexpr unsigned kAmxTile = 1u << 24;  // CPUID.(7,0):EDX
+  constexpr unsigned kAmxInt8 = 1u << 25;
+  if ((edx & kAmxTile) == 0 || (edx & kAmxInt8) == 0) return false;
+  if (!__builtin_cpu_supports("avx512bw") ||
+      !__builtin_cpu_supports("avx512vbmi2"))
+    return false;
+  // Linux keeps the 8 KiB tile state off until a process asks for it.
+  constexpr long kArchReqXcompPerm = 0x1023;
+  constexpr long kXfeatureXtiledata = 18;
+  return syscall(SYS_arch_prctl, kArchReqXcompPerm, kXfeatureXtiledata) == 0;
+#else
+  return false;
+#endif
+}
+
 std::atomic<SimdLevel>& active_level() noexcept {
   static std::atomic<SimdLevel> level{detect()};
   return level;
@@ -213,6 +239,11 @@ std::atomic<SimdLevel>& active_level() noexcept {
 SimdLevel detected_simd_level() noexcept {
   static const SimdLevel level = detect();
   return level;
+}
+
+bool amx_int8_available() noexcept {
+  static const bool available = detect_amx_int8();
+  return available;
 }
 
 SimdLevel active_simd_level() noexcept {

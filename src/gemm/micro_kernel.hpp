@@ -13,7 +13,14 @@
 // Two kernels are exposed:
 //  * fp32:       C(rows x cols) += A_panel^T * B_panel (FMA)
 //  * int8->int32 with fused dequant: C += scale * (A_panel^T * B_panel)
-//    accumulated in int32 (the tensor-core IMMA analogue)
+//    accumulated in int32 on 16-bit vpmaddwd lanes
+//
+// The int8 TW kernel (quant/quant_gemm) has one more body, on the CPU's
+// matrix unit: AMX-INT8 tiles, a CPU's analogue of the tensor-core
+// IMMA the paper runs TW tiles on.  It is not a SimdLevel, because AMX
+// is a property of the int8 unit rather than of the vector ISA:
+// amx_int8_available() below probes it once, and quant_tw_gemm runs it
+// in place of micro_kernel_i8 when the active level is kAvx2.
 //
 // Dispatch is resolved at runtime: an AVX2+FMA implementation via
 // intrinsics (compiled with function-level target attributes, so the
@@ -64,6 +71,14 @@ SimdLevel set_simd_level(SimdLevel level) noexcept;
 inline const char* simd_level_name(SimdLevel level) noexcept {
   return level == SimdLevel::kAvx2 ? "avx2" : "scalar";
 }
+
+/// True when this process may run AMX-INT8 tile instructions: the CPU
+/// has AMX-TILE, AMX-INT8, AVX512-BW and AVX512-VBMI2 (the int8 gather),
+/// and the kernel granted the XTILEDATA state permission
+/// (arch_prctl(ARCH_REQ_XCOMP_PERM)), without which the first tile
+/// instruction raises SIGILL.  Probed once per process, then cached.
+/// Independent of set_simd_level(): callers gate on both.
+bool amx_int8_available() noexcept;
 
 // ------------------------------------------------------------- kernels
 

@@ -295,10 +295,14 @@ TEST(MappedHostile, OverlappingTileColumnsRejected) {
   tew.tiles = tiles;
   tew.remainder = csc_from_dense(MatrixF(k, n));
 
+  // tw-int8 checks its tiles when it is constructed, and both of its
+  // loaders construct through that check, so overlapping tiles never
+  // reach its save().
+  EXPECT_THROW(QuantTwWeight(tiles, k, n), std::runtime_error);
+
   std::vector<std::unique_ptr<PackedWeight>> weights;
   weights.push_back(std::make_unique<TwWeight>(tiles, k, n));
   weights.push_back(std::make_unique<TewWeight>(std::move(tew)));
-  weights.push_back(std::make_unique<QuantTwWeight>(tiles, k, n));
   for (const auto& weight : weights) {
     const std::string format(weight->format());
     TempArtifact artifact(("overlap_" + format).c_str());
@@ -309,6 +313,40 @@ TEST(MappedHostile, OverlappingTileColumnsRejected) {
                  std::runtime_error)
         << format << " mapped";
   }
+
+  // A tw-int8 image with overlapping columns: save valid tiles on
+  // columns {0, 1} and {4, 5} of a 6-column weight, then stamp the
+  // second tile's columns to {1, 2} in the file.
+  std::vector<MaskedTile> valid = tiles;
+  valid[1].out_cols = {4, 5};
+  TempArtifact artifact("overlap_tw-int8");
+  save_packed_weight(artifact.path(), QuantTwWeight(valid, k, 6));
+  std::string bytes = read_file(artifact.path());
+  const std::int32_t saved_cols[] = {4, 5};
+  const std::int32_t stamped_cols[] = {1, 2};
+  const std::string needle(reinterpret_cast<const char*>(saved_cols),
+                           sizeof(saved_cols));
+  const std::size_t at = bytes.find(needle);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(bytes.find(needle, at + 1), std::string::npos);
+  bytes.replace(at, sizeof(stamped_cols),
+                reinterpret_cast<const char*>(stamped_cols),
+                sizeof(stamped_cols));
+  write_file(artifact.path(), bytes);
+  const auto expect_overlap = [&](auto&& load, const char* path_kind) {
+    try {
+      load(artifact.path());
+      ADD_FAILURE() << "tw-int8 " << path_kind << ": expected a throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("two tiles"), std::string::npos)
+          << path_kind << ": " << e.what();
+    }
+  };
+  expect_overlap([](const std::string& p) { (void)load_packed_weight(p); },
+                 "stream");
+  expect_overlap(
+      [](const std::string& p) { (void)load_packed_weight_mapped(p); },
+      "mapped");
 }
 
 TEST(MappedHostile, CorruptTewPatternThrowsRuntimeError) {

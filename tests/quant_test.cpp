@@ -4,6 +4,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <stdexcept>
+#include <string>
 #include <limits>
 #include <vector>
 
@@ -264,6 +268,164 @@ TEST(QuantGemm, PreservesPrunedColumnsAsZero) {
     if (pattern.col_keep[col]) continue;
     for (std::size_t r = 0; r < 4; ++r) EXPECT_EQ(c(r, col), 0.0f);
   }
+}
+
+// ------------------------------------------- integer oracle for the kernel
+
+bool bit_identical(const MatrixF& a, const MatrixF& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// C = A * W for quantised tiles, by definition: each tile's kept
+/// columns of quantize_rows(a), an int32 dot product per output, then
+/// (tile.scale * float(sum)) * row_scale added into the tile's columns.
+MatrixF integer_oracle(const MatrixF& a,
+                       const std::vector<QuantMaskedTile>& tiles,
+                       std::size_t n) {
+  const QuantRowMatrix aq = quantize_rows(a);
+  MatrixF c(a.rows(), n);
+  for (const QuantMaskedTile& tile : tiles) {
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+      for (std::size_t j = 0; j < tile.out_cols.size(); ++j) {
+        std::int32_t sum = 0;
+        for (std::size_t t = 0; t < tile.kept_rows.size(); ++t) {
+          const auto col = static_cast<std::size_t>(tile.kept_rows[t]);
+          sum += std::int32_t{aq.values(i, col)} *
+                 std::int32_t{tile.weights(t, j)};
+        }
+        c(i, static_cast<std::size_t>(tile.out_cols[j])) +=
+            (tile.scale * static_cast<float>(sum)) * aq.scales[i];
+      }
+    }
+  }
+  return c;
+}
+
+/// `count` random sorted distinct indices below `limit`.
+std::vector<std::int32_t> sorted_indices(std::size_t count, std::size_t limit,
+                                         Rng& rng) {
+  std::vector<std::int32_t> all(limit);
+  for (std::size_t i = 0; i < limit; ++i) all[i] = static_cast<std::int32_t>(i);
+  for (std::size_t i = 0; i < count; ++i)
+    std::swap(all[i], all[i + rng.below(limit - i)]);
+  all.resize(count);
+  std::sort(all.begin(), all.end());
+  return all;
+}
+
+/// A kt x wt tile of random int8 weights over the full [-127, 127]
+/// range, on random rows of K and columns of N.
+QuantMaskedTile random_quant_tile(std::size_t kt, std::size_t wt,
+                                  std::size_t k, std::size_t n, Rng& rng) {
+  QuantMaskedTile tile;
+  tile.weights = MatrixI8(kt, wt);
+  for (std::int8_t& v : tile.weights.flat())
+    v = static_cast<std::int8_t>(static_cast<int>(rng.below(255)) - 127);
+  tile.scale = 0.01f + rng.uniform();
+  tile.kept_rows = sorted_indices(kt, k, rng);
+  tile.out_cols = sorted_indices(wt, n, rng);
+  return tile;
+}
+
+TEST(QuantGemm, EveryLevelMatchesIntegerOracleOnRaggedShapes) {
+  std::string units;
+  for (const SimdLevel level : testable_simd_levels()) {
+    ScopedSimdLevel scoped(level);
+    units += std::string(" ") + quant_tw_unit();
+  }
+  // Every K, kept-row count, tile width and M below with kt <= K: 1218
+  // one-tile weights.
+  Rng rng(41);
+  std::size_t shapes = 0;
+  for (const std::size_t k : {7, 64, 100, 256, 1024})
+    for (const std::size_t kt : {1, 3, 4, 63, 64, 65, 127, 517}) {
+      if (kt > k) continue;
+      for (const std::size_t wt : {1, 15, 16, 17, 48, 64})
+        for (const std::size_t m : {1, 5, 15, 16, 17, 37, 256}) {
+          ++shapes;
+          const std::size_t n = 2 * wt + 3;
+          const std::vector<QuantMaskedTile> tiles{
+              random_quant_tile(kt, wt, k, n, rng)};
+          MatrixF a(m, k);
+          fill_normal(a, rng);
+          const std::string label =
+              "K=" + std::to_string(k) + " kt=" + std::to_string(kt) +
+              " wt=" + std::to_string(wt) + " M=" + std::to_string(m);
+          const MatrixF want = integer_oracle(a, tiles, n);
+          const QuantTwWeight weight(tiles, k, n);
+          for (const SimdLevel level : testable_simd_levels()) {
+            ScopedSimdLevel scoped(level);
+            ASSERT_TRUE(bit_identical(weight.matmul(ExecContext{}, a), want))
+                << quant_tw_unit() << " " << label;
+            // Without the AMX packs the kernel runs the level's vector
+            // body: the AVX2 body an AMX host never dispatches.
+            MatrixF c(m, n);
+            quant_tw_gemm(a, tiles, {}, c);
+            ASSERT_TRUE(bit_identical(c, want))
+                << simd_level_name(level) << " without AMX packs " << label;
+          }
+        }
+    }
+  EXPECT_EQ(shapes, 1218u);
+  std::printf("quant_tw_gemm units checked:%s\n", units.c_str());
+}
+
+TEST(QuantGemm, AmxBodyMatchesIntegerOracle) {
+  if (!amx_int8_available()) GTEST_SKIP() << "host has no AMX-INT8";
+  ScopedSimdLevel scoped(SimdLevel::kAvx2);
+  ASSERT_STREQ(quant_tw_unit(), "amx");
+
+  // Three tiles of a 300 x 200 weight, one with no kept rows, run by
+  // several threads at once.
+  const std::size_t k = 300, n = 200, m = 70;
+  Rng rng(43);
+  std::vector<QuantMaskedTile> tiles;
+  const std::vector<std::int32_t> cols = sorted_indices(150, n, rng);
+  for (const std::size_t kt : {std::size_t{130}, std::size_t{0},
+                               std::size_t{201}}) {
+    const std::size_t first = tiles.size() * 50;
+    QuantMaskedTile tile = random_quant_tile(kt, 50, k, n, rng);
+    tile.out_cols.assign(cols.begin() + static_cast<std::ptrdiff_t>(first),
+                         cols.begin() + static_cast<std::ptrdiff_t>(first + 50));
+    tiles.push_back(std::move(tile));
+  }
+  const QuantTwWeight weight(tiles, k, n);
+  MatrixF a(m, k);
+  fill_normal(a, rng);
+  const MatrixF want = integer_oracle(a, tiles, n);
+  for (const int threads : {1, 3}) {
+    ExecContext ctx;
+    ctx.threads = threads;
+    EXPECT_TRUE(bit_identical(weight.matmul(ctx, a), want))
+        << threads << " threads";
+  }
+  // The tile with no kept rows leaves its columns zero.
+  for (std::size_t i = 0; i < m; ++i)
+    for (const std::int32_t col : tiles[1].out_cols)
+      ASSERT_EQ(want(i, static_cast<std::size_t>(col)), 0.0f);
+
+  // A row shard: rows [5, 22) of A through row views of A and C.
+  MatrixF c(m, n);
+  MatrixF rows = c.row_view(5, 22);
+  weight.matmul(ExecContext{}, a.row_view(5, 22), rows);
+  const MatrixF want_rows = integer_oracle(a.row_view(5, 22), tiles, n);
+  EXPECT_TRUE(bit_identical(rows, want_rows));
+  EXPECT_TRUE(bit_identical(want_rows, want.row_view(5, 22)));
+}
+
+TEST(QuantGemm, ConstructorRejectsBadTileIndices) {
+  QuantMaskedTile tile;
+  tile.weights = MatrixI8(2, 1);
+  tile.out_cols = {0};
+  tile.kept_rows = {3, 1};  // descending
+  EXPECT_THROW(QuantTwWeight({tile}, 4, 2), std::runtime_error);
+  tile.kept_rows = {1, 1};  // duplicate
+  EXPECT_THROW(QuantTwWeight({tile}, 4, 2), std::runtime_error);
+  tile.kept_rows = {1, 4};  // out of range
+  EXPECT_THROW(QuantTwWeight({tile}, 4, 2), std::runtime_error);
+  tile.kept_rows = {1, 3};
+  EXPECT_NO_THROW(QuantTwWeight({tile}, 4, 2));
 }
 
 }  // namespace
